@@ -22,7 +22,7 @@ void NameService::set_shard_map(AppId app, shard::ShardMap map) {
 }
 
 std::optional<ManagerSet> NameService::resolve(AppId app) const {
-  ++lookups_;
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   const auto it = records_.find(app);
   if (it == records_.end()) return std::nullopt;
   return it->second;

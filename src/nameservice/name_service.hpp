@@ -14,6 +14,7 @@
 // mechanism the paper prescribes.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -49,11 +50,15 @@ class NameService {
   /// Current record, or nullopt for unknown applications.
   [[nodiscard]] std::optional<ManagerSet> resolve(AppId app) const;
 
-  [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
+  [[nodiscard]] std::uint64_t lookups() const noexcept {
+    return lookups_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::unordered_map<AppId, ManagerSet> records_;
-  mutable std::uint64_t lookups_ = 0;
+  /// Relaxed atomic: host threads of one process share a name service and
+  /// resolve() concurrently; the count orders nothing.
+  mutable std::atomic<std::uint64_t> lookups_{0};
 };
 
 /// Host-side TTL cache over the name service.

@@ -196,6 +196,7 @@ void ReactorTransport::drain_inbound() {
   static thread_local std::vector<std::uint8_t> storage(kBatch * 65536);
   static thread_local std::array<iovec, kBatch> iovecs;
   static thread_local std::array<mmsghdr, kBatch> headers;
+  std::array<Datagram, kBatch> datagrams;
   for (unsigned i = 0; i < kBatch; ++i) {
     iovecs[i].iov_base = storage.data() + i * std::size_t{65536};
     iovecs[i].iov_len = 65536;
@@ -208,9 +209,12 @@ void ReactorTransport::drain_inbound() {
                                /*timeout=*/nullptr);
     if (got <= 0) return;  // EAGAIN (drained) or transient error
     for (int i = 0; i < got; ++i) {
-      on_datagram(static_cast<const std::uint8_t*>(iovecs[i].iov_base),
-                  headers[i].msg_len);
+      datagrams[i] = Datagram{
+          static_cast<const std::uint8_t*>(iovecs[i].iov_base),
+          headers[i].msg_len};
     }
+    on_datagrams(std::span<const Datagram>(datagrams.data(),
+                                           static_cast<std::size_t>(got)));
     if (static_cast<unsigned>(got) < kBatch) return;  // socket drained
   }
 }

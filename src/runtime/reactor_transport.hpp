@@ -14,6 +14,10 @@
 //     kBatch frames per syscall, preallocated buffers) until EAGAIN;
 //     outbound frames are flushed with sendmmsg. At saturation the per-frame
 //     syscall cost amortizes to ~1/kBatch of the thread-per-datagram design.
+//   * Batched delivery: each recvmmsg batch goes to
+//     SocketTransport::on_datagrams() whole, so a node loop gets one post
+//     (one lock, one wakeup) per batch carrying all of its frames, not one
+//     per frame.
 //   * Reusable encode buffers: send() encodes through
 //     CodecRegistry::encode_into into a vector recycled from a free pool, so
 //     the steady-state hot path performs no allocation once buffers reach
@@ -76,7 +80,8 @@ class ReactorTransport final : public SocketTransport {
   void recycle_send_buffer(std::vector<std::uint8_t>&& buf) override;
 
   void reactor_loop();
-  /// Drains the inbound side with recvmmsg until EAGAIN.
+  /// Drains the inbound side with recvmmsg until EAGAIN, handing each
+  /// batch to on_datagrams().
   void drain_inbound();
   /// Flushes the outbound queue with sendmmsg; returns true when fully
   /// drained, false when the kernel buffer filled (caller arms EPOLLOUT).

@@ -77,6 +77,12 @@ obs::Counter& socket_deliveries() {
   return c;
 }
 
+obs::Counter& socket_delivery_handoffs() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("wan_udp_delivery_handoffs_total");
+  return c;
+}
+
 void count_socket_drop(const char* reason) {
   obs::Registry::global()
       .counter(std::string("wan_udp_drops_total{reason=\"") + reason + "\"}")
@@ -243,7 +249,7 @@ bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
           return it->second;
         },
         [this](std::uint32_t from, std::uint32_t to, net::MessagePtr msg) {
-          deliver(from, to, std::move(msg));
+          collect(from, to, std::move(msg));
         },
         // Channel spans on the fabric's runtime clock, the same basis as
         // env.now() — merged traces interleave them with protocol spans.
@@ -298,7 +304,9 @@ void SocketTransport::attach(HostId id, std::shared_ptr<LoopCore> core,
   WAN_REQUIRE(id.valid());
   WAN_REQUIRE(handler != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  endpoints_[id] = Endpoint{std::move(core), std::move(handler), false};
+  endpoints_[id] = Endpoint{
+      std::move(core),
+      std::make_shared<const Transport::Handler>(std::move(handler)), false};
 }
 
 void SocketTransport::set_endpoint_down(HostId id, bool down) {
@@ -350,99 +358,129 @@ std::optional<ResolvedAddr> SocketTransport::route_for_send(HostId from,
   return peer->second;
 }
 
-void SocketTransport::on_datagram(const std::uint8_t* data, std::size_t size) {
-  socket_frames_received().inc();
-  const net::CodecRegistry::Decoded decoded =
-      net::CodecRegistry::global().decode(data, size);
-  if (!decoded.ok()) {
-    count_socket_drop(net::to_cstring(decoded.error));
-    return;
-  }
-  const std::uint32_t from = decoded.frame->from.value();
-  const std::uint32_t to = decoded.frame->to.value();
-  net::MessagePtr msg = decoded.frame->msg;
-
-  // Adverse-network injection (test hook). Decisions are drawn under
-  // fault_mu_; delivery happens outside it so a released held frame cannot
-  // re-enter protocol code while the lock is held.
-  bool drop = false;
-  bool duplicate = false;
-  bool hold = false;
-  std::optional<HeldFrame> release;
+void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
+  socket_frames_received().inc(batch.size());
   {
+    // Fault decisions are drawn under fault_mu_; nothing below calls out of
+    // the transport, so a released held frame cannot re-enter protocol code
+    // while the lock is held.
+    const net::CodecRegistry& codec = net::CodecRegistry::global();
     std::lock_guard<std::mutex> lock(fault_mu_);
-    if (faults_armed_) {
-      drop = fault_rng_.next_bool(fault_plan_.loss);
-      if (!drop) {
-        hold = !held_.has_value() && fault_rng_.next_bool(fault_plan_.reorder);
-        duplicate = !hold && fault_rng_.next_bool(fault_plan_.duplicate);
-        if (hold) {
-          held_ = HeldFrame{from, to, msg};
-        } else if (held_.has_value()) {
-          release = std::move(held_);
-          held_.reset();
-        }
+    for (const Datagram& d : batch) {
+      const net::CodecRegistry::Decoded decoded = codec.decode(d.data, d.size);
+      if (!decoded.ok()) {
+        count_socket_drop(net::to_cstring(decoded.error));
+        continue;
+      }
+      stage(decoded.frame->from.value(), decoded.frame->to.value(),
+            decoded.frame->msg);
+    }
+  }
+  if (staged_.empty()) return;
+
+  // One routing pass under mu_ per batch: mark blocked sources, and look up
+  // each destination endpoint once.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Staged& f : staged_) {
+      f.blocked = blocked_sources_.count(f.from) != 0;
+      if (f.blocked || handoff_for(f.to) != nullptr) continue;
+      Handoff& h = handoffs_.emplace_back();
+      h.to = f.to;
+      if (const auto it = endpoints_.find(HostId(f.to));
+          it != endpoints_.end()) {
+        h.core = it->second.core;
+        h.handler = it->second.handler;
+        h.down = it->second.down;
       }
     }
   }
-  if (drop) {
+
+  for (Staged& f : staged_) {
+    // Blocked sources are filtered before the reliability layer sees the
+    // frame: a one-way partition must swallow the envelope too, or the ack
+    // it triggers would defeat the cut the test armed.
+    if (f.blocked) {
+      count_socket_drop("blocked");
+      continue;
+    }
+    if (reliable_ != nullptr) {
+      // on_data delivers the unwrapped message through collect(), so it
+      // joins the same handoff list in arrival order. The envelope's inner
+      // destination equals the outer one, so its endpoint was looked up.
+      if (const auto* data =
+              dynamic_cast<const net::ReliableData*>(f.msg.get())) {
+        reliable_->on_data(f.from, f.to, *data);
+        continue;
+      }
+      if (const auto* ack =
+              dynamic_cast<const net::ReliableAck*>(f.msg.get())) {
+        reliable_->on_ack(f.from, f.to, *ack);
+        continue;
+      }
+    }
+    collect(f.from, f.to, std::move(f.msg));
+  }
+  staged_.clear();
+
+  const SteadyClock::time_point now = SteadyClock::now();
+  for (Handoff& h : handoffs_) {
+    if (h.msgs.empty()) continue;
+    socket_deliveries().inc(h.msgs.size());
+    socket_delivery_handoffs().inc();
+    LoopCore::post_at(h.core, now,
+                      [handler = std::move(h.handler),
+                       msgs = std::move(h.msgs)] {
+                        for (const auto& [from, msg] : msgs) {
+                          (*handler)(from, msg);
+                        }
+                      });
+  }
+  handoffs_.clear();
+}
+
+void SocketTransport::stage(std::uint32_t from, std::uint32_t to,
+                            net::MessagePtr msg) {
+  if (!faults_armed_) {
+    staged_.push_back(Staged{from, to, std::move(msg)});
+    return;
+  }
+  if (fault_rng_.next_bool(fault_plan_.loss)) {
     count_socket_drop("injected_loss");
     return;
   }
-  if (hold) return;  // delivered (reordered) behind the next frame
-  dispatch(from, to, msg);
-  if (duplicate) dispatch(from, to, msg);
-  if (release) dispatch(release->from, release->to, std::move(release->msg));
+  if (!held_.has_value() && fault_rng_.next_bool(fault_plan_.reorder)) {
+    held_ = Staged{from, to, std::move(msg)};  // released after the next one
+    return;
+  }
+  const bool duplicate = fault_rng_.next_bool(fault_plan_.duplicate);
+  staged_.push_back(Staged{from, to, msg});
+  if (duplicate) staged_.push_back(Staged{from, to, std::move(msg)});
+  if (held_.has_value()) {
+    staged_.push_back(std::move(*held_));
+    held_.reset();
+  }
 }
 
-void SocketTransport::dispatch(std::uint32_t from_value, std::uint32_t to_value,
-                               net::MessagePtr msg) {
-  // Blocked sources are filtered before the reliability layer sees the
-  // frame: a one-way partition must swallow the envelope too, or the ack it
-  // triggers would defeat the cut the test armed.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (blocked_sources_.count(from_value) != 0) {
-      count_socket_drop("blocked");
-      return;
-    }
+SocketTransport::Handoff* SocketTransport::handoff_for(std::uint32_t to) {
+  for (Handoff& h : handoffs_) {
+    if (h.to == to) return &h;
   }
-  if (reliable_ != nullptr) {
-    if (const auto* data =
-            dynamic_cast<const net::ReliableData*>(msg.get())) {
-      reliable_->on_data(from_value, to_value, *data);
-      return;
-    }
-    if (const auto* ack = dynamic_cast<const net::ReliableAck*>(msg.get())) {
-      reliable_->on_ack(from_value, to_value, *ack);
-      return;
-    }
-  }
-  deliver(from_value, to_value, std::move(msg));
+  return nullptr;
 }
 
-void SocketTransport::deliver(std::uint32_t from_value, std::uint32_t to_value,
+void SocketTransport::collect(std::uint32_t from, std::uint32_t to,
                               net::MessagePtr msg) {
-  std::shared_ptr<LoopCore> core;
-  Transport::Handler handler;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = endpoints_.find(HostId(to_value));
-    if (it == endpoints_.end()) {
-      count_socket_drop("not_local");
-      return;
-    }
-    if (it->second.down) {
-      count_socket_drop("endpoint_down");
-      return;
-    }
-    core = it->second.core;
-    handler = it->second.handler;
+  Handoff* h = handoff_for(to);
+  if (h == nullptr || h->handler == nullptr) {
+    count_socket_drop("not_local");
+    return;
   }
-  socket_deliveries().inc();
-  LoopCore::post_at(core, SteadyClock::now(),
-                    [handler = std::move(handler), from = HostId(from_value),
-                     msg = std::move(msg)] { handler(from, msg); });
+  if (h->down) {
+    count_socket_drop("endpoint_down");
+    return;
+  }
+  h->msgs.emplace_back(HostId(from), std::move(msg));
 }
 
 bool SocketTransport::mark_shut_down() {

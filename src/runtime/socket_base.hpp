@@ -15,7 +15,11 @@
 // datagram), expose the identical operational surface (topology files,
 // add_peer patching, block_inbound_from partitions, per-reason
 // wan_udp_drops_total counters), and deliver inbound messages the identical
-// way (decoded, then posted onto the destination node's LoopCore). The
+// way: a backend hands each receive call's datagrams to on_datagrams() as one
+// batch (the reactor a whole recvmmsg batch, the udp backend a batch of
+// one), which decodes and filters them per frame in arrival order and then
+// posts ONE closure per destination node's LoopCore carrying that node's
+// messages in arrival order. The
 // cross-backend conformance suite (tests/test_conformance.cpp) holds them to
 // that: the same seeded op script must produce the same protocol outcomes on
 // either backend — and on the in-process loopback fabric.
@@ -37,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -160,8 +165,15 @@ class SocketTransport : public Fabric {
  protected:
   struct Endpoint {
     std::shared_ptr<LoopCore> core;
-    Transport::Handler handler;
+    /// Stored once; a delivery shares it instead of copying the function.
+    std::shared_ptr<const Transport::Handler> handler;
     bool down = false;
+  };
+
+  /// One received datagram, in the backend's receive buffer.
+  struct Datagram {
+    const std::uint8_t* data = nullptr;
+    std::size_t size = 0;
   };
 
   // Out of line: the implicit constructor/destructor need the complete
@@ -195,21 +207,17 @@ class SocketTransport : public Fabric {
     (void)buf;
   }
 
-  /// Decodes one received datagram and hands it to dispatch(); every reject
-  /// class lands in its labelled drop counter. The inbound fault plan (if
-  /// armed) is applied here — before the reliability layer, so injected loss
-  /// hits the envelope and retransmission is what recovers it.
-  void on_datagram(const std::uint8_t* data, std::size_t size);
-
-  /// Post-fault routing: blocked-source filtering, then the reliability
-  /// layer's envelope handling (when enabled), then deliver().
-  void dispatch(std::uint32_t from_value, std::uint32_t to_value,
-                net::MessagePtr msg);
-
-  /// Posts one decoded message onto the destination endpoint's loop,
-  /// honouring down endpoints (blocked sources were filtered in dispatch()).
-  void deliver(std::uint32_t from_value, std::uint32_t to_value,
-               net::MessagePtr msg);
+  /// The receive path. Decodes every datagram of one receive call and, per
+  /// frame in arrival order, applies the inbound fault plan (if armed),
+  /// blocked-source filtering and the reliability layer's envelope handling
+  /// (when enabled); every reject class lands in its labelled drop counter.
+  /// The surviving messages are grouped by destination endpoint — looked up
+  /// under one mu_ acquisition per batch — and each endpoint gets ONE post
+  /// onto its loop that runs its messages in arrival order. The fault plan
+  /// runs before the reliability layer, so injected loss hits the envelope
+  /// and retransmission is what recovers it. Called from the backend's one
+  /// receive thread only.
+  void on_datagrams(std::span<const Datagram> batch);
 
   /// True once shutdown() has run (subclasses gate their idempotence on it).
   bool mark_shut_down();
@@ -236,12 +244,36 @@ class SocketTransport : public Fabric {
   bool faults_armed_ = false;
   FaultPlan fault_plan_;
   Rng fault_rng_{1};
-  struct HeldFrame {
+  /// One decoded inbound frame, past the fault plan.
+  struct Staged {
     std::uint32_t from = 0;
     std::uint32_t to = 0;
     net::MessagePtr msg;
+    bool blocked = false;
   };
-  std::optional<HeldFrame> held_;
+  std::optional<Staged> held_;  ///< reordered frame awaiting the next one
+
+ private:
+  // Per-batch scratch of on_datagrams(), touched by the receive thread only
+  // (kept as members so their capacity is reused batch to batch).
+  struct Handoff {
+    std::uint32_t to = 0;
+    std::shared_ptr<LoopCore> core;
+    std::shared_ptr<const Transport::Handler> handler;  ///< null: not local
+    bool down = false;
+    std::vector<std::pair<HostId, net::MessagePtr>> msgs;
+  };
+  /// Appends to staged_, drawing the frame's fault-plan decisions.
+  /// fault_mu_ held.
+  void stage(std::uint32_t from, std::uint32_t to, net::MessagePtr msg);
+  /// Adds one message to its destination's handoff list, or counts the
+  /// not_local / endpoint_down drop. Also the reliability layer's deliver
+  /// callback, which on_data runs synchronously on the receive thread.
+  void collect(std::uint32_t from, std::uint32_t to, net::MessagePtr msg);
+  /// This batch's handoff list for `to`, or nullptr.
+  Handoff* handoff_for(std::uint32_t to);
+  std::vector<Staged> staged_;
+  std::vector<Handoff> handoffs_;
 };
 
 /// Shared drop accounting: wan_udp_drops_total{reason=...}. Reasons are
@@ -255,5 +287,8 @@ void count_socket_drop(const char* reason);
 obs::Counter& socket_frames_sent();
 obs::Counter& socket_frames_received();
 obs::Counter& socket_deliveries();
+/// Posts onto node loops by the receive path: one per destination endpoint
+/// per batch, so deliveries / handoffs is the live batch size.
+obs::Counter& socket_delivery_handoffs();
 
 }  // namespace wan::runtime

@@ -213,6 +213,15 @@ void ThreadedEnv::stop() {
   }
   core_->cv.notify_all();
   if (thread_.joinable()) thread_.join();
+  // Release what is still queued: a periodic timer's shot owns its state,
+  // which owns this core, so a queued shot is a cycle that would outlive the
+  // env. The entries die outside the lock; their captures' destructors may
+  // post (and be refused).
+  decltype(core_->queue) abandoned;
+  {
+    std::lock_guard<std::mutex> lock(core_->mu);
+    abandoned.swap(core_->queue);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ void UdpTransport::recv_loop() {
     const ssize_t n = ::recvfrom(fd_, buf.data(), buf.size(), 0,
                                  /*src_addr=*/nullptr, /*addrlen=*/nullptr);
     if (n < 0) continue;  // timeout (stop-flag recheck) or transient error
-    on_datagram(buf.data(), static_cast<std::size_t>(n));
+    const Datagram one{buf.data(), static_cast<std::size_t>(n)};
+    on_datagrams(std::span<const Datagram>(&one, 1));
   }
 }
 

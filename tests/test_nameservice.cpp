@@ -1,6 +1,8 @@
 // Unit tests for the trusted name service and the TTL-caching resolver.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "nameservice/name_service.hpp"
 
 namespace wan::ns {
@@ -39,6 +41,25 @@ TEST(NameService, AppsIndependent) {
   svc.set_managers(AppId(2), {HostId(2)});
   EXPECT_EQ(svc.resolve(AppId(1))->managers.front(), HostId(1));
   EXPECT_EQ(svc.resolve(AppId(2))->managers.front(), HostId(2));
+}
+
+// Host threads of one process share a name service (one ManagerResolver
+// each), so resolve() runs concurrently; the lookup count must neither race
+// (the TSan CI job runs this) nor lose increments.
+TEST(NameService, ConcurrentResolveCountsEveryLookup) {
+  NameService svc;
+  svc.set_managers(AppId(1), {HostId(1), HostId(2)});
+  constexpr int kPerThread = 2000;
+  const auto hammer = [&svc] {
+    for (int i = 0; i < kPerThread; ++i) {
+      EXPECT_TRUE(svc.resolve(AppId(1)).has_value());
+    }
+  };
+  std::thread a(hammer);
+  std::thread b(hammer);
+  a.join();
+  b.join();
+  EXPECT_EQ(svc.lookups(), 2u * kPerThread);
 }
 
 TEST(ManagerResolver, CachesWithinTtl) {

@@ -8,6 +8,8 @@
 // deterministic fault plan (socket_base.hpp) is exercised here at the
 // transport layer: same plan + same arrival sequence -> same losses, run to
 // run; duplication doubles deliveries; reordering swaps adjacent frames.
+// The shared receive path's batching is pinned with hand-built batches: one
+// loop handoff per destination endpoint per batch, in arrival order.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,6 +21,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -360,6 +363,129 @@ TEST(ReactorTransport, PartialBatchRejectsGarbagePerFrame) {
   // Nothing more trickles in late.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(rig.delivered(), 4u);
+}
+
+// ------------------------------------------------------ batched delivery
+
+/// The shared receive path with no I/O threads: the test hands
+/// on_datagrams() exact batches, so "one batch" is deterministic (a live
+/// reactor's recvmmsg boundaries follow thread scheduling).
+class BatchProbe final : public SocketTransport {
+ public:
+  BatchProbe() { proto::register_wire_messages(); }
+  ~BatchProbe() override { shutdown(); }
+  void shutdown() override {
+    if (mark_shut_down()) stop_all();
+  }
+
+  void feed(const std::vector<std::vector<std::uint8_t>>& frames) {
+    std::vector<Datagram> batch;
+    for (const auto& f : frames) batch.push_back(Datagram{f.data(), f.size()});
+    on_datagrams(batch);
+  }
+
+ private:
+  bool enqueue_frame(std::vector<std::uint8_t>, const ResolvedAddr&) override {
+    return true;
+  }
+  void count_env_send() override {}
+};
+
+std::vector<std::uint8_t> ping(std::uint32_t from, std::uint32_t to,
+                               std::uint64_t seq) {
+  const auto msg = net::make_message<proto::HeartbeatPing>(AppId(1), seq);
+  const auto frame =
+      net::CodecRegistry::global().encode(HostId(from), HostId(to), *msg);
+  EXPECT_TRUE(frame.has_value());
+  return frame.value_or(std::vector<std::uint8_t>{});
+}
+
+/// Records the seqs each endpoint receives, in delivery order.
+struct SeqLog {
+  Transport::Handler handler_for(std::uint32_t host) {
+    return [this, host](HostId, const net::MessagePtr& msg) {
+      const std::lock_guard<std::mutex> lock(mu);
+      seqs[host].push_back(static_cast<const proto::HeartbeatPing&>(*msg).seq);
+    };
+  }
+  std::size_t total() {
+    const std::lock_guard<std::mutex> lock(mu);
+    std::size_t n = 0;
+    for (const auto& [host, list] : seqs) n += list.size();
+    return n;
+  }
+  std::vector<std::uint64_t> at(std::uint32_t host) {
+    const std::lock_guard<std::mutex> lock(mu);
+    return seqs[host];
+  }
+
+  std::mutex mu;
+  std::map<std::uint32_t, std::vector<std::uint64_t>> seqs;
+};
+
+std::uint64_t handoffs() {
+  return obs::Registry::global()
+      .counter("wan_udp_delivery_handoffs_total")
+      .value();
+}
+
+// One batch for two live endpoints (on two loops), interleaved with frames
+// from a blocked source, frames for a down endpoint and one for a host that
+// is not local: each live endpoint gets its frames in arrival order through
+// exactly one post, and every filtered frame is counted on its own.
+TEST(BatchedDelivery, OneHandoffPerEndpointInArrivalOrder) {
+  BatchProbe probe;
+  ThreadedEnv env_a(probe);
+  ThreadedEnv env_b(probe);
+  SeqLog log;
+  env_a.transport().register_endpoint(HostId(2), log.handler_for(2));
+  env_b.transport().register_endpoint(HostId(3), log.handler_for(3));
+  env_b.transport().register_endpoint(HostId(4), log.handler_for(4));
+  env_b.transport().set_endpoint_down(HostId(4), true);
+  probe.block_inbound_from(HostId(9), true);
+
+  const std::uint64_t handoffs_before = handoffs();
+  const std::uint64_t deliveries_before = socket_deliveries().value();
+  const std::uint64_t blocked_before = drop_count("blocked");
+  const std::uint64_t down_before = drop_count("endpoint_down");
+  const std::uint64_t not_local_before = drop_count("not_local");
+
+  probe.feed({ping(1, 2, 1), ping(1, 3, 2), ping(9, 2, 3), ping(1, 4, 4),
+              ping(1, 2, 5), ping(9, 3, 6), ping(1, 77, 7), ping(1, 3, 8),
+              ping(1, 4, 9), ping(1, 2, 10)});
+
+  EXPECT_EQ(handoffs() - handoffs_before, 2u);
+  EXPECT_EQ(socket_deliveries().value() - deliveries_before, 5u);
+  EXPECT_EQ(drop_count("blocked") - blocked_before, 2u);
+  EXPECT_EQ(drop_count("endpoint_down") - down_before, 2u);
+  EXPECT_EQ(drop_count("not_local") - not_local_before, 1u);
+  ASSERT_TRUE(eventually([&] { return log.total() == 5; }));
+  EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{1, 5, 10}));
+  EXPECT_EQ(log.at(3), (std::vector<std::uint64_t>{2, 8}));
+  EXPECT_TRUE(log.at(4).empty());
+}
+
+// The fault plan is drawn per frame inside the batch: a held frame is
+// released right behind the next one, duplicates sit next to their original,
+// and a frame still held at the end of a batch rides out in the next one.
+TEST(BatchedDelivery, FaultPlanHoldsAndDuplicatesWithinAndAcrossBatches) {
+  BatchProbe probe;
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.reorder = 1.0;
+  plan.duplicate = 1.0;
+  probe.set_fault_plan(plan);
+  ThreadedEnv env(probe);
+  SeqLog log;
+  env.transport().register_endpoint(HostId(2), log.handler_for(2));
+
+  const std::uint64_t handoffs_before = handoffs();
+  probe.feed({ping(1, 2, 1), ping(1, 2, 2), ping(1, 2, 3)});
+  probe.feed({ping(1, 2, 4)});
+
+  EXPECT_EQ(handoffs() - handoffs_before, 2u);
+  ASSERT_TRUE(eventually([&] { return log.total() == 6; }));
+  EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{2, 2, 1, 4, 4, 3}));
 }
 
 // ------------------------------------------------ deterministic fault plan

@@ -104,6 +104,23 @@ TEST(ThreadedEnv, PeriodicTimerTicksUntilStopped) {
   fabric.stop_all();
 }
 
+// A periodic timer's queued shot owns the timer state, and the state owns
+// the loop core whose queue holds the shot: a cycle. stop() must break it by
+// releasing the queued entries, or everything the callback captured leaks
+// once the env is stopped and the timer wrapper is gone.
+TEST(ThreadedEnv, StopReleasesQueuedPeriodicShots) {
+  LoopbackFabric fabric;
+  ThreadedEnv env(fabric);
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  {
+    PeriodicTimer timer = env.make_periodic_timer();
+    timer.start(Duration::minutes(1), [held = std::move(sentinel)] {});
+    env.stop();
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST(ThreadedEnv, PostedWorkRunsInOrderOnLoopThread) {
   LoopbackFabric fabric;
   ThreadedEnv env(fabric);
