@@ -89,6 +89,15 @@ bool CodecRegistry::encode_into(HostId from, HostId to, const Message& msg,
   return true;
 }
 
+std::size_t frame_extent(const std::uint8_t* data, std::size_t size) noexcept {
+  if (size < kWireHeaderSize) return size;
+  std::uint32_t payload_len = 0;
+  std::memcpy(&payload_len, data + kWireHeaderSize - sizeof payload_len,
+              sizeof payload_len);
+  return payload_len <= size - kWireHeaderSize ? kWireHeaderSize + payload_len
+                                               : size;
+}
+
 CodecRegistry::Decoded CodecRegistry::decode(const std::uint8_t* data,
                                              std::size_t size) const {
   Decoded out;
@@ -113,9 +122,10 @@ CodecRegistry::Decoded CodecRegistry::decode(const std::uint8_t* data,
     return out;
   }
   if (size - kWireHeaderSize != payload_len) {
-    // The frame IS the datagram: a length that disagrees with what the
-    // socket delivered means truncation in flight (or padding injected by
-    // something that is not this codec) — reject, never guess.
+    // The caller hands exactly one frame (frame_extent() delimits it): a
+    // length that disagrees with those bytes means truncation in flight (or
+    // padding injected by something that is not this codec) — reject,
+    // never guess.
     out.error = DecodeError::kTruncated;
     return out;
   }

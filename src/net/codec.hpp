@@ -22,9 +22,11 @@
 //             14     4  payload length in bytes
 //             18     …  payload (message fields, per-type layout)
 //
-//     A frame is exactly one datagram; decode rejects anything whose
-//     payload length disagrees with the bytes actually received, so a
-//     truncated or padded datagram can never half-parse.
+//     A datagram carries one or more whole frames back to back, each
+//     delimited by its own payload length (frame_extent() splits them).
+//     decode takes exactly one frame and rejects anything whose payload
+//     length disagrees with the bytes it is given, so a truncated or padded
+//     frame can never half-parse.
 //   * CodecRegistry — maps stable wire tags to per-type encode/decode
 //     functions. Message structs live in protocol layers above net/, so the
 //     registry is populated by those layers (see src/proto/wire.hpp);
@@ -62,6 +64,10 @@ inline constexpr std::size_t kWireHeaderSize = 18;
 /// payload ceiling (65535 - 8 UDP - 20 IP). Encoding anything bigger fails
 /// (the caller counts it as an oversize drop) rather than fragmenting.
 inline constexpr std::size_t kMaxFrameSize = 65507;
+/// Cap on a datagram that bundles several frames: a 1500-byte Ethernet MTU
+/// minus the 20-byte IP and 8-byte UDP headers, so a bundle never causes IP
+/// fragmentation on a WAN path. A frame bigger than this travels alone.
+inline constexpr std::size_t kBundleBytes = 1472;
 
 /// Append-only little-endian serializer.
 class WireWriter {
@@ -197,6 +203,13 @@ enum class DecodeError : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_cstring(DecodeError e) noexcept;
+
+/// Bytes of the frame starting at `data`, read from its header's payload
+/// length: how a receiver splits a datagram into frames. Returns `size`, the
+/// whole rest, when fewer than kWireHeaderSize bytes remain or the stated
+/// payload overruns them, so decode() rejects that rest as truncated.
+[[nodiscard]] std::size_t frame_extent(const std::uint8_t* data,
+                                       std::size_t size) noexcept;
 
 /// Tag-keyed registry of per-type wire codecs.
 ///

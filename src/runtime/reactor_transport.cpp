@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -220,62 +221,89 @@ void ReactorTransport::drain_inbound() {
 }
 
 bool ReactorTransport::flush_outbound() {
+  // A bundle of the smallest frames (header only) must fit one msghdr.
+  static_assert(net::kBundleBytes / net::kWireHeaderSize <= IOV_MAX);
   for (;;) {
-    // Pop up to one batch; sending happens outside queue_mu_ so send() is
-    // never blocked behind a syscall.
-    std::array<Outbound, kBatch> batch;
-    unsigned count = 0;
+    // Pop up to kBatch datagrams' worth of frames; sending happens outside
+    // queue_mu_ so send() is never blocked behind a syscall. Consecutive
+    // frames for one peer join the open bundle while it stays within
+    // kBundleBytes; bundle b is flushing_[first[b], first[b + 1]).
+    std::array<std::size_t, kBatch + 1> first{};
+    unsigned bundles = 0;
+    flushing_.clear();
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      while (count < kBatch && !queue_.empty()) {
-        batch[count++] = std::move(queue_.front());
+      std::size_t bytes = 0;
+      while (!queue_.empty()) {
+        Outbound& next = queue_.front();
+        const bool joins = bundles > 0 && next.dest == flushing_.back().dest &&
+                           bytes + next.frame.size() <= net::kBundleBytes;
+        if (!joins) {
+          if (bundles == kBatch) break;
+          first[bundles++] = flushing_.size();
+          bytes = 0;
+        }
+        bytes += next.frame.size();
+        flushing_.push_back(std::move(next));
         queue_.pop_front();
       }
     }
-    if (count == 0) return true;
+    if (bundles == 0) return true;
+    first[bundles] = flushing_.size();
 
+    flush_iov_.resize(flushing_.size());
+    for (std::size_t i = 0; i < flushing_.size(); ++i) {
+      flush_iov_[i].iov_base = flushing_[i].frame.data();
+      flush_iov_[i].iov_len = flushing_[i].frame.size();
+    }
     std::array<sockaddr_in, kBatch> dests;
-    std::array<iovec, kBatch> iovecs;
     std::array<mmsghdr, kBatch> headers;
-    for (unsigned i = 0; i < count; ++i) {
-      dests[i] = sockaddr_in{};
-      dests[i].sin_family = AF_INET;
-      dests[i].sin_port = batch[i].dest.port_be;
-      dests[i].sin_addr.s_addr = batch[i].dest.ip_be;
-      iovecs[i].iov_base = batch[i].frame.data();
-      iovecs[i].iov_len = batch[i].frame.size();
-      headers[i].msg_hdr = msghdr{};
-      headers[i].msg_hdr.msg_name = &dests[i];
-      headers[i].msg_hdr.msg_namelen = sizeof dests[i];
-      headers[i].msg_hdr.msg_iov = &iovecs[i];
-      headers[i].msg_hdr.msg_iovlen = 1;
+    for (unsigned b = 0; b < bundles; ++b) {
+      const ResolvedAddr& dest = flushing_[first[b]].dest;
+      dests[b] = sockaddr_in{};
+      dests[b].sin_family = AF_INET;
+      dests[b].sin_port = dest.port_be;
+      dests[b].sin_addr.s_addr = dest.ip_be;
+      headers[b].msg_hdr = msghdr{};
+      headers[b].msg_hdr.msg_name = &dests[b];
+      headers[b].msg_hdr.msg_namelen = sizeof dests[b];
+      headers[b].msg_hdr.msg_iov = &flush_iov_[first[b]];
+      headers[b].msg_hdr.msg_iovlen = first[b + 1] - first[b];
     }
 
+    const auto recycle = [&](unsigned from, unsigned to) {
+      for (std::size_t i = first[from]; i < first[to]; ++i) {
+        recycle_buffer(std::move(flushing_[i].frame));
+      }
+    };
     unsigned sent = 0;
-    while (sent < count) {
+    while (sent < bundles) {
       const int n =
-          ::sendmmsg(fd_, headers.data() + sent, count - sent, MSG_DONTWAIT);
+          ::sendmmsg(fd_, headers.data() + sent, bundles - sent, MSG_DONTWAIT);
       if (n > 0) {
-        for (int i = 0; i < n; ++i) {
-          socket_frames_sent().inc();
-          recycle_buffer(std::move(batch[sent + i].frame));
-        }
-        sent += static_cast<unsigned>(n);
+        const unsigned done = sent + static_cast<unsigned>(n);
+        socket_datagrams_sent().inc(static_cast<std::uint64_t>(n));
+        socket_frames_sent().inc(first[done] - first[sent]);
+        recycle(sent, done);
+        sent = done;
         continue;
       }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Kernel buffer full: requeue the unsent tail (preserving order) and
-        // let EPOLLOUT resume us.
+        // Kernel buffer full: requeue every frame of the unsent bundles
+        // (preserving order) and let EPOLLOUT resume us.
         std::lock_guard<std::mutex> lock(queue_mu_);
-        for (unsigned i = count; i > sent; --i) {
-          queue_.push_front(std::move(batch[i - 1]));
+        for (std::size_t i = flushing_.size(); i > first[sent]; --i) {
+          queue_.push_front(std::move(flushing_[i - 1]));
         }
         return false;
       }
-      // Hard error on the head frame: drop it, keep going with the rest.
-      count_socket_drop("sendto_error");
-      recycle_buffer(std::move(batch[sent].frame));
+      // Hard error on the head datagram: drop its frames, keep going with
+      // the rest.
+      for (std::size_t i = first[sent]; i < first[sent + 1]; ++i) {
+        count_socket_drop("sendto_error");
+      }
+      recycle(sent, sent + 1);
       ++sent;
     }
   }

@@ -11,9 +11,15 @@
 //     eventfd that send() rings when the outbound queue goes nonempty (and
 //     shutdown() rings to stop the loop).
 //   * Batched syscalls: inbound datagrams are drained with recvmmsg (up to
-//     kBatch frames per syscall, preallocated buffers) until EAGAIN;
-//     outbound frames are flushed with sendmmsg. At saturation the per-frame
-//     syscall cost amortizes to ~1/kBatch of the thread-per-datagram design.
+//     kBatch datagrams per syscall, preallocated buffers) until EAGAIN;
+//     outbound frames are flushed with sendmmsg, up to kBatch datagrams per
+//     call. At saturation the per-datagram syscall cost amortizes to
+//     ~1/kBatch of the thread-per-datagram design.
+//   * Bundled datagrams: consecutive queued frames for the same peer share
+//     one datagram, gathered by scatter iovecs (no copy), up to
+//     net::kBundleBytes; a frame over the cap travels alone. The kernel's
+//     per-datagram cost is then paid once per bundle, not once per frame.
+//     Per destination, frames keep their FIFO order across bundles.
 //   * Batched delivery: each recvmmsg batch goes to
 //     SocketTransport::on_datagrams() whole, so a node loop gets one post
 //     (one lock, one wakeup) per batch carrying all of its frames, not one
@@ -34,6 +40,8 @@
 // Select it with EnvOptions::backend = BackendKind::kReactor (see
 // runtime/backend.hpp); everything above the Fabric seam is untouched.
 #pragma once
+
+#include <sys/uio.h>
 
 #include <atomic>
 #include <cstdint>
@@ -100,6 +108,11 @@ class ReactorTransport final : public SocketTransport {
 
   std::mutex pool_mu_;
   std::vector<std::vector<std::uint8_t>> pool_;
+
+  // flush_outbound() scratch, reactor thread only (capacity reused): the
+  // frames of one sendmmsg call in queue order, and one iovec per frame.
+  std::vector<Outbound> flushing_;
+  std::vector<iovec> flush_iov_;
 
   std::atomic<bool> stopping_{false};
   std::thread reactor_;

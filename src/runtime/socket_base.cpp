@@ -71,6 +71,18 @@ obs::Counter& socket_frames_received() {
   return c;
 }
 
+obs::Counter& socket_datagrams_sent() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("wan_udp_datagrams_sent_total");
+  return c;
+}
+
+obs::Counter& socket_datagrams_received() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("wan_udp_datagrams_received_total");
+  return c;
+}
+
 obs::Counter& socket_deliveries() {
   static obs::Counter& c =
       obs::Registry::global().counter("wan_udp_deliveries_total");
@@ -359,7 +371,8 @@ std::optional<ResolvedAddr> SocketTransport::route_for_send(HostId from,
 }
 
 void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
-  socket_frames_received().inc(batch.size());
+  socket_datagrams_received().inc(batch.size());
+  std::uint64_t frames = 0;
   {
     // Fault decisions are drawn under fault_mu_; nothing below calls out of
     // the transport, so a released held frame cannot re-enter protocol code
@@ -367,15 +380,25 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
     const net::CodecRegistry& codec = net::CodecRegistry::global();
     std::lock_guard<std::mutex> lock(fault_mu_);
     for (const Datagram& d : batch) {
-      const net::CodecRegistry::Decoded decoded = codec.decode(d.data, d.size);
-      if (!decoded.ok()) {
-        count_socket_drop(net::to_cstring(decoded.error));
-        continue;
-      }
-      stage(decoded.frame->from.value(), decoded.frame->to.value(),
-            decoded.frame->msg);
+      // Every piece is decoded strictly and counted on its own; an empty
+      // datagram still counts one truncated drop.
+      std::size_t off = 0;
+      do {
+        const std::size_t n = net::frame_extent(d.data + off, d.size - off);
+        const net::CodecRegistry::Decoded decoded =
+            codec.decode(d.data + off, n);
+        off += n;
+        if (!decoded.ok()) {
+          count_socket_drop(net::to_cstring(decoded.error));
+          continue;
+        }
+        ++frames;
+        stage(decoded.frame->from.value(), decoded.frame->to.value(),
+              decoded.frame->msg);
+      } while (off < d.size);
     }
   }
+  socket_frames_received().inc(frames);
   if (staged_.empty()) return;
 
   // One routing pass under mu_ per batch: mark blocked sources, and look up

@@ -11,18 +11,20 @@
 //   * ReactorTransport — one epoll-driven event loop, recvmmsg/sendmmsg
 //     batched syscalls, reusable encode buffers. The saturation backend.
 //
-// Both speak the identical wire protocol (net::CodecRegistry frames, one per
-// datagram), expose the identical operational surface (topology files,
-// add_peer patching, block_inbound_from partitions, per-reason
-// wan_udp_drops_total counters), and deliver inbound messages the identical
-// way: a backend hands each receive call's datagrams to on_datagrams() as one
-// batch (the reactor a whole recvmmsg batch, the udp backend a batch of
-// one), which decodes and filters them per frame in arrival order and then
-// posts ONE closure per destination node's LoopCore carrying that node's
-// messages in arrival order. The
-// cross-backend conformance suite (tests/test_conformance.cpp) holds them to
-// that: the same seeded op script must produce the same protocol outcomes on
-// either backend — and on the in-process loopback fabric.
+// Both speak the identical wire protocol (net::CodecRegistry frames, one or
+// more whole frames per datagram — the reactor bundles consecutive frames to
+// one peer, the udp backend sends bundles of one), expose the identical
+// operational surface (topology files, add_peer patching, block_inbound_from
+// partitions, per-reason wan_udp_drops_total counters), and deliver inbound
+// messages the identical way: a backend hands each receive call's datagrams
+// to on_datagrams() as one batch (the reactor a whole recvmmsg batch, the udp
+// backend a batch of one), which splits each datagram into frames, decodes
+// and filters them per frame in arrival order and then posts ONE closure per
+// destination node's LoopCore carrying that node's messages in arrival
+// order. The cross-backend conformance suite (tests/test_conformance.cpp)
+// holds them to that: the same seeded op script must produce the same
+// protocol outcomes on either backend — and on the in-process loopback
+// fabric.
 //
 // Adverse-network injection: set_fault_plan() arms a *deterministic* seeded
 // fault stream applied to inbound frames after decode — loss (counted as
@@ -107,6 +109,8 @@ struct FaultPlan {
 struct ResolvedAddr {
   std::uint32_t ip_be = 0;    ///< network byte order
   std::uint16_t port_be = 0;  ///< network byte order
+
+  bool operator==(const ResolvedAddr&) const = default;
 };
 
 class ReliableChannel;
@@ -207,10 +211,13 @@ class SocketTransport : public Fabric {
     (void)buf;
   }
 
-  /// The receive path. Decodes every datagram of one receive call and, per
-  /// frame in arrival order, applies the inbound fault plan (if armed),
-  /// blocked-source filtering and the reliability layer's envelope handling
-  /// (when enabled); every reject class lands in its labelled drop counter.
+  /// The receive path. Splits every datagram of one receive call into its
+  /// frames (net::frame_extent), decodes each with the strict codec (a tail
+  /// that is not a whole frame counts one truncated drop; the frames before
+  /// it still deliver) and, per frame in arrival order, applies the inbound
+  /// fault plan (if armed), blocked-source filtering and the reliability
+  /// layer's envelope handling (when enabled); every reject class lands in
+  /// its labelled drop counter.
   /// The surviving messages are grouped by destination endpoint — looked up
   /// under one mu_ acquisition per batch — and each endpoint gets ONE post
   /// onto its loop that runs its messages in arrival order. The fault plan
@@ -283,9 +290,13 @@ class SocketTransport : public Fabric {
 /// so the per-call registry lookup is fine.
 void count_socket_drop(const char* reason);
 
-/// Hot counters shared by the socket backends.
+/// Hot counters shared by the socket backends. Frames count decoded (or
+/// sent) protocol frames, datagrams count kernel datagrams, so frames /
+/// datagrams is the live bundle factor.
 obs::Counter& socket_frames_sent();
 obs::Counter& socket_frames_received();
+obs::Counter& socket_datagrams_sent();
+obs::Counter& socket_datagrams_received();
 obs::Counter& socket_deliveries();
 /// Posts onto node loops by the receive path: one per destination endpoint
 /// per batch, so deliveries / handoffs is the live batch size.

@@ -93,6 +93,7 @@ void UdpTransport::sender_loop() {
       count_socket_drop("sendto_error");
     } else {
       socket_frames_sent().inc();
+      socket_datagrams_sent().inc();
     }
   }
 }

@@ -6,11 +6,13 @@
 // attach/send); remote nodes are reached through a static topology mapping
 // HostId -> host:port, loaded from a file or patched in with add_peer().
 // Frames on the wire are produced by the net::CodecRegistry codec
-// (docs/WIRE_FORMAT.md): one frame per datagram, carrying source and
-// destination HostIds in the header, so the receiver needs no reverse
-// address map. Callers must register the protocol codecs
-// (proto::register_wire_messages()) before the first send — the runtime
-// layer itself is protocol-agnostic and never includes proto/ headers.
+// (docs/WIRE_FORMAT.md), each carrying source and destination HostIds in its
+// header, so the receiver needs no reverse address map. This backend sends
+// one frame per datagram (a bundle of one) and receives bundles of several
+// frames through the shared SocketTransport::on_datagrams(). Callers must
+// register the protocol codecs (proto::register_wire_messages()) before the
+// first send — the runtime layer itself is protocol-agnostic and never
+// includes proto/ headers.
 //
 // Threads: a sender thread drains a bounded outbound queue (overflow drops
 // the frame and counts it — UDP semantics, never backpressure into protocol
@@ -25,7 +27,8 @@
 // selected via EnvOptions::backend when raw throughput matters.
 //
 // Observability (PR 4 registry): wan_udp_frames_sent_total,
-// wan_udp_frames_received_total, wan_udp_deliveries_total, and
+// wan_udp_frames_received_total, wan_udp_datagrams_sent_total,
+// wan_udp_datagrams_received_total, wan_udp_deliveries_total, and
 // wan_udp_drops_total{reason=...} — see socket_base.hpp for the reason set.
 //
 // Topology file format (docs/WIRE_FORMAT.md): one `<host-id> <host>:<port>`

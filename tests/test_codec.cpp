@@ -391,8 +391,8 @@ TEST(CodecReject, HeaderFieldValidation) {
   }
 }
 
-// The frame is exactly one datagram: any disagreement between the payload
-// length field and the bytes actually present is truncation/padding.
+// decode takes exactly one frame: any disagreement between the payload
+// length field and the bytes it is given is truncation/padding.
 TEST(CodecReject, PayloadLengthMustMatchDatagram) {
   register_all();
   const auto msg = net::make_message<proto::UpdateAck>(AppId(3), 4);

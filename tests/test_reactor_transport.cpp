@@ -10,6 +10,10 @@
 // run; duplication doubles deliveries; reordering swaps adjacent frames.
 // The shared receive path's batching is pinned with hand-built batches: one
 // loop handoff per destination endpoint per batch, in arrival order.
+// Bundling is pinned on both sides: hand-built datagrams of several frames
+// split by payload_len (per-frame filtering and drops, a seeded fuzz of the
+// splitter), and a live reactor sender observed through raw sockets (fewer
+// datagrams than frames, none over net::kBundleBytes, per-peer FIFO order).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -36,6 +40,7 @@
 #include "runtime/reactor_transport.hpp"
 #include "runtime/threaded_env.hpp"
 #include "runtime/udp_transport.hpp"
+#include "util/rng.hpp"
 
 namespace wan::runtime {
 namespace {
@@ -486,6 +491,440 @@ TEST(BatchedDelivery, FaultPlanHoldsAndDuplicatesWithinAndAcrossBatches) {
   EXPECT_EQ(handoffs() - handoffs_before, 2u);
   ASSERT_TRUE(eventually([&] { return log.total() == 6; }));
   EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{2, 2, 1, 4, 4, 3}));
+}
+
+// ------------------------------------------------------ bundled datagrams
+
+/// Frames back to back in one datagram, as a bundling sender packs them.
+std::vector<std::uint8_t> bundle(
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  std::vector<std::uint8_t> out;
+  for (const auto& f : frames) out.insert(out.end(), f.begin(), f.end());
+  return out;
+}
+
+// A datagram of three frames is split by payload_len and delivered in order
+// through one handoff; frames and datagrams are counted apart.
+TEST(BundledDatagram, ThreeFramesDeliverInOrderWithOneHandoff) {
+  BatchProbe probe;
+  ThreadedEnv env(probe);
+  SeqLog log;
+  env.transport().register_endpoint(HostId(2), log.handler_for(2));
+
+  const std::uint64_t handoffs_before = handoffs();
+  const std::uint64_t frames_before = socket_frames_received().value();
+  const std::uint64_t datagrams_before = socket_datagrams_received().value();
+  probe.feed({bundle({ping(1, 2, 1), ping(1, 2, 2), ping(1, 2, 3)})});
+
+  EXPECT_EQ(handoffs() - handoffs_before, 1u);
+  EXPECT_EQ(socket_frames_received().value() - frames_before, 3u);
+  EXPECT_EQ(socket_datagrams_received().value() - datagrams_before, 1u);
+  ASSERT_TRUE(eventually([&] { return log.total() == 3; }));
+  EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+// A tail too short to hold a header: the frame ahead of it still delivers,
+// and the tail counts exactly one truncated drop.
+TEST(BundledDatagram, ShortTailCountsOneTruncated) {
+  BatchProbe probe;
+  ThreadedEnv env(probe);
+  SeqLog log;
+  env.transport().register_endpoint(HostId(2), log.handler_for(2));
+
+  std::vector<std::uint8_t> datagram = ping(1, 2, 1);
+  const std::vector<std::uint8_t> next = ping(1, 2, 2);
+  datagram.insert(datagram.end(), next.begin(), next.begin() + 5);
+  const std::uint64_t truncated_before = drop_count("truncated");
+  const std::uint64_t frames_before = socket_frames_received().value();
+  probe.feed({datagram});
+
+  EXPECT_EQ(drop_count("truncated") - truncated_before, 1u);
+  EXPECT_EQ(socket_frames_received().value() - frames_before, 1u);
+  ASSERT_TRUE(eventually([&] { return log.total() == 1; }));
+  EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{1}));
+}
+
+// A header whose payload_len runs past the end of the datagram is counted
+// truncated, never read beyond the buffer; the frame ahead still delivers.
+TEST(BundledDatagram, PayloadLenOverrunCountsTruncated) {
+  BatchProbe probe;
+  ThreadedEnv env(probe);
+  SeqLog log;
+  env.transport().register_endpoint(HostId(2), log.handler_for(2));
+
+  std::vector<std::uint8_t> overrun = ping(1, 2, 2);
+  std::uint32_t payload_len = 0;  // at header offset 14
+  std::memcpy(&payload_len, overrun.data() + 14, sizeof payload_len);
+  ++payload_len;
+  std::memcpy(overrun.data() + 14, &payload_len, sizeof payload_len);
+  const std::uint64_t truncated_before = drop_count("truncated");
+  probe.feed({bundle({ping(1, 2, 1), overrun})});
+
+  EXPECT_EQ(drop_count("truncated") - truncated_before, 1u);
+  ASSERT_TRUE(eventually([&] { return log.total() == 1; }));
+  EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{1}));
+}
+
+// Fault-plan decisions are drawn per frame, not per datagram: a bundle loses
+// exactly the frames the same plan drops when each frame arrives alone, and
+// the rest of the bundle still delivers.
+TEST(BundledDatagram, InjectedLossHitsSingleFramesOfABundle) {
+  proto::register_wire_messages();
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.loss = 0.5;
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::uint64_t seq = 1; seq <= 8; ++seq) {
+    frames.push_back(ping(1, 2, seq));
+  }
+
+  const auto survivors =
+      [&](const std::vector<std::vector<std::uint8_t>>& datagrams) {
+        BatchProbe probe;
+        probe.set_fault_plan(plan);
+        ThreadedEnv env(probe);
+        SeqLog log;
+        env.transport().register_endpoint(HostId(2), log.handler_for(2));
+        const std::uint64_t lost_before = drop_count("injected_loss");
+        probe.feed(datagrams);
+        const std::uint64_t lost = drop_count("injected_loss") - lost_before;
+        EXPECT_TRUE(
+            eventually([&] { return log.total() + lost == frames.size(); }));
+        return log.at(2);
+      };
+  const std::vector<std::uint64_t> alone = survivors(frames);
+  const std::vector<std::uint64_t> bundled = survivors({bundle(frames)});
+  EXPECT_EQ(bundled, alone);
+  EXPECT_GT(bundled.size(), 0u);
+  EXPECT_LT(bundled.size(), frames.size());
+}
+
+// Blocked-source filtering runs per frame: the blocked sender's frames are
+// cut out of the bundle, its neighbours from other sources deliver.
+TEST(BundledDatagram, BlockedSourceIsDroppedPerFrame) {
+  BatchProbe probe;
+  ThreadedEnv env(probe);
+  SeqLog log;
+  env.transport().register_endpoint(HostId(2), log.handler_for(2));
+  probe.block_inbound_from(HostId(9), true);
+
+  const std::uint64_t blocked_before = drop_count("blocked");
+  probe.feed(
+      {bundle({ping(1, 2, 1), ping(9, 2, 2), ping(1, 2, 3), ping(9, 2, 4)})});
+
+  EXPECT_EQ(drop_count("blocked") - blocked_before, 2u);
+  ASSERT_TRUE(eventually([&] { return log.total() == 2; }));
+  EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{1, 3}));
+}
+
+/// One fuzz datagram: random bytes, or a bundle of 1-6 valid frames (for
+/// hosts 2 and 3) left whole, cut at a random byte, or with one byte flipped.
+std::vector<std::uint8_t> fuzz_datagram(Rng& rng) {
+  std::vector<std::uint8_t> d;
+  if (rng.next_below(4) == 0) {
+    d.resize(rng.next_below(200));
+    for (auto& b : d) b = static_cast<std::uint8_t>(rng.next_u64());
+    return d;
+  }
+  const std::uint64_t frames = 1 + rng.next_below(6);
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    const auto f = ping(1, 2 + static_cast<std::uint32_t>(rng.next_below(2)),
+                        rng.next_u64());
+    d.insert(d.end(), f.begin(), f.end());
+  }
+  switch (rng.next_below(3)) {
+    case 0:
+      d.resize(rng.next_below(d.size()));
+      break;
+    case 1:
+      d[rng.next_below(d.size())] ^=
+          static_cast<std::uint8_t>(1 + rng.next_below(255));
+      break;
+    default:
+      break;
+  }
+  return d;
+}
+
+// Seeded fuzz of the splitter, which parses untrusted bytes. Random, bundled,
+// cut and corrupted datagrams go through on_datagrams(); nothing may crash
+// (CI also runs this under ASan+UBSan), and host 2 must receive exactly the
+// frames that the strict decoder accepts when each datagram is walked frame
+// by frame along its payload_len fields — never a frame decode rejects.
+TEST(BundledDatagram, FuzzedDatagramsDeliverOnlyWhatDecodeAccepts) {
+  const net::CodecRegistry& codec = net::CodecRegistry::global();
+  std::mutex mu;
+  std::vector<std::vector<std::uint8_t>> delivered;  // canonical re-encodes
+  BatchProbe probe;
+  ThreadedEnv env(probe);
+  env.transport().register_endpoint(
+      HostId(2), [&](HostId from, const net::MessagePtr& msg) {
+        auto frame = codec.encode(from, HostId(2), *msg);
+        const std::lock_guard<std::mutex> lock(mu);
+        delivered.push_back(frame.value_or(std::vector<std::uint8_t>{}));
+      });
+
+  Rng rng{20261017};
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (int round = 0; round < 250; ++round) {
+    std::vector<std::vector<std::uint8_t>> batch;
+    for (int i = 0; i < 8; ++i) batch.push_back(fuzz_datagram(rng));
+    for (const auto& d : batch) {
+      std::size_t off = 0;
+      while (off < d.size()) {
+        std::size_t n = d.size() - off;
+        if (n >= net::kWireHeaderSize) {
+          std::uint32_t len = 0;  // payload_len, at header offset 14
+          std::memcpy(&len, d.data() + off + 14, sizeof len);
+          if (len <= n - net::kWireHeaderSize) n = net::kWireHeaderSize + len;
+        }
+        const auto decoded = codec.decode(d.data() + off, n);
+        if (decoded.ok() && decoded.frame->to == HostId(2)) {
+          expected.emplace_back(d.begin() + off, d.begin() + off + n);
+        }
+        off += n;
+      }
+    }
+    probe.feed(batch);
+  }
+  ASSERT_GT(expected.size(), 100u);
+  ASSERT_TRUE(eventually([&] {
+    const std::lock_guard<std::mutex> lock(mu);
+    return delivered.size() >= expected.size();
+  }));
+  env.run_sync([] {});
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(delivered, expected);
+}
+
+// -------------------------------------------------- bundling on the send path
+
+/// A plain UDP socket standing in for a peer, so a test sees the sender's
+/// datagrams exactly as the kernel carried them.
+struct RawReceiver {
+  RawReceiver() {
+    fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+              0);
+    socklen_t len = sizeof addr;
+    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port = ntohs(addr.sin_port);
+    const timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  }
+  ~RawReceiver() { ::close(fd); }
+  RawReceiver(const RawReceiver&) = delete;
+  RawReceiver& operator=(const RawReceiver&) = delete;
+
+  /// The decoded frames of one datagram, walked along payload_len; every
+  /// frame must decode.
+  static std::vector<net::WireFrame> frames_of(
+      const std::vector<std::uint8_t>& d) {
+    std::vector<net::WireFrame> out;
+    for (std::size_t off = 0; off < d.size();) {
+      const std::size_t n = net::frame_extent(d.data() + off, d.size() - off);
+      auto decoded = net::CodecRegistry::global().decode(d.data() + off, n);
+      EXPECT_TRUE(decoded.ok()) << net::to_cstring(decoded.error);
+      if (!decoded.ok()) break;
+      out.push_back(std::move(*decoded.frame));
+      off += n;
+    }
+    return out;
+  }
+
+  /// Receives datagrams until they hold `frames` frames in total, or a
+  /// receive times out.
+  std::vector<std::vector<std::uint8_t>> datagrams_holding(std::size_t frames) {
+    std::vector<std::vector<std::uint8_t>> out;
+    std::vector<std::uint8_t> buf(65536);
+    for (std::size_t seen = 0; seen < frames;) {
+      const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+      if (n < 0) break;
+      out.emplace_back(buf.begin(), buf.begin() + n);
+      seen += frames_of(out.back()).size();
+    }
+    return out;
+  }
+
+  int fd = -1;
+  std::uint16_t port = 0;
+};
+
+/// A reactor transport sending as host 1.
+struct SenderRig {
+  SenderRig() {
+    proto::register_wire_messages();
+    transport = make_transport();
+    env = std::make_unique<ThreadedEnv>(*transport);
+    env->transport().register_endpoint(HostId(1),
+                                       [](HostId, const net::MessagePtr&) {});
+  }
+  ~SenderRig() { transport->shutdown(); }
+
+  void route(std::uint32_t host, std::uint16_t port) {
+    transport->add_peer(HostId(host), NodeAddress{"127.0.0.1", port});
+  }
+  /// Sends every (destination, message) from one loop turn, so the frames
+  /// queue back to back.
+  void send_all(
+      const std::vector<std::pair<std::uint32_t, net::MessagePtr>>& msgs) {
+    env->run_sync([&] {
+      for (const auto& [to, msg] : msgs) {
+        env->transport().send(HostId(1), HostId(to), msg);
+      }
+    });
+  }
+
+  std::unique_ptr<ReactorTransport> transport;
+  std::unique_ptr<ThreadedEnv> env;
+};
+
+std::uint64_t seq_of(const net::WireFrame& f) {
+  return static_cast<const proto::HeartbeatPing&>(*f.msg).seq;
+}
+
+net::MessagePtr heartbeat(std::uint64_t seq) {
+  return net::make_message<proto::HeartbeatPing>(AppId(1), seq);
+}
+
+std::vector<std::pair<std::uint32_t, net::MessagePtr>> pings_to(
+    std::uint32_t host, std::size_t count) {
+  std::vector<std::pair<std::uint32_t, net::MessagePtr>> msgs;
+  for (std::size_t i = 0; i < count; ++i) msgs.emplace_back(host, heartbeat(i));
+  return msgs;
+}
+
+// A burst to one peer leaves the reactor bundled: fewer datagrams than
+// frames (by the datagram counter and at the receiving socket), none over
+// kBundleBytes, and every frame in send order.
+TEST(ReactorBundling, BurstToOnePeerSharesDatagrams) {
+  RawReceiver peer;
+  SenderRig rig;
+  rig.route(2, peer.port);
+  constexpr std::size_t kFrames = ReactorTransport::kBatch * 5;
+  const std::uint64_t frames_before = socket_frames_sent().value();
+  const std::uint64_t datagrams_before = socket_datagrams_sent().value();
+
+  rig.send_all(pings_to(2, kFrames));
+  const auto datagrams = peer.datagrams_holding(kFrames);
+
+  std::vector<std::uint64_t> seqs;
+  for (const auto& d : datagrams) {
+    EXPECT_LE(d.size(), net::kBundleBytes);
+    for (const auto& f : RawReceiver::frames_of(d)) seqs.push_back(seq_of(f));
+  }
+  std::vector<std::uint64_t> want(kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) want[i] = i;
+  EXPECT_EQ(seqs, want);
+  EXPECT_LT(datagrams.size(), kFrames);
+  ASSERT_TRUE(eventually([&] {
+    return socket_frames_sent().value() - frames_before == kFrames &&
+           socket_datagrams_sent().value() - datagrams_before ==
+               datagrams.size();
+  }));
+}
+
+// A frame bigger than kBundleBytes never shares a datagram: it travels alone
+// between its bundled neighbours, which keep their order around it.
+TEST(ReactorBundling, FrameOverTheCapTravelsAlone) {
+  RawReceiver peer;
+  SenderRig rig;
+  rig.route(2, peer.port);
+  const auto big = net::make_message<proto::InvokeRequest>(
+      AppId(1), UserId(2), 3, 4, auth::Signature{5},
+      std::string(2 * net::kBundleBytes, 'x'), 6);
+  const auto big_frame =
+      net::CodecRegistry::global().encode(HostId(1), HostId(2), *big);
+  ASSERT_TRUE(big_frame.has_value());
+  ASSERT_GT(big_frame->size(), net::kBundleBytes);
+
+  rig.send_all({{2, heartbeat(0)},
+                {2, heartbeat(1)},
+                {2, big},
+                {2, heartbeat(2)},
+                {2, heartbeat(3)}});
+  const auto datagrams = peer.datagrams_holding(5);
+
+  std::vector<std::string> order;
+  int big_datagrams = 0;
+  for (const auto& d : datagrams) {
+    const auto frames = RawReceiver::frames_of(d);
+    for (const auto& f : frames) {
+      if (dynamic_cast<const proto::InvokeRequest*>(f.msg.get()) != nullptr) {
+        ++big_datagrams;
+        EXPECT_EQ(frames.size(), 1u);
+        EXPECT_EQ(d, *big_frame);
+        order.push_back("big");
+      } else {
+        EXPECT_LE(d.size(), net::kBundleBytes);
+        order.push_back(std::to_string(seq_of(f)));
+      }
+    }
+  }
+  EXPECT_EQ(big_datagrams, 1);
+  EXPECT_EQ(order, (std::vector<std::string>{"0", "1", "big", "2", "3"}));
+}
+
+// Sends interleaved between two peers: bundles form only from consecutive
+// frames for one peer, and each peer receives its frames in send order.
+TEST(ReactorBundling, InterleavedPeersKeepPerPeerOrder) {
+  RawReceiver peer2, peer3;
+  SenderRig rig;
+  rig.route(2, peer2.port);
+  rig.route(3, peer3.port);
+  std::vector<std::pair<std::uint32_t, net::MessagePtr>> msgs;
+  std::map<std::uint32_t, std::vector<std::uint64_t>> want;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const std::uint32_t to = i % 3 == 2 ? 3 : 2;
+    msgs.emplace_back(to, heartbeat(i));
+    want[to].push_back(i);
+  }
+  rig.send_all(msgs);
+
+  for (auto* peer : {&peer2, &peer3}) {
+    const std::uint32_t host = peer == &peer2 ? 2 : 3;
+    std::vector<std::uint64_t> got;
+    for (const auto& d : peer->datagrams_holding(want[host].size())) {
+      for (const auto& f : RawReceiver::frames_of(d)) {
+        EXPECT_EQ(f.to, HostId(host));
+        got.push_back(seq_of(f));
+      }
+    }
+    EXPECT_EQ(got, want[host]) << "host " << host;
+  }
+}
+
+// The udp backend sends bundles of one but receives through the shared
+// splitter: a burst from a reactor sender arrives whole and in order, in
+// fewer datagrams than frames.
+TEST(ReactorBundling, UdpReceiverDecodesReactorBundles) {
+  proto::register_wire_messages();
+  EnvOptions opts;
+  opts.listen = "127.0.0.1:0";
+  std::string error;
+  auto receiver = UdpTransport::create(opts, &error);
+  ASSERT_NE(receiver, nullptr) << error;
+  ThreadedEnv receiver_env(*receiver);
+  SeqLog log;
+  receiver_env.transport().register_endpoint(HostId(2), log.handler_for(2));
+  SenderRig rig;
+  rig.route(2, receiver->local_port());
+  constexpr std::size_t kFrames = ReactorTransport::kBatch * 5;
+  const std::uint64_t frames_before = socket_frames_received().value();
+  const std::uint64_t datagrams_before = socket_datagrams_received().value();
+
+  rig.send_all(pings_to(2, kFrames));
+  ASSERT_TRUE(eventually([&] { return log.total() == kFrames; }));
+  std::vector<std::uint64_t> want(kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) want[i] = i;
+  EXPECT_EQ(log.at(2), want);
+  EXPECT_EQ(socket_frames_received().value() - frames_before, kFrames);
+  EXPECT_LT(socket_datagrams_received().value() - datagrams_before, kFrames);
+  receiver->shutdown();
 }
 
 // ------------------------------------------------ deterministic fault plan
