@@ -2,7 +2,6 @@
 
 #include "runtime/reactor_transport.hpp"
 #include "runtime/threaded_env.hpp"
-#include "runtime/udp_transport.hpp"
 
 namespace wan::runtime {
 
@@ -11,8 +10,6 @@ std::unique_ptr<Fabric> make_fabric(const EnvOptions& opts,
   switch (opts.backend) {
     case BackendKind::kLoopback:
       return std::make_unique<LoopbackFabric>(opts);
-    case BackendKind::kUdp:
-      return UdpTransport::create(opts, error);
     case BackendKind::kReactor:
       return ReactorTransport::create(opts, error);
     case BackendKind::kSim:

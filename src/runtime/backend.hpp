@@ -2,19 +2,18 @@
 //
 // EnvOptions::backend names the backend; this factory builds it, so tools
 // and tests that run over "whatever fabric the flag said" need no
-// per-backend wiring. The three fabric kinds are:
+// per-backend wiring. The two fabric kinds are:
 //
 //   * kLoopback — LoopbackFabric, in-process delivery with the options'
 //     delay/jitter/loss shaping;
-//   * kUdp      — UdpTransport, real sockets, thread-per-direction;
 //   * kReactor  — ReactorTransport, real sockets, epoll + recvmmsg/sendmmsg.
 //
 // kSim is not a fabric (the simulator is an Env of its own); asking for it
 // here is reported as an error, not aborted, so flag parsing can surface it.
 //
-// Sockets-backed fabrics return the SocketTransport view too (local_port,
+// The socket fabric also offers the SocketTransport surface (local_port,
 // add_peer, block_inbound_from, fault plans); fabric_as_socket() downcasts
-// when the caller needs that surface and nullptr for the loopback fabric.
+// when the caller needs that surface and returns nullptr for loopback.
 #pragma once
 
 #include <memory>

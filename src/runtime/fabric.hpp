@@ -5,9 +5,9 @@
 //
 //   * LoopbackFabric (runtime/threaded_env.hpp) — in-process, configurable
 //     delay/jitter/loss; every node lives in one address space.
-//   * UdpTransport   (runtime/udp_transport.hpp) — one UDP socket per
-//     process, frames encoded by the net::CodecRegistry wire codec; nodes
-//     span processes and machines.
+//   * ReactorTransport (runtime/reactor_transport.hpp) — one UDP socket per
+//     process driven by an epoll loop, frames encoded by the
+//     net::CodecRegistry wire codec; nodes span processes and machines.
 //
 // The split keeps ThreadedEnv backend-agnostic: it implements Env (timers,
 // post, now) against its LoopCore and forwards every Transport call here.

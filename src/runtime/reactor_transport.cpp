@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "net/codec.hpp"
-#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace wan::runtime {
@@ -98,33 +97,6 @@ void ReactorTransport::shutdown() {
     ::close(fd_);
     fd_ = -1;
   }
-}
-
-std::vector<std::uint8_t> ReactorTransport::take_buffer() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_.empty()) return {};
-  std::vector<std::uint8_t> buf = std::move(pool_.back());
-  pool_.pop_back();
-  return buf;
-}
-
-void ReactorTransport::recycle_buffer(std::vector<std::uint8_t>&& buf) {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_.size() < send_queue_limit_) pool_.push_back(std::move(buf));
-}
-
-void ReactorTransport::count_env_send() {
-  static obs::Counter& sends =
-      obs::Registry::global().counter("wan_env_sends_total{env=\"reactor\"}");
-  sends.inc();
-}
-
-std::vector<std::uint8_t> ReactorTransport::take_send_buffer() {
-  return take_buffer();
-}
-
-void ReactorTransport::recycle_send_buffer(std::vector<std::uint8_t>&& buf) {
-  recycle_buffer(std::move(buf));
 }
 
 bool ReactorTransport::enqueue_frame(std::vector<std::uint8_t> frame,
@@ -273,7 +245,7 @@ bool ReactorTransport::flush_outbound() {
 
     const auto recycle = [&](unsigned from, unsigned to) {
       for (std::size_t i = first[from]; i < first[to]; ++i) {
-        recycle_buffer(std::move(flushing_[i].frame));
+        recycle_send_buffer(std::move(flushing_[i].frame));
       }
     };
     unsigned sent = 0;

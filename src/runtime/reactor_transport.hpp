@@ -1,20 +1,23 @@
-// ReactorTransport: the epoll-batched socket fabric for saturation loads.
+// ReactorTransport: the real-socket fabric — nodes span processes and
+// machines.
 //
-// Same wire protocol, topology surface, and delivery semantics as
-// UdpTransport (both sit on runtime/socket_base.hpp — the conformance suite
-// in tests/test_conformance.cpp proves the behaviors identical), but built
-// for throughput instead of simplicity:
+// One ReactorTransport per OS process, owning one UDP socket. Local nodes
+// attach exactly as they do to a LoopbackFabric (ThreadedEnv's transport
+// port calls attach/send); remote nodes are reached through a static
+// topology mapping HostId -> host:port, loaded from a file or patched in
+// with add_peer(). Addressing, encode, decode and delivery live in
+// runtime/socket_base.hpp; callers must register the protocol codecs
+// (proto::register_wire_messages()) before the first send — the runtime
+// layer itself is protocol-agnostic and never includes proto/ headers.
 //
-//   * One nonblocking socket driven by ONE event-loop thread — the reactor —
-//     replacing UdpTransport's sender-thread + recv-thread pair. The loop
-//     multiplexes readiness through epoll over two fds: the socket and an
-//     eventfd that send() rings when the outbound queue goes nonempty (and
-//     shutdown() rings to stop the loop).
+//   * One nonblocking socket driven by ONE event-loop thread — the reactor.
+//     The loop multiplexes readiness through epoll over two fds: the socket
+//     and an eventfd that send() rings when the outbound queue goes
+//     nonempty (and shutdown() rings to stop the loop).
 //   * Batched syscalls: inbound datagrams are drained with recvmmsg (up to
 //     kBatch datagrams per syscall, preallocated buffers) until EAGAIN;
 //     outbound frames are flushed with sendmmsg, up to kBatch datagrams per
-//     call. At saturation the per-datagram syscall cost amortizes to
-//     ~1/kBatch of the thread-per-datagram design.
+//     call. At saturation one syscall moves up to kBatch datagrams.
 //   * Bundled datagrams: consecutive queued frames for the same peer share
 //     one datagram, gathered by scatter iovecs (no copy), up to
 //     net::kBundleBytes; a frame over the cap travels alone. The kernel's
@@ -24,21 +27,25 @@
 //     SocketTransport::on_datagrams() whole, so a node loop gets one post
 //     (one lock, one wakeup) per batch carrying all of its frames, not one
 //     per frame.
-//   * Reusable encode buffers: send() encodes through
-//     CodecRegistry::encode_into into a vector recycled from a free pool, so
-//     the steady-state hot path performs no allocation once buffers reach
-//     their working size. Buffers return to the pool after sendmmsg flushes
-//     them; the pool is capped at the queue limit.
+//   * Reusable encode buffers: send() encodes into a buffer from
+//     SocketTransport's pool, and the reactor returns it there after
+//     sendmmsg flushes it.
 //
-// Queue semantics are unchanged from UdpTransport: the outbound queue is
-// bounded by EnvOptions::send_queue_limit, overflow drops the frame with
-// wan_udp_drops_total{reason="queue_full"} — UDP never backpressures into
-// protocol code. When the kernel socket buffer itself fills (sendmmsg
-// EAGAIN), frames stay queued and EPOLLOUT is armed, so a full kernel buffer
-// delays rather than drops (the bounded queue still caps memory).
+// The outbound queue is bounded by EnvOptions::send_queue_limit; overflow
+// drops the frame with wan_udp_drops_total{reason="queue_full"} — UDP never
+// backpressures into protocol code. When the kernel socket buffer itself
+// fills (sendmmsg EAGAIN), frames stay queued and EPOLLOUT is armed, so a
+// full kernel buffer delays rather than drops (the bounded queue still caps
+// memory).
 //
-// Select it with EnvOptions::backend = BackendKind::kReactor (see
-// runtime/backend.hpp); everything above the Fabric seam is untouched.
+// Observability: wan_udp_frames_sent_total, wan_udp_frames_received_total,
+// wan_udp_datagrams_sent_total, wan_udp_datagrams_received_total,
+// wan_udp_deliveries_total, wan_udp_delivery_handoffs_total and
+// wan_udp_drops_total{reason=...} — see socket_base.hpp for the reason set.
+//
+// Build it with ReactorTransport::create() or, from EnvOptions::backend =
+// BackendKind::kReactor, with make_fabric() (runtime/backend.hpp);
+// everything above the Fabric seam is untouched.
 #pragma once
 
 #include <sys/uio.h>
@@ -83,9 +90,6 @@ class ReactorTransport final : public SocketTransport {
 
   bool enqueue_frame(std::vector<std::uint8_t> frame,
                      const ResolvedAddr& dest) override;
-  void count_env_send() override;
-  std::vector<std::uint8_t> take_send_buffer() override;
-  void recycle_send_buffer(std::vector<std::uint8_t>&& buf) override;
 
   void reactor_loop();
   /// Drains the inbound side with recvmmsg until EAGAIN, handing each
@@ -96,18 +100,12 @@ class ReactorTransport final : public SocketTransport {
   bool flush_outbound();
   void set_want_write(bool want);
 
-  std::vector<std::uint8_t> take_buffer();
-  void recycle_buffer(std::vector<std::uint8_t>&& buf);
-
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   bool want_write_ = false;  ///< reactor thread only
 
   std::mutex queue_mu_;
   std::deque<Outbound> queue_;
-
-  std::mutex pool_mu_;
-  std::vector<std::vector<std::uint8_t>> pool_;
 
   // flush_outbound() scratch, reactor thread only (capacity reused): the
   // frames of one sendmmsg call in queue order, and one iovec per frame.

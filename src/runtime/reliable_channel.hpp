@@ -1,7 +1,7 @@
-// ReliableChannel: ack/retransmit/dedup over the socket fabrics.
+// ReliableChannel: ack/retransmit/dedup over the socket fabric.
 //
-// The UDP fabrics (runtime/udp_transport.hpp, runtime/reactor_transport.hpp)
-// are fire-and-forget: a dropped datagram is a lost message, and today the
+// The UDP socket fabric (runtime/reactor_transport.hpp) is
+// fire-and-forget: a dropped datagram is a lost message, and today the
 // protocol survives only because its own timers retransmit *semantically*
 // (update dissemination, revoke forwarding, sync rounds). That leaves real
 // gaps — a lost InvokeReply or QueryResponse is gone, and every protocol
@@ -68,7 +68,7 @@ namespace wan::runtime {
 
 class ReliableChannel {
  public:
-  /// Hands one encoded frame to the backend's outbound queue; returns false
+  /// Hands one encoded frame to the socket's outbound queue; returns false
   /// when the bounded queue shed it (a later retransmit recovers).
   using EnqueueFn =
       std::function<bool(std::vector<std::uint8_t> frame, ResolvedAddr dest)>;

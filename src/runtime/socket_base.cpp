@@ -4,7 +4,6 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -276,7 +275,9 @@ bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
 
 void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
   WAN_REQUIRE(msg != nullptr);
-  count_env_send();
+  static obs::Counter& sends =
+      obs::Registry::global().counter("wan_env_sends_total{env=\"reactor\"}");
+  sends.inc();
   const std::optional<ResolvedAddr> dest = route_for_send(from, to);
   if (!dest) return;
   const net::CodecRegistry& codec = net::CodecRegistry::global();
@@ -297,6 +298,19 @@ void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
     return;
   }
   enqueue_frame(std::move(frame), *dest);
+}
+
+std::vector<std::uint8_t> SocketTransport::take_send_buffer() {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (pool_.empty()) return {};
+  std::vector<std::uint8_t> buf = std::move(pool_.back());
+  pool_.pop_back();
+  return buf;
+}
+
+void SocketTransport::recycle_send_buffer(std::vector<std::uint8_t>&& buf) {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (pool_.size() < send_queue_limit_) pool_.push_back(std::move(buf));
 }
 
 void SocketTransport::set_peer_unreachable(UnreachableFn fn) {

@@ -1,30 +1,22 @@
-// SocketTransport: the shared substrate of every real-socket fabric backend.
+// SocketTransport: the I/O-independent half of the real-socket fabric.
 //
-// PR 5's UdpTransport owned everything a socket fabric needs — address
-// parsing, the static topology, peer resolution, endpoint bookkeeping, the
-// inbound decode/deliver path, and the labelled drop counters. The reactor
-// backend (runtime/reactor_transport.hpp) needs all of the same pieces, so
-// they live here and the two backends differ only in how bytes move:
+// Everything a socket fabric needs apart from moving bytes lives here:
+// address parsing, the static topology, peer resolution, endpoint
+// bookkeeping, the encode-buffer pool, the inbound decode/deliver path, the
+// optional reliability layer and the labelled drop counters. The one
+// backend, ReactorTransport (runtime/reactor_transport.hpp), adds the epoll
+// loop and the batched recvmmsg/sendmmsg syscalls; tests subclass this base
+// with a socketless fake that feeds on_datagrams() directly.
 //
-//   * UdpTransport     — recv-loop thread + sender thread, one datagram per
-//     blocking syscall. Simple, portable; the PR 5 baseline.
-//   * ReactorTransport — one epoll-driven event loop, recvmmsg/sendmmsg
-//     batched syscalls, reusable encode buffers. The saturation backend.
-//
-// Both speak the identical wire protocol (net::CodecRegistry frames, one or
-// more whole frames per datagram — the reactor bundles consecutive frames to
-// one peer, the udp backend sends bundles of one), expose the identical
-// operational surface (topology files, add_peer patching, block_inbound_from
-// partitions, per-reason wan_udp_drops_total counters), and deliver inbound
-// messages the identical way: a backend hands each receive call's datagrams
-// to on_datagrams() as one batch (the reactor a whole recvmmsg batch, the udp
-// backend a batch of one), which splits each datagram into frames, decodes
-// and filters them per frame in arrival order and then posts ONE closure per
-// destination node's LoopCore carrying that node's messages in arrival
-// order. The cross-backend conformance suite (tests/test_conformance.cpp)
-// holds them to that: the same seeded op script must produce the same
-// protocol outcomes on either backend — and on the in-process loopback
-// fabric.
+// The wire protocol is net::CodecRegistry frames, one or more whole frames
+// per datagram (docs/WIRE_FORMAT.md). The receive path hands each receive
+// call's datagrams to on_datagrams() as one batch, which splits each
+// datagram into frames, decodes and filters them per frame in arrival order
+// and then posts ONE closure per destination node's LoopCore carrying that
+// node's messages in arrival order. The conformance suite
+// (tests/test_conformance.cpp) holds the socket fabric to the in-process
+// loopback fabric: the same seeded op script must produce the same protocol
+// outcomes on both.
 //
 // Adverse-network injection: set_fault_plan() arms a *deterministic* seeded
 // fault stream applied to inbound frames after decode — loss (counted as
@@ -115,15 +107,16 @@ struct ResolvedAddr {
 
 class ReliableChannel;
 
-/// Common machinery of the real-socket fabric backends. Subclasses own the
-/// I/O strategy (threads, syscall batching) and implement enqueue_frame();
-/// everything else — bind, routing, endpoints, the send path, decode,
-/// delivery, the optional reliability layer, counters — is here.
+/// Common machinery of the real-socket fabric. The subclass owns the I/O
+/// (threads, syscall batching) and implements enqueue_frame() and
+/// shutdown(); everything else — bind, routing, endpoints, the send path,
+/// encode buffers, decode, delivery, the optional reliability layer,
+/// counters — is here.
 class SocketTransport : public Fabric {
  public:
   ~SocketTransport() override;
 
-  /// The shared send path: route, classify, encode, enqueue. With the
+  /// The send path: route, classify, encode, enqueue. With the
   /// reliability layer enabled (EnvOptions::reliability), messages whose
   /// net::Message::reliable() is true travel wrapped in the ack/retransmit
   /// envelope; heartbeats and the envelope itself stay fire-and-forget.
@@ -162,7 +155,7 @@ class SocketTransport : public Fabric {
   /// (tests poll in_flight() through this).
   [[nodiscard]] ReliableChannel* reliable_channel() noexcept;
 
-  /// Stops attached envs, then winds down the backend's I/O. Idempotent;
+  /// Stops attached envs, then winds down the socket I/O. Idempotent;
   /// every subclass destructor calls it.
   virtual void shutdown() = 0;
 
@@ -174,7 +167,7 @@ class SocketTransport : public Fabric {
     bool down = false;
   };
 
-  /// One received datagram, in the backend's receive buffer.
+  /// One received datagram, in the receive buffer.
   struct Datagram {
     const std::uint8_t* data = nullptr;
     std::size_t size = 0;
@@ -194,22 +187,18 @@ class SocketTransport : public Fabric {
   /// (endpoint_down drop otherwise).
   std::optional<ResolvedAddr> route_for_send(HostId from, HostId to);
 
-  /// Hands one encoded frame to the backend's bounded outbound queue.
-  /// Returns false on a queue-full shed (counted as queue_full by the
-  /// implementation). Called from env loop threads and from the reliability
-  /// layer's timer thread.
+  /// Hands one encoded frame to the bounded outbound queue. Returns false
+  /// on a queue-full shed (counted as queue_full by the implementation).
+  /// Called from env loop threads and from the reliability layer's timer
+  /// thread.
   virtual bool enqueue_frame(std::vector<std::uint8_t> frame,
                              const ResolvedAddr& dest) = 0;
 
-  /// Bumps the backend's wan_env_sends_total counter (one per send() call).
-  virtual void count_env_send() = 0;
-
-  /// Encode-buffer recycling hooks; the reactor overrides these with its
-  /// pool, the udp backend keeps the allocate-per-frame default.
-  virtual std::vector<std::uint8_t> take_send_buffer() { return {}; }
-  virtual void recycle_send_buffer(std::vector<std::uint8_t>&& buf) {
-    (void)buf;
-  }
+  /// The encode-buffer pool: send() encodes into a buffer taken here, and
+  /// the subclass returns it once the frame is on the wire, so the
+  /// steady-state send path allocates nothing. Capped at the queue limit.
+  std::vector<std::uint8_t> take_send_buffer();
+  void recycle_send_buffer(std::vector<std::uint8_t>&& buf);
 
   /// The receive path. Splits every datagram of one receive call into its
   /// frames (net::frame_extent), decodes each with the strict codec (a tail
@@ -222,8 +211,8 @@ class SocketTransport : public Fabric {
   /// under one mu_ acquisition per batch — and each endpoint gets ONE post
   /// onto its loop that runs its messages in arrival order. The fault plan
   /// runs before the reliability layer, so injected loss hits the envelope
-  /// and retransmission is what recovers it. Called from the backend's one
-  /// receive thread only.
+  /// and retransmission is what recovers it. Called from the one receive
+  /// thread only.
   void on_datagrams(std::span<const Datagram> batch);
 
   /// True once shutdown() has run (subclasses gate their idempotence on it).
@@ -281,6 +270,9 @@ class SocketTransport : public Fabric {
   Handoff* handoff_for(std::uint32_t to);
   std::vector<Staged> staged_;
   std::vector<Handoff> handoffs_;
+
+  std::mutex pool_mu_;
+  std::vector<std::vector<std::uint8_t>> pool_;  ///< free encode buffers
 };
 
 /// Shared drop accounting: wan_udp_drops_total{reason=...}. Reasons are
@@ -290,7 +282,7 @@ class SocketTransport : public Fabric {
 /// so the per-call registry lookup is fine.
 void count_socket_drop(const char* reason);
 
-/// Hot counters shared by the socket backends. Frames count decoded (or
+/// Hot counters of the socket fabric. Frames count decoded (or
 /// sent) protocol frames, datagrams count kernel datagrams, so frames /
 /// datagrams is the live bundle factor.
 obs::Counter& socket_frames_sent();

@@ -13,7 +13,7 @@
 // destination env's loop. The fabric holds each env's loop core by
 // shared_ptr, so deliveries to an env that has already stopped (or been
 // destroyed) are silently dropped — exactly an unreachable host. The UDP
-// socket fabric lives in runtime/udp_transport.hpp; a ThreadedEnv runs
+// socket fabric lives in runtime/reactor_transport.hpp; a ThreadedEnv runs
 // unchanged over either.
 //
 // Time: sim::TimePoint, measured from the fabric's construction instant on

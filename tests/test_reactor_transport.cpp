@@ -1,8 +1,9 @@
-// ReactorTransport tests: the epoll + recvmmsg/sendmmsg backend must match
-// UdpTransport observable-for-observable — delivery onto the destination
-// loop, round trips, one-way inbound blocking, labelled send-path drops,
-// idempotent shutdown — while adding the batched-I/O behaviors worth pinning
-// directly: bursts larger than one syscall batch all arrive, and a recvmmsg
+// ReactorTransport tests: two ThreadedEnvs in one process, each behind its
+// own reactor socket on a 127.0.0.1 ephemeral port, exchanging real
+// datagrams through the wire codec — delivery onto the destination loop,
+// round trips, one-way inbound blocking, a down endpoint dropping inbound
+// deliveries, labelled send-path drops, idempotent shutdown and topology
+// parsing — plus the batched-I/O behaviors worth pinning directly: bursts larger than one syscall batch all arrive, and a recvmmsg
 // batch mixing valid frames with garbage rejects per-frame (each reject in
 // its labelled counter, every valid neighbour still delivered). The
 // deterministic fault plan (socket_base.hpp) is exercised here at the
@@ -29,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,7 +41,6 @@
 #include "proto/wire.hpp"
 #include "runtime/reactor_transport.hpp"
 #include "runtime/threaded_env.hpp"
-#include "runtime/udp_transport.hpp"
 #include "util/rng.hpp"
 
 namespace wan::runtime {
@@ -150,7 +151,7 @@ struct RawSenderRig {
   sockaddr_in dest{};
 };
 
-// ------------------------------------------------- UdpTransport parity
+// ------------------------------------------------ delivery and drops
 
 TEST(ReactorTransport, DeliversAcrossRealSockets) {
   Pair pair;
@@ -268,6 +269,35 @@ TEST(ReactorTransport, SendPathDropReasonsAreCounted) {
   EXPECT_EQ(drop_count("oversize"), oversize_before + 1);
 }
 
+TEST(ReactorTransport, DownEndpointDropsInboundDeliveries) {
+  Pair pair;
+  std::atomic<int> at_b{0};
+  pair.env_b->transport().register_endpoint(
+      HostId(2),
+      [&](HostId, const net::MessagePtr&) { at_b.fetch_add(1); });
+  pair.env_a->transport().register_endpoint(
+      HostId(1), [](HostId, const net::MessagePtr&) {});
+
+  const std::uint64_t down_before = drop_count("endpoint_down");
+  pair.env_b->transport().set_endpoint_down(HostId(2), true);
+  pair.env_a->run_sync([&] {
+    pair.env_a->transport().send(
+        HostId(1), HostId(2),
+        net::make_message<proto::HeartbeatPing>(AppId(1), 1));
+  });
+  ASSERT_TRUE(
+      eventually([&] { return drop_count("endpoint_down") > down_before; }));
+  EXPECT_EQ(at_b.load(), 0);
+
+  pair.env_b->transport().set_endpoint_down(HostId(2), false);
+  pair.env_a->run_sync([&] {
+    pair.env_a->transport().send(
+        HostId(1), HostId(2),
+        net::make_message<proto::HeartbeatPing>(AppId(1), 2));
+  });
+  ASSERT_TRUE(eventually([&] { return at_b.load() == 1; }));
+}
+
 TEST(ReactorTransport, CreateRejectsBadOptions) {
   proto::register_wire_messages();
   {
@@ -295,6 +325,65 @@ TEST(ReactorTransport, ShutdownIsIdempotentAndStopsEnvs) {
   t->shutdown();
   t->shutdown();  // second call must be a no-op
   env.reset();
+}
+
+// ------------------------------------------------------------- Topology
+
+TEST(Topology, ParsesEntriesAndComments) {
+  std::istringstream in(
+      "# deployment of three\n"
+      "0 127.0.0.1:9000\n"
+      "\n"
+      "100 node-a.example:9001   # app host\n"
+      "9000 127.0.0.1:9002\n");
+  std::string error;
+  const auto topo = Topology::parse(in, &error);
+  ASSERT_TRUE(topo.has_value()) << error;
+  EXPECT_EQ(topo->size(), 3u);
+  ASSERT_NE(topo->find(HostId(100)), nullptr);
+  EXPECT_EQ(topo->find(HostId(100))->host, "node-a.example");
+  EXPECT_EQ(topo->find(HostId(100))->port, 9001);
+  EXPECT_EQ(topo->find(HostId(5)), nullptr);
+}
+
+TEST(Topology, SerializeRoundTrips) {
+  Topology topo;
+  topo.add(HostId(3), NodeAddress{"127.0.0.1", 1234});
+  topo.add(HostId(1), NodeAddress{"example.org", 80});
+  std::istringstream in(topo.serialize());
+  std::string error;
+  const auto again = Topology::parse(in, &error);
+  ASSERT_TRUE(again.has_value()) << error;
+  EXPECT_EQ(again->entries(), topo.entries());
+}
+
+TEST(Topology, RejectsMalformedLines) {
+  const char* bad_inputs[] = {
+      "not-a-number 127.0.0.1:1\n",  // unparseable id
+      "1 127.0.0.1\n",               // missing port
+      "1 127.0.0.1:99999\n",         // port out of range
+      "1 :5\n",                      // empty host
+      "1 127.0.0.1:5 trailing\n",    // trailing non-comment text
+      "1 127.0.0.1:5\n1 127.0.0.1:6\n",  // duplicate id
+  };
+  for (const char* text : bad_inputs) {
+    std::istringstream in(text);
+    std::string error;
+    EXPECT_FALSE(Topology::parse(in, &error).has_value()) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+TEST(Topology, ParseNodeAddress) {
+  const auto ok = parse_node_address("10.1.2.3:8080");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->host, "10.1.2.3");
+  EXPECT_EQ(ok->port, 8080);
+  EXPECT_FALSE(parse_node_address("nocolon").has_value());
+  EXPECT_FALSE(parse_node_address(":80").has_value());
+  EXPECT_FALSE(parse_node_address("h:").has_value());
+  EXPECT_FALSE(parse_node_address("h:65536").has_value());
+  EXPECT_FALSE(parse_node_address("h:12x").has_value());
 }
 
 // --------------------------------------------------- batched-I/O behavior
@@ -393,7 +482,6 @@ class BatchProbe final : public SocketTransport {
   bool enqueue_frame(std::vector<std::uint8_t>, const ResolvedAddr&) override {
     return true;
   }
-  void count_env_send() override {}
 };
 
 std::vector<std::uint8_t> ping(std::uint32_t from, std::uint32_t to,
@@ -715,6 +803,11 @@ struct RawReceiver {
     port = ntohs(addr.sin_port);
     const timeval timeout{5, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    // Tests read only after a whole burst is sent. When the reactor keeps
+    // pace with the sender, every frame can leave in its own datagram, and
+    // a few hundred of them overflow the kernel's default receive buffer.
+    const int buf_bytes = 4 * 1024 * 1024;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf_bytes, sizeof buf_bytes);
   }
   ~RawReceiver() { ::close(fd); }
   RawReceiver(const RawReceiver&) = delete;
@@ -898,35 +991,6 @@ TEST(ReactorBundling, InterleavedPeersKeepPerPeerOrder) {
   }
 }
 
-// The udp backend sends bundles of one but receives through the shared
-// splitter: a burst from a reactor sender arrives whole and in order, in
-// fewer datagrams than frames.
-TEST(ReactorBundling, UdpReceiverDecodesReactorBundles) {
-  proto::register_wire_messages();
-  EnvOptions opts;
-  opts.listen = "127.0.0.1:0";
-  std::string error;
-  auto receiver = UdpTransport::create(opts, &error);
-  ASSERT_NE(receiver, nullptr) << error;
-  ThreadedEnv receiver_env(*receiver);
-  SeqLog log;
-  receiver_env.transport().register_endpoint(HostId(2), log.handler_for(2));
-  SenderRig rig;
-  rig.route(2, receiver->local_port());
-  constexpr std::size_t kFrames = ReactorTransport::kBatch * 5;
-  const std::uint64_t frames_before = socket_frames_received().value();
-  const std::uint64_t datagrams_before = socket_datagrams_received().value();
-
-  rig.send_all(pings_to(2, kFrames));
-  ASSERT_TRUE(eventually([&] { return log.total() == kFrames; }));
-  std::vector<std::uint64_t> want(kFrames);
-  for (std::size_t i = 0; i < kFrames; ++i) want[i] = i;
-  EXPECT_EQ(log.at(2), want);
-  EXPECT_EQ(socket_frames_received().value() - frames_before, kFrames);
-  EXPECT_LT(socket_datagrams_received().value() - datagrams_before, kFrames);
-  receiver->shutdown();
-}
-
 // ------------------------------------------------ deterministic fault plan
 
 // Same plan, same arrival sequence, fresh transport: the seeded fault
@@ -990,32 +1054,6 @@ TEST(ReactorTransport, ReorderPlanSwapsAdjacentFrames) {
   rig.send_raw(RawSenderRig::ping_frame(2));
   ASSERT_TRUE(eventually([&] { return rig.delivered() == 2; }));
   EXPECT_EQ(rig.delivered_seqs(), (std::vector<std::uint64_t>{2, 1}));
-}
-
-// The fault plan lives in SocketTransport, so the thread-per-direction
-// backend honors the identical contract — spot-check duplication there.
-TEST(UdpTransportFaults, DuplicatePlanAppliesToUdpBackendToo) {
-  proto::register_wire_messages();
-  EnvOptions opts;
-  opts.listen = "127.0.0.1:0";
-  std::string error;
-  auto t = UdpTransport::create(opts, &error);
-  ASSERT_NE(t, nullptr) << error;
-  FaultPlan plan;
-  plan.seed = 3;
-  plan.duplicate = 1.0;
-  t->set_fault_plan(plan);
-  auto env = std::make_unique<ThreadedEnv>(*t);
-  std::atomic<int> got{0};
-  env->transport().register_endpoint(
-      HostId(2), [&](HostId, const net::MessagePtr&) { got.fetch_add(1); });
-  t->add_peer(HostId(2), NodeAddress{"127.0.0.1", t->local_port()});
-  env->run_sync([&] {
-    env->transport().send(HostId(2), HostId(2),
-                          net::make_message<proto::HeartbeatPing>(AppId(1), 1));
-  });
-  ASSERT_TRUE(eventually([&] { return got.load() == 2; }));
-  t->shutdown();
 }
 
 }  // namespace

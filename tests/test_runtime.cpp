@@ -424,15 +424,15 @@ TEST(CrossRuntime, AdversarialChaosSeedsReplayBitIdentically) {
 
 TEST(EnvOptionsErrors, ParseBackendRoundTripsAndRejectsUnknown) {
   for (const BackendKind kind :
-       {BackendKind::kSim, BackendKind::kLoopback, BackendKind::kUdp,
-        BackendKind::kReactor}) {
+       {BackendKind::kSim, BackendKind::kLoopback, BackendKind::kReactor}) {
     BackendKind parsed = BackendKind::kSim;
     ASSERT_TRUE(parse_backend(to_cstring(kind), &parsed));
     EXPECT_EQ(parsed, kind);
   }
-  BackendKind out = BackendKind::kUdp;
+  BackendKind out = BackendKind::kLoopback;
   EXPECT_FALSE(parse_backend("tcp", &out));
-  EXPECT_EQ(out, BackendKind::kUdp);  // a failed parse leaves *out alone
+  EXPECT_FALSE(parse_backend("udp", &out));  // the retired socket backend
+  EXPECT_EQ(out, BackendKind::kLoopback);  // a failed parse leaves *out alone
 }
 
 TEST(EnvOptionsErrors, MakeFabricRejectsSimBackend) {
@@ -444,21 +444,18 @@ TEST(EnvOptionsErrors, MakeFabricRejectsSimBackend) {
 }
 
 TEST(EnvOptionsErrors, MakeFabricReportsMissingTopologyFile) {
-  for (const BackendKind kind : {BackendKind::kUdp, BackendKind::kReactor}) {
-    EnvOptions opts;
-    opts.backend = kind;
-    opts.listen = "127.0.0.1:0";
-    opts.topology_path = "/nonexistent/topology.txt";
-    std::string error;
-    EXPECT_EQ(make_fabric(opts, &error), nullptr);
-    EXPECT_EQ(error, "cannot open topology file '/nonexistent/topology.txt'")
-        << to_cstring(kind);
-  }
+  EnvOptions opts;
+  opts.backend = BackendKind::kReactor;
+  opts.listen = "127.0.0.1:0";
+  opts.topology_path = "/nonexistent/topology.txt";
+  std::string error;
+  EXPECT_EQ(make_fabric(opts, &error), nullptr);
+  EXPECT_EQ(error, "cannot open topology file '/nonexistent/topology.txt'");
 }
 
 TEST(EnvOptionsErrors, MakeFabricReportsBadListenAddress) {
   EnvOptions opts;
-  opts.backend = BackendKind::kUdp;
+  opts.backend = BackendKind::kReactor;
   opts.listen = "no-port-here";
   std::string error;
   EXPECT_EQ(make_fabric(opts, &error), nullptr);

@@ -18,21 +18,18 @@
 //       processes re-enact the revocation worst case with no coordination
 //       channel beyond the sockets themselves.
 //
-//   wan_node --udp-smoke [--te-ms N] [--backend udp|reactor] [--reliable]
-//            [--loss P] [--verbose]
+//   wan_node --udp-smoke [--te-ms N] [--reliable] [--loss P] [--verbose]
 //       Orchestrator: spawns the 8 node processes (3 managers, 4 hosts,
 //       1 agent) from this same binary, each binding port 0; scrapes the
 //       kernel-assigned ports from their output, then writes the topology
 //       file the children are waiting on (two-phase startup — no
 //       bind-then-close port race). Collects their stdout and asserts the
 //       Te bound across process boundaries. This is what CI runs.
-//       --backend selects the socket fabric: udp (thread-per-direction,
-//       default) or reactor (epoll + batched syscalls). --reliable arms the
-//       ack/retransmit layer in every child; --loss P additionally makes
+//       --reliable arms the ack/retransmit layer in every child; --loss P additionally makes
 //       each child drop fraction P of inbound frames (seeded, deterministic
 //       per child), which only converges because retransmission recovers it.
 //
-//   wan_node --proc-chaos [--chaos-seed N] [--te-ms N] [--backend ...]
+//   wan_node --proc-chaos [--chaos-seed N] [--te-ms N]
 //       Process-level chaos orchestrator: the same 8-process deployment
 //       (reliability layer on, managers journaling to per-process state
 //       dirs), plus a seeded kill/restart schedule — one non-revoking
@@ -107,7 +104,6 @@
 #include "runtime/env_options.hpp"
 #include "runtime/reactor_transport.hpp"
 #include "runtime/threaded_env.hpp"
-#include "runtime/udp_transport.hpp"
 
 namespace wan {
 namespace {
@@ -123,7 +119,6 @@ struct Options {
   bool id_set = false;
   std::string listen;    ///< bind override (default: the topology entry)
   std::string topology;  ///< topology file path
-  std::string backend = "udp";  ///< socket fabric: udp | reactor
   int te_ms = 2000;      ///< revocation bound Te (small: this runs wall-clock)
   int delay_us = 1000;   ///< loopback fabric one-way delay (--realtime only)
   bool verbose = false;
@@ -573,12 +568,8 @@ std::unique_ptr<runtime::SocketTransport> open_transport(const Options& opt) {
     }
     eopts.listen = self->to_string();
   }
-  std::unique_ptr<runtime::SocketTransport> transport;
-  if (opt.backend == "reactor") {
-    transport = runtime::ReactorTransport::create(eopts, &error);
-  } else {
-    transport = runtime::UdpTransport::create(eopts, &error);
-  }
+  std::unique_ptr<runtime::SocketTransport> transport =
+      runtime::ReactorTransport::create(eopts, &error);
   if (!transport) {
     role_error(error);
     return nullptr;
@@ -1132,8 +1123,7 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
         "--id",       std::to_string(id),
         "--topology", topo_path,
         "--te-ms",    std::to_string(opt.te_ms),
-        "--listen",   "127.0.0.1:0",
-        "--backend",  opt.backend};
+        "--listen",   "127.0.0.1:0"};
     if (opt.shards) args.push_back("--shards");
     if (opt.dissemination != runtime::DisseminationKind::kUnicast) {
       args.push_back("--dissemination");
@@ -1163,8 +1153,8 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
     children.push_back(std::move(child));
   }
   if (opt.verbose) {
-    std::printf("  spawned %zu node processes (topology %s, backend %s)\n",
-                children.size(), topo_path.c_str(), opt.backend.c_str());
+    std::printf("  spawned %zu node processes (topology %s)\n",
+                children.size(), topo_path.c_str());
   }
 
   // Phase 2: scrape each child's kernel-assigned port, then publish the
@@ -1279,10 +1269,8 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
   }
   std::remove(topo_path.c_str());
   ::rmdir(dir);
-  std::printf("wan_node --udp-smoke: OK (%zu processes over localhost UDP, %s "
-              "backend%s)\n",
-              children.size(), opt.backend.c_str(),
-              opt.shards ? ", sharded" : "");
+  std::printf("wan_node --udp-smoke: OK (%zu processes over localhost UDP%s)\n",
+              children.size(), opt.shards ? ", sharded" : "");
   return 0;
 }
 
@@ -1376,7 +1364,6 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
         "--topology", topo_path,
         "--te-ms",    std::to_string(opt.te_ms),
         "--listen",   listen,
-        "--backend",  opt.backend,
         "--reliable"};
     if (opt.shards) args.push_back("--shards");
     if (opt.dissemination != runtime::DisseminationKind::kUnicast) {
@@ -1685,9 +1672,9 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
   }
   std::remove(topo_path.c_str());
   ::rmdir(dir);
-  std::printf("wan_node --proc-chaos: OK (seed %llu, %s backend%s)\n",
+  std::printf("wan_node --proc-chaos: OK (seed %llu%s)\n",
               static_cast<unsigned long long>(opt.chaos_seed),
-              opt.backend.c_str(), opt.shards ? ", sharded" : "");
+              opt.shards ? ", sharded" : "");
   return 0;
 }
 
@@ -1742,13 +1729,6 @@ int main(int argc, char** argv) {
   cli.add_string("--topology", "FILE",
                  "topology file: one '<host-id> <host>:<port>' per line",
                  &opt.topology);
-  cli.add_value("--backend", "KIND",
-                "socket fabric for --role / --udp-smoke: udp (thread per\n"
-                "direction, default) or reactor (epoll + batched syscalls)",
-                [&](const std::string& v) {
-                  opt.backend = v;
-                  return v == "udp" || v == "reactor";
-                });
   cli.add_value("--te-ms", "N", "revocation bound Te in ms (default 2000)",
                 [&](const std::string& v) {
                   return wan::cli::parse_int(v, &opt.te_ms) && opt.te_ms > 0;
