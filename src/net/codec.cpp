@@ -36,13 +36,6 @@ void CodecRegistry::register_codec(WireTag tag, TypeId type, EncodeFn encode,
   by_type_.emplace(type.value(), Entry{tag, std::move(encode)});
 }
 
-std::optional<WireTag> CodecRegistry::tag_of(const Message& msg) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_type_.find(msg.type_id().value());
-  if (it == by_type_.end()) return std::nullopt;
-  return it->second.tag;
-}
-
 std::optional<std::vector<std::uint8_t>> CodecRegistry::encode(
     HostId from, HostId to, const Message& msg) const {
   std::vector<std::uint8_t> frame;
@@ -51,7 +44,8 @@ std::optional<std::vector<std::uint8_t>> CodecRegistry::encode(
 }
 
 bool CodecRegistry::encode_into(HostId from, HostId to, const Message& msg,
-                                std::vector<std::uint8_t>* out) const {
+                                std::vector<std::uint8_t>* out,
+                                EncodeError* error) const {
   WAN_REQUIRE(out != nullptr);
   WireTag tag = 0;
   const EncodeFn* encode = nullptr;
@@ -60,6 +54,7 @@ bool CodecRegistry::encode_into(HostId from, HostId to, const Message& msg,
     const auto it = by_type_.find(msg.type_id().value());
     if (it == by_type_.end()) {
       out->clear();
+      if (error != nullptr) *error = EncodeError::kUnregistered;
       return false;
     }
     tag = it->second.tag;
@@ -80,6 +75,7 @@ bool CodecRegistry::encode_into(HostId from, HostId to, const Message& msg,
   *out = w.take();
   if (out->size() > kMaxFrameSize) {
     out->clear();
+    if (error != nullptr) *error = EncodeError::kOversize;
     return false;
   }
   const auto payload_len =
@@ -129,7 +125,7 @@ CodecRegistry::Decoded CodecRegistry::decode(const std::uint8_t* data,
     out.error = DecodeError::kTruncated;
     return out;
   }
-  DecodeFn decode;
+  const DecodeFn* decode = nullptr;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = by_tag_.find(tag);
@@ -137,10 +133,12 @@ CodecRegistry::Decoded CodecRegistry::decode(const std::uint8_t* data,
       out.error = DecodeError::kUnknownTag;
       return out;
     }
-    decode = it->second;
+    decode = &it->second;
   }
+  // Called through the pointer outside the lock, as for encoders: decoders
+  // are never replaced and map nodes never move.
   WireReader payload(data + kWireHeaderSize, payload_len);
-  MessagePtr msg = decode(payload);
+  MessagePtr msg = (*decode)(payload);
   if (msg == nullptr || !payload.ok() || !payload.exhausted()) {
     out.error = DecodeError::kMalformed;
     return out;

@@ -232,21 +232,27 @@ class CodecRegistry {
   void register_codec(WireTag tag, TypeId type, EncodeFn encode,
                       DecodeFn decode);
 
-  /// The wire tag for a message, or nullopt if its type was never registered.
-  [[nodiscard]] std::optional<WireTag> tag_of(const Message& msg) const;
-
   /// Encodes a full frame (header + payload). Returns nullopt when the type
   /// is unregistered or the frame would exceed kMaxFrameSize.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> encode(
       HostId from, HostId to, const Message& msg) const;
 
+  /// Why encode_into() refused a message.
+  enum class EncodeError : std::uint8_t {
+    kUnregistered,  ///< the message's type has no codec
+    kOversize,      ///< the frame would exceed kMaxFrameSize
+  };
+
   /// Same as encode(), but recycles `out`'s allocation (cleared then filled),
   /// so steady-state hot paths — the reactor's send side — stop allocating
   /// once buffers have grown to their working size. Returns false (leaving
   /// *out cleared or partially written, contents unspecified) when the type
-  /// is unregistered or the frame would exceed kMaxFrameSize.
+  /// is unregistered or the frame would exceed kMaxFrameSize, and says which
+  /// in *error when it is non-null: one registry lookup classifies and
+  /// encodes.
   bool encode_into(HostId from, HostId to, const Message& msg,
-                   std::vector<std::uint8_t>* out) const;
+                   std::vector<std::uint8_t>* out,
+                   EncodeError* error = nullptr) const;
 
   /// Decodes a full frame. Exactly one of the result fields is set.
   struct Decoded {

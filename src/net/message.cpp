@@ -11,7 +11,7 @@ namespace wan::net {
 namespace {
 
 // Interning registry. Guarded by a mutex because the threaded runtime calls
-// intern() from several loop threads during static-local initialization; the
+// intern() from several threads during static-local initialization; the
 // lock is off the steady-state hot path (each message class interns once).
 struct Registry {
   std::mutex mu;

@@ -18,7 +18,7 @@ namespace wan::net {
 /// Process-wide interned identifier for a message type. Ids are dense small
 /// integers, so per-type statistics index a vector on the send hot path
 /// instead of a string-keyed map. Interning is thread-safe (the threaded
-/// runtime sends from many loop threads); each message class interns exactly
+/// runtime sends from fabric workers and the driver thread); each message class interns exactly
 /// once via the function-local static in its WAN_MESSAGE_TYPE-generated
 /// type_id() override.
 class TypeId {

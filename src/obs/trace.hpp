@@ -74,8 +74,8 @@ struct TraceEvent {
 };
 
 /// Collects trace events (and, when routed, log lines). Thread-safe: the
-/// ThreadedEnv runs one loop thread per node and all of them may record
-/// concurrently. Capacity-bounded — past `max_events` new events are counted
+/// worker threads of several fabrics, the reliability layer's timer thread
+/// and the driver may record concurrently. Capacity-bounded — past `max_events` new events are counted
 /// as dropped rather than grown without bound.
 class Tracer {
  public:

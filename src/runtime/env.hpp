@@ -9,9 +9,10 @@
 //   * SimEnv      (runtime/sim_env.hpp)      — deterministic discrete-event
 //     simulation over sim::Scheduler + net::Network. Bit-reproducible; the
 //     chaos harness and every test run here.
-//   * ThreadedEnv (runtime/threaded_env.hpp) — real threads, steady-clock
-//     time, an in-process loopback transport with configurable delay/loss.
-//     The realtime smoke and TSan CI run here; real sockets slot in later.
+//   * ThreadedEnv (runtime/threaded_env.hpp) — real time on a steady clock,
+//     over an in-process loopback fabric (configurable delay/loss) or the
+//     UDP socket fabric. Each fabric runs all of its nodes on ONE worker
+//     thread (runtime/worker.hpp); a ThreadedEnv is a node's handle onto it.
 //
 // Rules of the seam (see docs/ARCHITECTURE.md):
 //   * Protocol code includes runtime/env.hpp, never sim/scheduler.hpp or
@@ -19,8 +20,10 @@
 //     types sim::Duration / sim::TimePoint (sim/time.hpp) and the message
 //     base net::Message (net/message.hpp).
 //   * Everything a node does — timer callbacks, message handlers, post()ed
-//     work — runs serialized on that node's environment. Protocol modules are
-//     single-threaded by construction and contain no locks.
+//     work — runs serialized on that node's environment (one serial context
+//     per node; in ThreadedEnv, several nodes may share the one thread).
+//     Protocol modules are single-threaded by construction and contain no
+//     locks, and must never block waiting on another node.
 //   * External threads may only talk to a node via Env::post().
 #pragma once
 

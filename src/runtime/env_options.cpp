@@ -1,10 +1,7 @@
 #include "runtime/env_options.hpp"
 
-#include <memory>
 #include <string>
 
-#include "net/latency_model.hpp"
-#include "net/loss_model.hpp"
 #include "util/assert.hpp"
 
 namespace wan::runtime {
@@ -55,21 +52,6 @@ void DisseminationOptions::validate() const {
   }
 }
 
-std::string DisseminationOptions::describe() const {
-  std::string s = to_cstring(kind);
-  if (kind != DisseminationKind::kUnicast) {
-    s += " batch_max_rights=" + std::to_string(batch_max_rights);
-    s += " flush_interval_us=" +
-         std::to_string(flush_interval.count_nanos() / 1000);
-  }
-  if (kind == DisseminationKind::kTree) {
-    s += " relay_width=" + std::to_string(relay_width);
-  }
-  s += delta_sync ? " delta_sync=on" : " delta_sync=off";
-  if (delta_sync) s += " delta_log_cap=" + std::to_string(delta_log_cap);
-  return s;
-}
-
 shard::ShardMap make_shard_map(const ShardTopologyOptions& topo,
                                const std::vector<HostId>& managers) {
   if (topo.groups <= 1) return shard::ShardMap{};
@@ -83,25 +65,6 @@ shard::ShardMap make_shard_map(const ShardTopologyOptions& topo,
   const std::uint32_t shards = topo.shards != 0 ? topo.shards : topo.groups;
   return shard::ShardMap::ring(std::move(groups), shards, /*epoch=*/1,
                                topo.ring_seed);
-}
-
-net::Network::Config to_network_config(const EnvOptions& opts) {
-  WAN_REQUIRE(opts.loss >= 0.0 && opts.loss < 1.0);
-  WAN_REQUIRE(!opts.delay.is_negative());
-  WAN_REQUIRE(!opts.jitter.is_negative());
-  net::Network::Config cfg;
-  if (opts.jitter.is_zero()) {
-    cfg.latency = std::make_unique<net::ConstantLatency>(opts.delay);
-  } else {
-    cfg.latency = std::make_unique<net::UniformLatency>(
-        opts.delay, opts.delay + opts.jitter);
-  }
-  if (opts.loss > 0.0) {
-    cfg.loss = std::make_unique<net::BernoulliLoss>(opts.loss);
-  } else {
-    cfg.loss = std::make_unique<net::NoLoss>();
-  }
-  return cfg;
 }
 
 }  // namespace wan::runtime

@@ -6,8 +6,8 @@
 // user pick a backend at the command line had to translate flags three ways.
 // Now they fill one EnvOptions and hand it to whichever backend runs:
 //
-//   * SimEnv        — to_network_config(opts) builds the simulated network
-//     (delay/jitter/loss/seed); listen/topology are ignored.
+//   * SimEnv        — delay/jitter/loss/seed describe the simulated network;
+//     listen/topology are ignored.
 //   * LoopbackFabric — delay/jitter/loss/seed shape the in-process fabric;
 //     listen/topology are ignored.
 //   * ReactorTransport — listen/topology_path/send_queue_limit wire the
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "net/network.hpp"
 #include "shard/shard_map.hpp"
 #include "sim/time.hpp"
 
@@ -108,8 +107,6 @@ struct DisseminationOptions {
 
   /// Validates internal consistency (aborts on misconfiguration).
   void validate() const;
-  /// One-line human-readable summary ("tree relay_width=4 batch=64 ...").
-  [[nodiscard]] std::string describe() const;
 };
 
 /// Shard topology of a deployment (src/shard/shard_map.hpp). Backend-
@@ -151,10 +148,5 @@ struct EnvOptions {
 /// (groups <= 1). Requires managers to divide evenly into the groups.
 [[nodiscard]] shard::ShardMap make_shard_map(const ShardTopologyOptions& topo,
                                              const std::vector<HostId>& managers);
-
-/// Builds the simulated network's config from the shared options: constant
-/// delay (or uniform [delay, delay+jitter]) plus i.i.d. loss, matching what
-/// LoopbackFabric does with the same fields on real threads.
-[[nodiscard]] net::Network::Config to_network_config(const EnvOptions& opts);
 
 }  // namespace wan::runtime

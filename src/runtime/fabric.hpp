@@ -1,46 +1,45 @@
-// Fabric: the backend a ThreadedEnv's transport port plugs into.
+// Fabric: how datagrams move between nodes, and the one thread they run on.
 //
-// A ThreadedEnv owns a node's event loop; a Fabric owns how datagrams move
-// between loops. Two implementations exist:
+// A ThreadedEnv is a per-node handle; a Fabric owns the execution and the
+// delivery underneath it. Two implementations exist:
 //
 //   * LoopbackFabric (runtime/threaded_env.hpp) — in-process, configurable
 //     delay/jitter/loss; every node lives in one address space.
 //   * ReactorTransport (runtime/reactor_transport.hpp) — one UDP socket per
-//     process driven by an epoll loop, frames encoded by the
-//     net::CodecRegistry wire codec; nodes span processes and machines.
+//     process, frames encoded by the net::CodecRegistry wire codec; nodes
+//     span processes and machines.
 //
-// The split keeps ThreadedEnv backend-agnostic: it implements Env (timers,
-// post, now) against its LoopCore and forwards every Transport call here.
+// Every fabric owns exactly one Worker (runtime/worker.hpp): one epoll loop
+// thread that runs every attached node's timers, posted work and message
+// handlers, each node serialised by construction because there is only one
+// thread. The reactor adds its socket to that worker's epoll set, so
+// receive, protocol work and send happen on one thread with no handoff.
 // Protocol code above the seam cannot tell which fabric is underneath — the
 // realtime Te smoke runs unchanged over either.
 //
-// The base class also owns the two things every fabric needs:
-//   * the epoch — the steady-clock instant that is sim::TimePoint zero for
-//     all envs of this fabric, so timestamps from different nodes compare;
-//   * env bookkeeping for stop_all(), the teardown convenience that stops
-//     every attached env's loop before protocol modules are destroyed.
+// The base class also owns the epoch — the steady-clock instant that is
+// sim::TimePoint zero for all envs of this fabric, so timestamps from
+// different nodes compare.
 #pragma once
 
 #include <chrono>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "runtime/env.hpp"
-#include "runtime/loop_core.hpp"
+#include "runtime/worker.hpp"
 
 namespace wan::runtime {
 
-class ThreadedEnv;
-
 class Fabric {
  public:
-  virtual ~Fabric() = default;
+  /// Stops the worker (subclasses whose members the worker touches stop it
+  /// earlier, in their own destructor).
+  virtual ~Fabric() { worker_->stop(); }
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  /// Registers `id`'s receive handler, delivered onto `core`'s loop.
-  virtual void attach(HostId id, std::shared_ptr<LoopCore> core,
+  /// Registers `id`'s receive handler, run on the worker for `node`.
+  virtual void attach(HostId id, Worker::Node* node,
                       Transport::Handler handler) = 0;
 
   /// Marks a *local* endpoint crashed/recovered (inbound and outbound
@@ -51,24 +50,28 @@ class Fabric {
   virtual void send(HostId from, HostId to, net::MessagePtr msg) = 0;
 
   /// Stops every env ever attached to this fabric (teardown convenience).
-  void stop_all();
+  void stop_all() { worker_->stop_nodes(nullptr); }
 
   /// Steady-clock instant that is sim::TimePoint zero for attached envs.
   [[nodiscard]] std::chrono::steady_clock::time_point epoch() const noexcept {
     return epoch_;
   }
 
+  /// The fabric's one loop thread, shared with the timers of attached envs
+  /// (which may outlive the fabric).
+  [[nodiscard]] Worker& worker() const noexcept { return *worker_; }
+  [[nodiscard]] const std::shared_ptr<Worker>& shared_worker() const noexcept {
+    return worker_;
+  }
+
  protected:
-  Fabric() : epoch_(std::chrono::steady_clock::now()) {}
+  Fabric()
+      : epoch_(std::chrono::steady_clock::now()),
+        worker_(std::make_shared<Worker>()) {}
 
  private:
-  friend class ThreadedEnv;
-  void register_env(ThreadedEnv* env);
-  void forget_env(ThreadedEnv* env);
-
   const std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex env_mu_;
-  std::vector<ThreadedEnv*> envs_;  ///< live envs, for stop_all
+  const std::shared_ptr<Worker> worker_;
 };
 
 }  // namespace wan::runtime

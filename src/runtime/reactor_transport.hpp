@@ -2,61 +2,44 @@
 // machines.
 //
 // One ReactorTransport per OS process, owning one UDP socket. Local nodes
-// attach exactly as they do to a LoopbackFabric (ThreadedEnv's transport
-// port calls attach/send); remote nodes are reached through a static
-// topology mapping HostId -> host:port, loaded from a file or patched in
-// with add_peer(). Addressing, encode, decode and delivery live in
-// runtime/socket_base.hpp; callers must register the protocol codecs
+// attach exactly as they do to a LoopbackFabric; remote nodes are reached
+// through a static topology mapping HostId -> host:port, loaded from a file
+// or patched in with add_peer(). Addressing, encode, decode and delivery
+// live in runtime/socket_base.hpp; callers must register the protocol codecs
 // (proto::register_wire_messages()) before the first send — the runtime
-// layer itself is protocol-agnostic and never includes proto/ headers.
+// layer itself never includes proto/ headers.
 //
-//   * One nonblocking socket driven by ONE event-loop thread — the reactor.
-//     The loop multiplexes readiness through epoll over two fds: the socket
-//     and an eventfd that send() rings when the outbound queue goes
-//     nonempty (and shutdown() rings to stop the loop).
-//   * Batched syscalls: inbound datagrams are drained with recvmmsg (up to
-//     kBatch datagrams per syscall, preallocated buffers) until EAGAIN;
-//     outbound frames are flushed with sendmmsg, up to kBatch datagrams per
-//     call. At saturation one syscall moves up to kBatch datagrams.
-//   * Bundled datagrams: consecutive queued frames for the same peer share
+//   * One thread: the nonblocking socket joins the epoll set of the fabric's
+//     Worker (runtime/worker.hpp), which also runs every attached node. A
+//     turn reads one recvmmsg batch (up to kBatch datagrams) and runs each
+//     destination node's handler inline (SocketTransport::on_datagrams),
+//     then due timers and posted work; the outbound batch is flushed with
+//     sendmmsg after the receive batch and again at the end of the turn.
+//     Sends made on the worker append to that batch with no lock and no
+//     wakeup; senders on other threads reach it through the worker's inbox.
+//   * Bundled datagrams: consecutive batched frames for the same peer share
 //     one datagram, gathered by scatter iovecs (no copy), up to
-//     net::kBundleBytes; a frame over the cap travels alone. The kernel's
-//     per-datagram cost is then paid once per bundle, not once per frame.
-//     Per destination, frames keep their FIFO order across bundles.
-//   * Batched delivery: each recvmmsg batch goes to
-//     SocketTransport::on_datagrams() whole, so a node loop gets one post
-//     (one lock, one wakeup) per batch carrying all of its frames, not one
-//     per frame.
-//   * Reusable encode buffers: send() encodes into a buffer from
-//     SocketTransport's pool, and the reactor returns it there after
-//     sendmmsg flushes it.
+//     net::kBundleBytes; a frame over the cap travels alone. Per
+//     destination, frames keep their FIFO order across bundles.
+//   * The batch is bounded by EnvOptions::send_queue_limit; overflow drops
+//     with wan_udp_drops_total{reason="queue_full"} — UDP never
+//     backpressures into protocol code. A full kernel buffer (sendmmsg
+//     EAGAIN) keeps the rest batched and arms EPOLLOUT: it delays, never
+//     drops.
 //
-// The outbound queue is bounded by EnvOptions::send_queue_limit; overflow
-// drops the frame with wan_udp_drops_total{reason="queue_full"} — UDP never
-// backpressures into protocol code. When the kernel socket buffer itself
-// fills (sendmmsg EAGAIN), frames stay queued and EPOLLOUT is armed, so a
-// full kernel buffer delays rather than drops (the bounded queue still caps
-// memory).
-//
-// Observability: wan_udp_frames_sent_total, wan_udp_frames_received_total,
-// wan_udp_datagrams_sent_total, wan_udp_datagrams_received_total,
-// wan_udp_deliveries_total, wan_udp_delivery_handoffs_total and
-// wan_udp_drops_total{reason=...} — see socket_base.hpp for the reason set.
-//
-// Build it with ReactorTransport::create() or, from EnvOptions::backend =
-// BackendKind::kReactor, with make_fabric() (runtime/backend.hpp);
-// everything above the Fabric seam is untouched.
+// Counters (wan_udp_*) are listed in socket_base.hpp. Build it with
+// ReactorTransport::create() or, from EnvOptions::backend =
+// BackendKind::kReactor, with make_fabric() (runtime/backend.hpp).
 #pragma once
 
+#include <sys/socket.h>
 #include <sys/uio.h>
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/env_options.hpp"
@@ -64,17 +47,17 @@
 
 namespace wan::runtime {
 
-class ReactorTransport final : public SocketTransport {
+class ReactorTransport final : public SocketTransport, private Worker::Io {
  public:
   /// Binds opts.listen (default "127.0.0.1:0") nonblocking, loads
-  /// opts.topology_path if non-empty, and starts the reactor thread.
+  /// opts.topology_path if non-empty, and adds the socket to the worker.
   /// Returns nullptr and sets *error on failure.
   static std::unique_ptr<ReactorTransport> create(const EnvOptions& opts,
                                                   std::string* error);
   ~ReactorTransport() override;
 
-  /// Stops attached envs, then the reactor thread. Idempotent; the
-  /// destructor calls it.
+  /// Stops attached envs, then the worker. Idempotent; the destructor
+  /// calls it.
   void shutdown() override;
 
   /// Datagrams per recvmmsg/sendmmsg syscall.
@@ -88,32 +71,26 @@ class ReactorTransport final : public SocketTransport {
 
   ReactorTransport() = default;
 
+  /// Appends to the outbound batch (queue_full past the limit); off the
+  /// worker, through its inbox.
   bool enqueue_frame(std::vector<std::uint8_t> frame,
                      const ResolvedAddr& dest) override;
 
-  void reactor_loop();
-  /// Drains the inbound side with recvmmsg until EAGAIN, handing each
-  /// batch to on_datagrams().
-  void drain_inbound();
-  /// Flushes the outbound queue with sendmmsg; returns true when fully
-  /// drained, false when the kernel buffer filled (caller arms EPOLLOUT).
-  bool flush_outbound();
-  void set_want_write(bool want);
+  // Worker::Io
+  void on_ready(std::uint32_t events) override;
+  void end_turn() override;
 
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  bool want_write_ = false;  ///< reactor thread only
+  /// Sends the outbound batch with sendmmsg; on EAGAIN keeps the rest and
+  /// arms EPOLLOUT.
+  void flush_outbound();
 
-  std::mutex queue_mu_;
-  std::deque<Outbound> queue_;
-
-  // flush_outbound() scratch, reactor thread only (capacity reused): the
-  // frames of one sendmmsg call in queue order, and one iovec per frame.
-  std::vector<Outbound> flushing_;
-  std::vector<iovec> flush_iov_;
-
-  std::atomic<bool> stopping_{false};
-  std::thread reactor_;
+  // Worker thread only.
+  std::deque<Outbound> out_;
+  /// kBatch full-size datagram buffers, left untouched until used.
+  std::unique_ptr<std::uint8_t[]> recv_storage_;
+  std::array<iovec, kBatch> recv_iov_{};
+  std::array<mmsghdr, kBatch> recv_headers_{};
+  std::vector<iovec> flush_iov_;  ///< one per frame of one sendmmsg call
 };
 
 }  // namespace wan::runtime

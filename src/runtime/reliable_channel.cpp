@@ -15,53 +15,25 @@ std::chrono::nanoseconds to_chrono(sim::Duration d) {
   return std::chrono::nanoseconds(d.count_nanos());
 }
 
-/// Fallback span clock for channels built without a fabric: steady time
-/// since this channel came up. Useless for cross-process merging but keeps
-/// standalone-test spans monotonic.
-ReliableChannel::NowFn local_epoch_now() {
-  const auto epoch = std::chrono::steady_clock::now();
-  return [epoch] {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - epoch)
-        .count();
-  };
-}
-
 }  // namespace
 
-ReliableChannel::ReliableChannel(const ReliabilityOptions& opts,
-                                 EnqueueFn enqueue, ResolveFn resolve,
-                                 DeliverFn deliver, NowFn now_nanos)
-    : opts_(opts),
-      enqueue_(std::move(enqueue)),
-      resolve_(std::move(resolve)),
-      deliver_(std::move(deliver)),
-      now_nanos_(now_nanos ? std::move(now_nanos) : local_epoch_now()),
+ReliableChannel::ReliableChannel(SocketTransport& transport,
+                                 const ReliabilityOptions& opts)
+    : transport_(transport),
+      opts_(opts),
+      timer_(transport.worker().new_timer(nullptr)),
       jitter_rng_(opts.jitter_seed),
       retransmits_(obs::Registry::global().counter("wan_retransmits_total")),
       acks_sent_(obs::Registry::global().counter("wan_acks_total")),
       dup_drops_(obs::Registry::global().counter("wan_dup_drops_total")),
       expired_(obs::Registry::global().counter("wan_reliable_expired_total")),
       rtt_(obs::Registry::global().histogram("wan_reliable_rtt_seconds")) {
-  WAN_REQUIRE(enqueue_ != nullptr && resolve_ != nullptr &&
-              deliver_ != nullptr);
   WAN_REQUIRE(opts_.retry_budget >= 1);
   WAN_REQUIRE(opts_.backoff >= 1.0);
   net::register_reliable_codecs();
-  timer_ = std::thread([this] { timer_loop(); });
 }
 
-ReliableChannel::~ReliableChannel() { stop(); }
-
-void ReliableChannel::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (timer_.joinable()) timer_.join();
-}
+ReliableChannel::~ReliableChannel() { transport_.worker().free_timer(timer_); }
 
 void ReliableChannel::set_peer_unreachable(UnreachableFn fn) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -88,7 +60,11 @@ void ReliableChannel::trace_flow(const char* name, obs::SpanKind kind,
                                  std::int64_t a1) const noexcept {
   if (!obs::enabled()) return;
   obs::record(/*trace=*/0, kind, HostId(from),
-              sim::TimePoint::from_nanos(now_nanos_()), name, to, a1);
+              sim::TimePoint::from_nanos(
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      SteadyClock::now() - transport_.epoch())
+                      .count()),
+              name, to, a1);
 }
 
 std::pair<std::uint64_t, std::uint64_t> ReliableChannel::ack_state(
@@ -104,14 +80,11 @@ std::pair<std::uint64_t, std::uint64_t> ReliableChannel::ack_state(
 }
 
 void ReliableChannel::send_reliable(HostId from, HostId to,
-                                    const net::Message& msg,
+                                    std::vector<std::uint8_t> inner,
                                     const ResolvedAddr& dest) {
   const net::CodecRegistry& codec = net::CodecRegistry::global();
-  std::optional<std::vector<std::uint8_t>> inner =
-      codec.encode(from, to, msg);
-  if (!inner || inner->size() + net::kReliableDataOverhead +
-                    net::kWireHeaderSize >
-                net::kMaxFrameSize) {
+  if (inner.size() + net::kReliableDataOverhead + net::kWireHeaderSize >
+      net::kMaxFrameSize) {
     // Checked before a sequence number is burned: the receiver's cumulative
     // watermark would wait forever on a seq that was never transmitted.
     count_socket_drop("oversize");
@@ -122,12 +95,11 @@ void ReliableChannel::send_reliable(HostId from, HostId to,
   std::uint64_t sent_seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
     SendFlow& flow = send_flows_[flow_key(from.value(), to.value())];
     const std::uint64_t seq = flow.next_seq++;
     sent_seq = seq;
     const auto [cum, bits] = ack_state(flow_key(to.value(), from.value()));
-    const net::ReliableData data(seq, cum, bits, std::move(*inner));
+    const net::ReliableData data(seq, cum, bits, std::move(inner));
     std::optional<std::vector<std::uint8_t>> outer =
         codec.encode(from, to, data);
     WAN_ASSERT(outer.has_value());  // size pre-checked above
@@ -138,15 +110,15 @@ void ReliableChannel::send_reliable(HostId from, HostId to,
     p.first_sent = now;
     p.rto = to_chrono(opts_.initial_rto);
     p.next_due = now + jittered(p.rto);
+    schedule(p.next_due);
     flow.pending.emplace(seq, std::move(p));
     frame = std::move(*outer);
   }
-  cv_.notify_all();  // the new deadline may be the earliest
   trace_flow("rel.send", obs::SpanKind::kSend, from.value(), to.value(),
              static_cast<std::int64_t>(sent_seq));
   // A false return is a queue-full shed: the pending entry above already
   // guarantees a retransmit picks it up, so the drop only delays.
-  (void)enqueue_(std::move(frame), dest);
+  (void)transport_.enqueue_frame(std::move(frame), dest);
 }
 
 void ReliableChannel::absorb_ack(std::uint64_t key, std::uint64_t cum,
@@ -188,7 +160,12 @@ void ReliableChannel::send_ack(std::uint32_t data_from,
     std::lock_guard<std::mutex> lock(mu_);
     std::tie(cum, bits) = ack_state(flow_key(data_from, data_to));
   }
-  const std::optional<ResolvedAddr> dest = resolve_(data_from);
+  std::optional<ResolvedAddr> dest;
+  {
+    std::lock_guard<std::mutex> lock(transport_.mu_);
+    const auto it = transport_.peers_.find(data_from);
+    if (it != transport_.peers_.end()) dest = it->second;
+  }
   if (!dest) {
     count_socket_drop("unknown_dest");
     return;
@@ -198,7 +175,7 @@ void ReliableChannel::send_ack(std::uint32_t data_from,
       net::CodecRegistry::global().encode(HostId(data_to), HostId(data_from),
                                           ack);
   WAN_ASSERT(frame.has_value());
-  if (enqueue_(std::move(*frame), *dest)) {
+  if (transport_.enqueue_frame(std::move(*frame), *dest)) {
     acks_sent_.inc();
     trace_flow("rel.ack", obs::SpanKind::kSend, data_to, data_from,
                static_cast<std::int64_t>(cum));
@@ -256,7 +233,7 @@ void ReliableChannel::on_data(std::uint32_t from_value,
     count_socket_drop("reliable_inner_mismatch");
     return;
   }
-  deliver_(from_value, to_value, inner.frame->msg);
+  transport_.collect(from_value, to_value, inner.frame->msg);
 }
 
 void ReliableChannel::on_ack(std::uint32_t from_value, std::uint32_t to_value,
@@ -267,76 +244,60 @@ void ReliableChannel::on_ack(std::uint32_t from_value, std::uint32_t to_value,
              SteadyClock::now());
 }
 
-void ReliableChannel::timer_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    // Earliest deadline across all pending frames. The scan is linear, but
-    // in-flight counts are small (bounded by the send queues); a heap would
-    // buy nothing at this scale.
-    std::optional<SteadyClock::time_point> next;
-    for (const auto& [key, flow] : send_flows_) {
-      for (const auto& [seq, p] : flow.pending) {
-        if (!next || p.next_due < *next) next = p.next_due;
-      }
-    }
-    if (!next) {
-      cv_.wait(lock, [this] {
-        if (stopping_) return true;
-        for (const auto& [key, flow] : send_flows_) {
-          if (!flow.pending.empty()) return true;
-        }
-        return false;
-      });
-      continue;
-    }
-    if (cv_.wait_until(lock, *next, [this] { return stopping_; })) return;
+void ReliableChannel::schedule(SteadyClock::time_point due) {
+  if (due >= armed_) return;
+  armed_ = due;
+  transport_.worker().arm(timer_, due, [this] { sweep(); });
+}
 
-    const auto now = SteadyClock::now();
-    std::vector<std::pair<std::vector<std::uint8_t>, ResolvedAddr>> resend;
-    std::map<std::uint32_t, std::size_t> dead;  ///< peer -> abandoned count
-    for (auto& [key, flow] : send_flows_) {
-      const auto flow_from = static_cast<std::uint32_t>(key >> 32);
-      const auto flow_to = static_cast<std::uint32_t>(key & 0xFFFFFFFFu);
-      for (auto it = flow.pending.begin(); it != flow.pending.end();) {
-        Pending& p = it->second;
-        if (p.next_due > now) {
-          ++it;
-          continue;
-        }
-        if (p.attempts >= opts_.retry_budget) {
-          expired_.inc();
-          trace_flow("rel.expire", obs::SpanKind::kInstant, flow_from,
-                     flow_to, static_cast<std::int64_t>(it->first));
-          dead[static_cast<std::uint32_t>(key & 0xFFFFFFFFu)] += 1;
-          it = flow.pending.erase(it);
-          continue;
-        }
-        trace_flow("rel.retransmit", obs::SpanKind::kTimer, flow_from,
-                   flow_to, static_cast<std::int64_t>(it->first));
-        ++p.attempts;
-        p.rto = std::min(
-            std::chrono::nanoseconds(static_cast<std::int64_t>(
-                static_cast<double>(p.rto.count()) * opts_.backoff)),
-            to_chrono(opts_.max_rto));
-        p.next_due = now + jittered(p.rto);
-        resend.emplace_back(p.frame, p.dest);
+void ReliableChannel::sweep() {
+  std::unique_lock<std::mutex> lock(mu_);
+  armed_ = SteadyClock::time_point::max();
+  const auto now = SteadyClock::now();
+  std::vector<std::pair<std::vector<std::uint8_t>, ResolvedAddr>> resend;
+  std::map<std::uint32_t, std::size_t> dead;  ///< peer -> abandoned count
+  for (auto& [key, flow] : send_flows_) {
+    const auto flow_from = static_cast<std::uint32_t>(key >> 32);
+    const auto flow_to = static_cast<std::uint32_t>(key & 0xFFFFFFFFu);
+    for (auto it = flow.pending.begin(); it != flow.pending.end();) {
+      Pending& p = it->second;
+      if (p.next_due > now) {
+        schedule(p.next_due);
         ++it;
+        continue;
       }
-    }
-    UnreachableFn unreachable = unreachable_;
-    lock.unlock();
-    for (auto& [frame, dest] : resend) {
-      retransmits_.inc();
-      // Queue-full sheds are fine: the entry is still pending and the next
-      // backoff interval retries.
-      (void)enqueue_(std::move(frame), dest);
-    }
-    if (unreachable != nullptr) {
-      for (const auto& [peer, abandoned] : dead) {
-        unreachable(HostId(peer), abandoned);
+      if (p.attempts >= opts_.retry_budget) {
+        expired_.inc();
+        trace_flow("rel.expire", obs::SpanKind::kInstant, flow_from, flow_to,
+                   static_cast<std::int64_t>(it->first));
+        dead[flow_to] += 1;
+        it = flow.pending.erase(it);
+        continue;
       }
+      trace_flow("rel.retransmit", obs::SpanKind::kTimer, flow_from, flow_to,
+                 static_cast<std::int64_t>(it->first));
+      ++p.attempts;
+      p.rto = std::min(std::chrono::nanoseconds(static_cast<std::int64_t>(
+                           static_cast<double>(p.rto.count()) * opts_.backoff)),
+                       to_chrono(opts_.max_rto));
+      p.next_due = now + jittered(p.rto);
+      schedule(p.next_due);
+      resend.emplace_back(p.frame, p.dest);
+      ++it;
     }
-    lock.lock();
+  }
+  const UnreachableFn unreachable = unreachable_;
+  lock.unlock();
+  for (auto& [frame, dest] : resend) {
+    retransmits_.inc();
+    // Queue-full sheds are fine: the entry is still pending and the next
+    // backoff interval retries.
+    (void)transport_.enqueue_frame(std::move(frame), dest);
+  }
+  if (unreachable != nullptr) {
+    for (const auto& [peer, abandoned] : dead) {
+      unreachable(HostId(peer), abandoned);
+    }
   }
 }
 

@@ -30,12 +30,11 @@
 // property nothing needs. The guarantee added is exactly-once delivery per
 // message, or an explicit peer_unreachable.
 //
-// Threading: send_reliable() runs on env loop threads, on_data/on_ack on the
-// transport's receive thread, and one channel-owned timer thread drives
-// retransmits and expiry. One mutex guards the flow tables; frames are
-// handed to the transport's bounded outbound queue outside it. A queue-full
-// shed of a reliable frame is recovered by the next retransmit — the bounded
-// queue delays, it no longer silently drops.
+// Threading: the send path, the receive path and the retransmit sweep (one
+// worker timer at the earliest deadline) all run on the fabric's worker; one
+// mutex guards the flow tables against callers on other threads. Frames go
+// to the transport's bounded outbound batch outside it, and a queue-full
+// shed of a reliable frame is recovered by the next retransmit.
 //
 // Observability: wan_retransmits_total, wan_acks_total (ack frames sent),
 // wan_dup_drops_total (receive-side dedup), wan_reliable_expired_total
@@ -44,14 +43,12 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -60,6 +57,7 @@
 #include "obs/trace.hpp"
 #include "runtime/env_options.hpp"
 #include "runtime/socket_base.hpp"
+#include "runtime/worker.hpp"
 #include "util/hash.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
@@ -68,37 +66,24 @@ namespace wan::runtime {
 
 class ReliableChannel {
  public:
-  /// Hands one encoded frame to the socket's outbound queue; returns false
-  /// when the bounded queue shed it (a later retransmit recovers).
-  using EnqueueFn =
-      std::function<bool(std::vector<std::uint8_t> frame, ResolvedAddr dest)>;
-  /// Peer route lookup (acks travel to the data frame's source).
-  using ResolveFn =
-      std::function<std::optional<ResolvedAddr>(std::uint32_t host_value)>;
-  /// Delivers an unwrapped inner message to the local endpoint.
-  using DeliverFn = std::function<void(std::uint32_t from_value,
-                                       std::uint32_t to_value,
-                                       net::MessagePtr msg)>;
-  /// Fired (off-lock, on the timer thread) when a peer exhausts the retry
-  /// budget; `abandoned` counts the frames dropped for it in this sweep.
+  /// Fired (off-lock, on the worker) when a peer exhausts the retry budget;
+  /// `abandoned` counts the frames dropped for it in this sweep.
   using UnreachableFn = std::function<void(HostId peer, std::size_t abandoned)>;
-  /// Runtime-clock nanos for span timestamps (steady clock since the owning
-  /// fabric's epoch), so channel spans interleave correctly with the spans
-  /// protocol modules record through env.now(). Empty = a channel-local
-  /// epoch (standalone tests).
-  using NowFn = std::function<std::int64_t()>;
-
-  ReliableChannel(const ReliabilityOptions& opts, EnqueueFn enqueue,
-                  ResolveFn resolve, DeliverFn deliver, NowFn now_nanos = {});
+  /// The channel of `transport`: frames go to its outbound batch, acks to
+  /// its peer routes, unwrapped messages to its delivery lists, and
+  /// retransmits run on its worker. Span timestamps count from its epoch,
+  /// so channel spans interleave with those protocol modules record.
+  ReliableChannel(SocketTransport& transport, const ReliabilityOptions& opts);
   ~ReliableChannel();
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
 
   void set_peer_unreachable(UnreachableFn fn);
 
-  /// Wraps `msg` in a sequenced ReliableData envelope, records it for
-  /// retransmission, and enqueues the first transmission.
-  void send_reliable(HostId from, HostId to, const net::Message& msg,
+  /// Wraps `inner` (one encoded frame from -> to) in a sequenced
+  /// ReliableData envelope, records it for retransmission, and enqueues the
+  /// first transmission.
+  void send_reliable(HostId from, HostId to, std::vector<std::uint8_t> inner,
                      const ResolvedAddr& dest);
 
   /// Inbound hooks (transport receive path, after fault injection — injected
@@ -107,11 +92,6 @@ class ReliableChannel {
                const net::ReliableData& data);
   void on_ack(std::uint32_t from_value, std::uint32_t to_value,
               const net::ReliableAck& ack);
-
-  /// Stops the timer thread; idempotent. The owning transport calls it after
-  /// its envs stop and before its I/O threads join (the channel enqueues
-  /// into their queues).
-  void stop();
 
   /// Sent-but-unacked frames across all flows (tests poll this to quiesce).
   [[nodiscard]] std::size_t in_flight() const;
@@ -168,17 +148,18 @@ class ReliableChannel {
   void trace_flow(const char* name, obs::SpanKind kind, std::uint32_t from,
                   std::uint32_t to, std::int64_t a1) const noexcept;
 
-  void timer_loop();
+  /// Arms the retransmit timer for `due` unless it is already due sooner.
+  /// mu_ held.
+  void schedule(SteadyClock::time_point due);
+  /// Retransmits and expires what is due, then re-arms (worker thread).
+  void sweep();
 
+  SocketTransport& transport_;
   const ReliabilityOptions opts_;
-  const EnqueueFn enqueue_;
-  const ResolveFn resolve_;
-  const DeliverFn deliver_;
-  const NowFn now_nanos_;
+  const std::uint32_t timer_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
+  SteadyClock::time_point armed_ = SteadyClock::time_point::max();
   std::unordered_map<std::uint64_t, SendFlow, FlowHash> send_flows_;
   std::unordered_map<std::uint64_t, RecvFlow, FlowHash> recv_flows_;
   Rng jitter_rng_;
@@ -189,8 +170,6 @@ class ReliableChannel {
   obs::Counter& dup_drops_;
   obs::Counter& expired_;
   obs::Histo& rtt_;
-
-  std::thread timer_;
 };
 
 }  // namespace wan::runtime

@@ -20,8 +20,6 @@ namespace wan::runtime {
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
-
 bool parse_port(const std::string& text, std::uint16_t* port) {
   if (text.empty() || text.size() > 5) return false;
   std::uint32_t value = 0;
@@ -207,7 +205,7 @@ bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
 
   send_queue_limit_ = opts.send_queue_limit;
 
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+  fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) {
     if (error) *error = std::string("socket(): ") + std::strerror(errno);
     return false;
@@ -248,27 +246,7 @@ bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
   }
 
   if (opts.reliability.enabled) {
-    reliable_ = std::make_unique<ReliableChannel>(
-        opts.reliability,
-        [this](std::vector<std::uint8_t> frame, ResolvedAddr dest) {
-          return enqueue_frame(std::move(frame), dest);
-        },
-        [this](std::uint32_t host) -> std::optional<ResolvedAddr> {
-          std::lock_guard<std::mutex> lock(mu_);
-          const auto it = peers_.find(host);
-          if (it == peers_.end()) return std::nullopt;
-          return it->second;
-        },
-        [this](std::uint32_t from, std::uint32_t to, net::MessagePtr msg) {
-          collect(from, to, std::move(msg));
-        },
-        // Channel spans on the fabric's runtime clock, the same basis as
-        // env.now() — merged traces interleave them with protocol spans.
-        [this] {
-          return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - epoch())
-              .count();
-        });
+    reliable_ = std::make_unique<ReliableChannel>(*this, opts.reliability);
   }
   return true;
 }
@@ -280,37 +258,34 @@ void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
   sends.inc();
   const std::optional<ResolvedAddr> dest = route_for_send(from, to);
   if (!dest) return;
-  const net::CodecRegistry& codec = net::CodecRegistry::global();
-  if (!codec.tag_of(*msg)) {
-    count_socket_drop("unregistered_type");
+  std::vector<std::uint8_t> frame = take_send_buffer();
+  net::CodecRegistry::EncodeError error{};
+  if (!net::CodecRegistry::global().encode_into(from, to, *msg, &frame,
+                                                &error)) {
+    count_socket_drop(error == net::CodecRegistry::EncodeError::kUnregistered
+                          ? "unregistered_type"
+                          : "oversize");
+    recycle_send_buffer(std::move(frame));
     return;
   }
   if (reliable_ != nullptr && msg->reliable()) {
-    reliable_->send_reliable(from, to, *msg, *dest);
-    return;
-  }
-  std::vector<std::uint8_t> frame = take_send_buffer();
-  if (!codec.encode_into(from, to, *msg, &frame)) {
-    // tag_of succeeded, so the only way encode fails is a frame bigger than
-    // one UDP datagram can carry.
-    count_socket_drop("oversize");
-    recycle_send_buffer(std::move(frame));
+    reliable_->send_reliable(from, to, std::move(frame), *dest);
     return;
   }
   enqueue_frame(std::move(frame), *dest);
 }
 
 std::vector<std::uint8_t> SocketTransport::take_send_buffer() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_.empty()) return {};
+  if (!worker().on_thread() || pool_.empty()) return {};
   std::vector<std::uint8_t> buf = std::move(pool_.back());
   pool_.pop_back();
   return buf;
 }
 
 void SocketTransport::recycle_send_buffer(std::vector<std::uint8_t>&& buf) {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_.size() < send_queue_limit_) pool_.push_back(std::move(buf));
+  if (worker().on_thread() && pool_.size() < send_queue_limit_) {
+    pool_.push_back(std::move(buf));
+  }
 }
 
 void SocketTransport::set_peer_unreachable(UnreachableFn fn) {
@@ -321,17 +296,13 @@ ReliableChannel* SocketTransport::reliable_channel() noexcept {
   return reliable_.get();
 }
 
-void SocketTransport::stop_reliable() {
-  if (reliable_ != nullptr) reliable_->stop();
-}
-
-void SocketTransport::attach(HostId id, std::shared_ptr<LoopCore> core,
+void SocketTransport::attach(HostId id, Worker::Node* node,
                              Transport::Handler handler) {
   WAN_REQUIRE(id.valid());
   WAN_REQUIRE(handler != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   endpoints_[id] = Endpoint{
-      std::move(core),
+      node,
       std::make_shared<const Transport::Handler>(std::move(handler)), false};
 }
 
@@ -360,12 +331,19 @@ void SocketTransport::block_inbound_from(HostId peer, bool blocked) {
 }
 
 void SocketTransport::set_fault_plan(const FaultPlan& plan) {
-  std::lock_guard<std::mutex> lock(fault_mu_);
-  fault_plan_ = plan;
-  fault_rng_ = Rng(plan.seed);
-  faults_armed_ =
-      plan.loss > 0.0 || plan.duplicate > 0.0 || plan.reorder > 0.0;
-  held_.reset();
+  // The plan is worker state, like the receive path that draws from it.
+  const auto apply = [this, plan] {
+    fault_plan_ = plan;
+    fault_rng_ = Rng(plan.seed);
+    faults_armed_ =
+        plan.loss > 0.0 || plan.duplicate > 0.0 || plan.reorder > 0.0;
+    held_.reset();
+  };
+  if (worker().on_thread()) {
+    apply();
+  } else {
+    worker().run_sync(nullptr, apply);
+  }
 }
 
 std::optional<ResolvedAddr> SocketTransport::route_for_send(HostId from,
@@ -387,30 +365,23 @@ std::optional<ResolvedAddr> SocketTransport::route_for_send(HostId from,
 void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
   socket_datagrams_received().inc(batch.size());
   std::uint64_t frames = 0;
-  {
-    // Fault decisions are drawn under fault_mu_; nothing below calls out of
-    // the transport, so a released held frame cannot re-enter protocol code
-    // while the lock is held.
-    const net::CodecRegistry& codec = net::CodecRegistry::global();
-    std::lock_guard<std::mutex> lock(fault_mu_);
-    for (const Datagram& d : batch) {
-      // Every piece is decoded strictly and counted on its own; an empty
-      // datagram still counts one truncated drop.
-      std::size_t off = 0;
-      do {
-        const std::size_t n = net::frame_extent(d.data + off, d.size - off);
-        const net::CodecRegistry::Decoded decoded =
-            codec.decode(d.data + off, n);
-        off += n;
-        if (!decoded.ok()) {
-          count_socket_drop(net::to_cstring(decoded.error));
-          continue;
-        }
-        ++frames;
-        stage(decoded.frame->from.value(), decoded.frame->to.value(),
-              decoded.frame->msg);
-      } while (off < d.size);
-    }
+  const net::CodecRegistry& codec = net::CodecRegistry::global();
+  for (const Datagram& d : batch) {
+    // Every piece is decoded strictly and counted on its own; an empty
+    // datagram still counts one truncated drop.
+    std::size_t off = 0;
+    do {
+      const std::size_t n = net::frame_extent(d.data + off, d.size - off);
+      const net::CodecRegistry::Decoded decoded = codec.decode(d.data + off, n);
+      off += n;
+      if (!decoded.ok()) {
+        count_socket_drop(net::to_cstring(decoded.error));
+        continue;
+      }
+      ++frames;
+      stage(decoded.frame->from.value(), decoded.frame->to.value(),
+            decoded.frame->msg);
+    } while (off < d.size);
   }
   socket_frames_received().inc(frames);
   if (staged_.empty()) return;
@@ -426,7 +397,7 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
       h.to = f.to;
       if (const auto it = endpoints_.find(HostId(f.to));
           it != endpoints_.end()) {
-        h.core = it->second.core;
+        h.node = it->second.node;
         h.handler = it->second.handler;
         h.down = it->second.down;
       }
@@ -460,18 +431,17 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
   }
   staged_.clear();
 
-  const SteadyClock::time_point now = SteadyClock::now();
+  // Handlers run here, on the worker. Nothing above is held across them, so
+  // they may send, post, arm timers, or stop their own node (the rest of its
+  // messages are then skipped).
   for (Handoff& h : handoffs_) {
     if (h.msgs.empty()) continue;
     socket_deliveries().inc(h.msgs.size());
     socket_delivery_handoffs().inc();
-    LoopCore::post_at(h.core, now,
-                      [handler = std::move(h.handler),
-                       msgs = std::move(h.msgs)] {
-                        for (const auto& [from, msg] : msgs) {
-                          (*handler)(from, msg);
-                        }
-                      });
+    for (const auto& [from, msg] : h.msgs) {
+      if (!h.node->live()) break;
+      (*h.handler)(from, msg);
+    }
   }
   handoffs_.clear();
 }
@@ -518,13 +488,6 @@ void SocketTransport::collect(std::uint32_t from, std::uint32_t to,
     return;
   }
   h->msgs.emplace_back(HostId(from), std::move(msg));
-}
-
-bool SocketTransport::mark_shut_down() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (shut_down_) return false;
-  shut_down_ = true;
-  return true;
 }
 
 }  // namespace wan::runtime

@@ -4,16 +4,22 @@
 // address parsing, the static topology, peer resolution, endpoint
 // bookkeeping, the encode-buffer pool, the inbound decode/deliver path, the
 // optional reliability layer and the labelled drop counters. The one
-// backend, ReactorTransport (runtime/reactor_transport.hpp), adds the epoll
-// loop and the batched recvmmsg/sendmmsg syscalls; tests subclass this base
-// with a socketless fake that feeds on_datagrams() directly.
+// backend, ReactorTransport (runtime/reactor_transport.hpp), adds the socket
+// to the fabric's worker and the batched recvmmsg/sendmmsg syscalls; tests
+// subclass this base with a socketless fake that feeds on_datagrams() on its
+// worker.
+//
+// Threading: the receive path, the handlers it runs and sends made by those
+// handlers all run on the fabric's one worker thread (runtime/worker.hpp).
+// mu_ guards the endpoint, peer and blocked-source tables, which control
+// calls from other threads change; the encode-buffer pool is worker-only.
 //
 // The wire protocol is net::CodecRegistry frames, one or more whole frames
 // per datagram (docs/WIRE_FORMAT.md). The receive path hands each receive
 // call's datagrams to on_datagrams() as one batch, which splits each
 // datagram into frames, decodes and filters them per frame in arrival order
-// and then posts ONE closure per destination node's LoopCore carrying that
-// node's messages in arrival order. The conformance suite
+// and then runs each destination node's handler inline, once per node per
+// batch, over that node's messages in arrival order. The conformance suite
 // (tests/test_conformance.cpp) holds the socket fabric to the in-process
 // loopback fabric: the same seeded op script must produce the same protocol
 // outcomes on both.
@@ -28,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -113,6 +118,8 @@ class ReliableChannel;
 /// encode buffers, decode, delivery, the optional reliability layer,
 /// counters — is here.
 class SocketTransport : public Fabric {
+  friend class ReliableChannel;  // its outbound frames, acks and deliveries
+
  public:
   ~SocketTransport() override;
 
@@ -122,7 +129,7 @@ class SocketTransport : public Fabric {
   /// envelope; heartbeats and the envelope itself stay fire-and-forget.
   void send(HostId from, HostId to, net::MessagePtr msg) override;
 
-  void attach(HostId id, std::shared_ptr<LoopCore> core,
+  void attach(HostId id, Worker::Node* node,
               Transport::Handler handler) override;
   void set_endpoint_down(HostId id, bool down) override;
 
@@ -147,7 +154,7 @@ class SocketTransport : public Fabric {
 
   /// Fired when the reliability layer abandons a peer (retry budget
   /// exhausted); `abandoned` counts the frames dropped in that sweep. Runs
-  /// on the channel's timer thread. No-op without a reliability layer.
+  /// on the worker. No-op without a reliability layer.
   using UnreachableFn = std::function<void(HostId peer, std::size_t abandoned)>;
   void set_peer_unreachable(UnreachableFn fn);
 
@@ -155,13 +162,13 @@ class SocketTransport : public Fabric {
   /// (tests poll in_flight() through this).
   [[nodiscard]] ReliableChannel* reliable_channel() noexcept;
 
-  /// Stops attached envs, then winds down the socket I/O. Idempotent;
-  /// every subclass destructor calls it.
+  /// Stops attached envs, then winds down the socket I/O. Idempotent (every
+  /// step is); every subclass destructor calls it.
   virtual void shutdown() = 0;
 
  protected:
   struct Endpoint {
-    std::shared_ptr<LoopCore> core;
+    Worker::Node* node = nullptr;
     /// Stored once; a delivery shares it instead of copying the function.
     std::shared_ptr<const Transport::Handler> handler;
     bool down = false;
@@ -177,9 +184,10 @@ class SocketTransport : public Fabric {
   // ReliableChannel type for the unique_ptr member.
   SocketTransport();
 
-  /// Opens and binds the UDP socket per opts.listen (default "127.0.0.1:0"),
-  /// records the bound port, and loads opts.topology_path if non-empty.
-  /// On failure sets *error and returns false; fd_ stays owned either way.
+  /// Opens and binds the nonblocking UDP socket per opts.listen (default
+  /// "127.0.0.1:0"), records the bound port, and loads opts.topology_path
+  /// if non-empty. On failure sets *error and returns false; fd_ stays
+  /// owned either way.
   bool open_socket(const EnvOptions& opts, std::string* error);
 
   /// Route lookup for a send; nullopt counts the unknown_dest drop.
@@ -187,16 +195,16 @@ class SocketTransport : public Fabric {
   /// (endpoint_down drop otherwise).
   std::optional<ResolvedAddr> route_for_send(HostId from, HostId to);
 
-  /// Hands one encoded frame to the bounded outbound queue. Returns false
+  /// Hands one encoded frame to the bounded outbound batch. Returns false
   /// on a queue-full shed (counted as queue_full by the implementation).
-  /// Called from env loop threads and from the reliability layer's timer
-  /// thread.
+  /// Called on the worker, and by senders on other threads.
   virtual bool enqueue_frame(std::vector<std::uint8_t> frame,
                              const ResolvedAddr& dest) = 0;
 
   /// The encode-buffer pool: send() encodes into a buffer taken here, and
   /// the subclass returns it once the frame is on the wire, so the
-  /// steady-state send path allocates nothing. Capped at the queue limit.
+  /// steady-state send path allocates nothing. Capped at the queue limit;
+  /// worker-only (elsewhere take hands out a fresh buffer, recycle frees).
   std::vector<std::uint8_t> take_send_buffer();
   void recycle_send_buffer(std::vector<std::uint8_t>&& buf);
 
@@ -206,22 +214,13 @@ class SocketTransport : public Fabric {
   /// it still deliver) and, per frame in arrival order, applies the inbound
   /// fault plan (if armed), blocked-source filtering and the reliability
   /// layer's envelope handling (when enabled); every reject class lands in
-  /// its labelled drop counter.
-  /// The surviving messages are grouped by destination endpoint — looked up
-  /// under one mu_ acquisition per batch — and each endpoint gets ONE post
-  /// onto its loop that runs its messages in arrival order. The fault plan
-  /// runs before the reliability layer, so injected loss hits the envelope
-  /// and retransmission is what recovers it. Called from the one receive
-  /// thread only.
+  /// its labelled drop counter. The survivors are grouped by destination
+  /// endpoint (looked up under one mu_ acquisition per batch) and each
+  /// endpoint's handler runs inline over its messages in arrival order,
+  /// skipping the rest once the node stops. The fault plan runs before the
+  /// reliability layer, so injected loss hits the envelope and
+  /// retransmission is what recovers it. Worker thread only.
   void on_datagrams(std::span<const Datagram> batch);
-
-  /// True once shutdown() has run (subclasses gate their idempotence on it).
-  bool mark_shut_down();
-
-  /// Stops the reliability layer's timer thread (no-op when disabled).
-  /// Subclass shutdown() calls this after stop_all() and before joining its
-  /// own I/O threads — the channel enqueues into their queues.
-  void stop_reliable();
 
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
@@ -232,11 +231,8 @@ class SocketTransport : public Fabric {
   std::unordered_map<HostId, Endpoint> endpoints_;
   std::unordered_map<std::uint32_t, ResolvedAddr> peers_;  ///< HostId value
   std::unordered_set<std::uint32_t> blocked_sources_;
-  bool shut_down_ = false;  ///< guarded by mu_
 
-  // Inbound fault injection (guarded by fault_mu_, never held across
-  // delivery so reordered releases cannot deadlock with protocol code).
-  std::mutex fault_mu_;
+  // Inbound fault injection, worker thread only.
   bool faults_armed_ = false;
   FaultPlan fault_plan_;
   Rng fault_rng_{1};
@@ -250,28 +246,26 @@ class SocketTransport : public Fabric {
   std::optional<Staged> held_;  ///< reordered frame awaiting the next one
 
  private:
-  // Per-batch scratch of on_datagrams(), touched by the receive thread only
-  // (kept as members so their capacity is reused batch to batch).
+  // Per-batch scratch of on_datagrams(), worker thread only (kept as
+  // members so their capacity is reused batch to batch).
   struct Handoff {
     std::uint32_t to = 0;
-    std::shared_ptr<LoopCore> core;
+    Worker::Node* node = nullptr;
     std::shared_ptr<const Transport::Handler> handler;  ///< null: not local
     bool down = false;
     std::vector<std::pair<HostId, net::MessagePtr>> msgs;
   };
   /// Appends to staged_, drawing the frame's fault-plan decisions.
-  /// fault_mu_ held.
   void stage(std::uint32_t from, std::uint32_t to, net::MessagePtr msg);
   /// Adds one message to its destination's handoff list, or counts the
   /// not_local / endpoint_down drop. Also the reliability layer's deliver
-  /// callback, which on_data runs synchronously on the receive thread.
+  /// callback, which on_data runs synchronously on the worker.
   void collect(std::uint32_t from, std::uint32_t to, net::MessagePtr msg);
   /// This batch's handoff list for `to`, or nullptr.
   Handoff* handoff_for(std::uint32_t to);
   std::vector<Staged> staged_;
   std::vector<Handoff> handoffs_;
 
-  std::mutex pool_mu_;
   std::vector<std::vector<std::uint8_t>> pool_;  ///< free encode buffers
 };
 
@@ -290,7 +284,7 @@ obs::Counter& socket_frames_received();
 obs::Counter& socket_datagrams_sent();
 obs::Counter& socket_datagrams_received();
 obs::Counter& socket_deliveries();
-/// Posts onto node loops by the receive path: one per destination endpoint
+/// Inline handler runs by the receive path: one per destination endpoint
 /// per batch, so deliveries / handoffs is the live batch size.
 obs::Counter& socket_delivery_handoffs();
 

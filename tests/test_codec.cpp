@@ -628,7 +628,14 @@ TEST(CodecCorpus, OkHeartbeatPingPinsWireLayout) {
   EXPECT_EQ(*again, bytes);
 }
 
+/// A message type no codec is ever registered for.
+struct Unwired final : net::Message {
+  WAN_MESSAGE_TYPE("Unwired")
+};
+
 // Oversize frames fail at encode time (they could never fit one datagram).
+// encode_into() tells that apart from an unregistered type with one lookup:
+// the socket's send path maps the two to different drop reasons.
 TEST(CodecReject, OversizePayloadFailsEncode) {
   register_all();
   const auto msg = net::make_message<proto::InvokeRequest>(
@@ -636,6 +643,16 @@ TEST(CodecReject, OversizePayloadFailsEncode) {
       std::string(net::kMaxFrameSize, 'x'), 6);
   EXPECT_FALSE(
       CodecRegistry::global().encode(HostId(1), HostId(2), *msg).has_value());
+
+  std::vector<std::uint8_t> out;
+  auto error = CodecRegistry::EncodeError::kUnregistered;
+  EXPECT_FALSE(CodecRegistry::global().encode_into(HostId(1), HostId(2), *msg,
+                                                   &out, &error));
+  EXPECT_EQ(error, CodecRegistry::EncodeError::kOversize);
+  error = CodecRegistry::EncodeError::kOversize;
+  EXPECT_FALSE(CodecRegistry::global().encode_into(HostId(1), HostId(2),
+                                                   Unwired{}, &out, &error));
+  EXPECT_EQ(error, CodecRegistry::EncodeError::kUnregistered);
 }
 
 }  // namespace

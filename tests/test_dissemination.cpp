@@ -346,8 +346,8 @@ TEST(DeltaSync, FallsBackToFullSnapshotWhenTheLogCompactedPastTheCursor) {
 // --------------------------------------------- threaded smoke (TSan job)
 
 // The batching strategies own timers and retransmission state driven from a
-// real event-loop thread while acks arrive from peer threads through the
-// loopback fabric. This deployment mirrors the conformance harness in
+// real event-loop thread while acks arrive from peer nodes through the
+// loopback fabric and the test thread drives them through run_sync. This deployment mirrors the conformance harness in
 // miniature so the TSan CI job can race-check the dissemination path
 // end-to-end: grant, cache on every host, revoke, drain.
 TEST(DisseminationThreaded, CollectiveRevocationOverLoopbackFabric) {

@@ -112,8 +112,8 @@ TEST(Registry, CounterIsExactUnderThreadedEnvConcurrency) {
     for (auto& env : envs) {
       for (int i = 0; i < kPosts; ++i) env->post([&c] { c.inc(); });
     }
-    // run_sync posts behind the increments on each loop, so returning from
-    // all four means every increment has executed.
+    // run_sync posts behind each env's increments on the fabric's worker,
+    // so returning from all four means every increment has executed.
     for (auto& env : envs) env->run_sync([] {});
     fabric.stop_all();
   }

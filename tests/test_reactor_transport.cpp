@@ -1,6 +1,6 @@
 // ReactorTransport tests: two ThreadedEnvs in one process, each behind its
 // own reactor socket on a 127.0.0.1 ephemeral port, exchanging real
-// datagrams through the wire codec — delivery onto the destination loop,
+// datagrams through the wire codec — delivery onto the destination node,
 // round trips, one-way inbound blocking, a down endpoint dropping inbound
 // deliveries, labelled send-path drops, idempotent shutdown and topology
 // parsing — plus the batched-I/O behaviors worth pinning directly: bursts larger than one syscall batch all arrive, and a recvmmsg
@@ -10,7 +10,7 @@
 // transport layer: same plan + same arrival sequence -> same losses, run to
 // run; duplication doubles deliveries; reordering swaps adjacent frames.
 // The shared receive path's batching is pinned with hand-built batches: one
-// loop handoff per destination endpoint per batch, in arrival order.
+// inline handler run per destination endpoint per batch, in arrival order.
 // Bundling is pinned on both sides: hand-built datagrams of several frames
 // split by payload_len (per-frame filtering and drops, a seeded fuzz of the
 // splitter), and a live reactor sender observed through raw sockets (fewer
@@ -461,21 +461,20 @@ TEST(ReactorTransport, PartialBatchRejectsGarbagePerFrame) {
 
 // ------------------------------------------------------ batched delivery
 
-/// The shared receive path with no I/O threads: the test hands
-/// on_datagrams() exact batches, so "one batch" is deterministic (a live
-/// reactor's recvmmsg boundaries follow thread scheduling).
+/// The shared receive path with no socket: the test hands on_datagrams()
+/// exact batches on the fabric's worker, as the reactor does, so "one batch"
+/// is deterministic (a live reactor's recvmmsg boundaries follow thread
+/// scheduling). Handlers run inline during feed().
 class BatchProbe final : public SocketTransport {
  public:
   BatchProbe() { proto::register_wire_messages(); }
   ~BatchProbe() override { shutdown(); }
-  void shutdown() override {
-    if (mark_shut_down()) stop_all();
-  }
+  void shutdown() override { stop_all(); }
 
   void feed(const std::vector<std::vector<std::uint8_t>>& frames) {
     std::vector<Datagram> batch;
     for (const auto& f : frames) batch.push_back(Datagram{f.data(), f.size()});
-    on_datagrams(batch);
+    ASSERT_TRUE(worker().run_sync(nullptr, [&] { on_datagrams(batch); }));
   }
 
  private:
@@ -522,10 +521,11 @@ std::uint64_t handoffs() {
       .value();
 }
 
-// One batch for two live endpoints (on two loops), interleaved with frames
+// One batch for two live endpoints (on two nodes), interleaved with frames
 // from a blocked source, frames for a down endpoint and one for a host that
 // is not local: each live endpoint gets its frames in arrival order through
-// exactly one post, and every filtered frame is counted on its own.
+// exactly one inline handler run, and every filtered frame is counted on its
+// own.
 TEST(BatchedDelivery, OneHandoffPerEndpointInArrivalOrder) {
   BatchProbe probe;
   ThreadedEnv env_a(probe);
@@ -581,6 +581,29 @@ TEST(BatchedDelivery, FaultPlanHoldsAndDuplicatesWithinAndAcrossBatches) {
   EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{2, 2, 1, 4, 4, 3}));
 }
 
+// A node that stops itself from its handler (a crash issued from protocol
+// code) gets none of the frames behind that one in the same inline run, and
+// none of a later batch; the other endpoint of the batch is unaffected.
+TEST(BatchedDelivery, StopInsideHandlerSkipsTheRestOfTheBatch) {
+  BatchProbe probe;
+  ThreadedEnv env_a(probe);
+  ThreadedEnv env_b(probe);
+  SeqLog log;
+  const Transport::Handler record_b = log.handler_for(3);
+  env_a.transport().register_endpoint(HostId(2), log.handler_for(2));
+  env_b.transport().register_endpoint(
+      HostId(3), [&](HostId from, const net::MessagePtr& msg) {
+        record_b(from, msg);
+        env_b.stop();
+      });
+
+  probe.feed({ping(1, 3, 1), ping(1, 2, 2), ping(1, 3, 3), ping(1, 2, 4)});
+  probe.feed({ping(1, 3, 5), ping(1, 2, 6)});
+
+  EXPECT_EQ(log.at(3), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{2, 4, 6}));
+}
+
 // ------------------------------------------------------ bundled datagrams
 
 /// Frames back to back in one datagram, as a bundling sender packs them.
@@ -592,7 +615,7 @@ std::vector<std::uint8_t> bundle(
 }
 
 // A datagram of three frames is split by payload_len and delivered in order
-// through one handoff; frames and datagrams are counted apart.
+// through one inline handler run; frames and datagrams are counted apart.
 TEST(BundledDatagram, ThreeFramesDeliverInOrderWithOneHandoff) {
   BatchProbe probe;
   ThreadedEnv env(probe);

@@ -5,6 +5,7 @@
 // refactor must not break (chaos runs stay bit-identical run-to-run).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -199,6 +200,168 @@ TEST(LoopbackFabric, StoppedEnvDropsDeliveriesInsteadOfCrashing) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   fabric.stop_all();  // reaching here without UB is the assertion
+}
+
+// ------------------------------------------------------ worker contract
+
+net::MessagePtr ping_reply() {
+  return net::make_message<proto::InvokeReply>(1, true,
+                                               proto::DenyReason::kNone, "ping");
+}
+
+// Every node of a fabric shares its one worker thread, so run_sync issued
+// there would wait for itself. It aborts with a message instead of hanging.
+TEST(ThreadedEnvDeathTest, RunSyncOnTheWorkerAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        LoopbackFabric fabric;
+        ThreadedEnv a(fabric);
+        ThreadedEnv b(fabric);
+        a.post([&b] { b.run_sync([] {}); });
+        std::this_thread::sleep_for(std::chrono::seconds(10));
+      },
+      "run_sync called on the fabric's worker thread");
+}
+
+// A crash issued from protocol code: the handler that calls stop() runs to
+// its end, and nothing later reaches the node — not the deliveries queued
+// behind it, not a timer armed before or after the stop, not new traffic.
+TEST(ThreadedEnv, StopFromInsideHandlerSilencesTheNode) {
+  LoopbackFabric fabric;
+  ThreadedEnv a(fabric);
+  ThreadedEnv b(fabric);
+  std::atomic<int> got{0};
+  std::atomic<int> fired{0};
+  Timer before;
+  Timer after;
+  a.transport().register_endpoint(HostId(1),
+                                  [](HostId, const net::MessagePtr&) {});
+  b.transport().register_endpoint(
+      HostId(2), [&](HostId, const net::MessagePtr&) {
+        if (++got > 1) return;
+        before.arm(Duration::millis(2), [&fired] { ++fired; });
+        b.stop();
+        after.arm(Duration::millis(2), [&fired] { ++fired; });
+      });
+  b.run_sync([&] {
+    before = b.make_timer();
+    after = b.make_timer();
+  });
+  a.run_sync([&] {
+    for (int i = 0; i < 4; ++i) a.transport().send(HostId(1), HostId(2), ping_reply());
+  });
+  ASSERT_TRUE(eventually([&] { return got.load() >= 1; }));
+  a.run_sync([&] { a.transport().send(HostId(1), HostId(2), ping_reply()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(got.load(), 1);
+  EXPECT_EQ(fired.load(), 0);
+  fabric.stop_all();
+}
+
+// stop() from another thread waits out a handler of the node that is
+// running right now; afterwards posts, ticks and deliveries are refused.
+TEST(ThreadedEnv, StopFromAnotherThreadWaitsOutTheRunningHandler) {
+  LoopbackFabric fabric;
+  ThreadedEnv a(fabric);
+  ThreadedEnv b(fabric);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+  std::atomic<int> later{0};
+  PeriodicTimer ticks;
+  a.transport().register_endpoint(HostId(1),
+                                  [](HostId, const net::MessagePtr&) {});
+  b.transport().register_endpoint(
+      HostId(2), [&](HostId, const net::MessagePtr&) { ++later; });
+  b.run_sync([&] {
+    ticks = b.make_periodic_timer();
+    ticks.start(Duration::millis(1), [&later] { ++later; });
+  });
+  b.post([&] {
+    entered = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    finished = true;
+  });
+  ASSERT_TRUE(eventually([&] { return entered.load(); }));
+  b.stop();
+  EXPECT_TRUE(finished.load());
+  const int at_stop = later.load();
+  b.post([&later] { ++later; });
+  a.run_sync([&] { a.transport().send(HostId(1), HostId(2), ping_reply()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(later.load(), at_stop);
+  fabric.stop_all();
+}
+
+// ---------------------------------------------------------- worker timers
+
+// Cancel and re-arm bump the slot's generation: of 10k arm/cancel/re-arm
+// cycles on one timer, only the last shot's callback ever runs.
+TEST(ThreadedEnv, TenThousandRearmsFireOnlyTheLastCallback) {
+  constexpr int kCycles = 10000;
+  LoopbackFabric fabric;
+  ThreadedEnv env(fabric);
+  std::mutex mu;
+  std::vector<int> fired;
+  const auto record = [&mu, &fired](int id) {
+    const std::lock_guard<std::mutex> lock(mu);
+    fired.push_back(id);
+  };
+  Timer timer;
+  env.run_sync([&] {
+    timer = env.make_timer();
+    for (int i = 0; i < kCycles; ++i) {
+      timer.arm(Duration::millis(2), [record, i] { record(-i); });
+      timer.cancel();
+      timer.arm(Duration::millis(2), [record, i] { record(i); });
+    }
+  });
+  ASSERT_TRUE(eventually([&] {
+    const std::lock_guard<std::mutex> lock(mu);
+    return !fired.empty();
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  bool pending = true;
+  env.run_sync([&] { pending = timer.pending(); });
+  EXPECT_FALSE(pending);
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(fired, std::vector<int>{kCycles - 1});
+  fabric.stop_all();
+}
+
+// Timers sit on a timerfd armed at the earliest deadline. epoll's own
+// timeout is whole milliseconds, so a loop that waited on it would fire a
+// 200 us timer about 800 us late; an idle worker must do far better.
+TEST(ThreadedEnv, IdleWorkerFiresShortTimersWithSubMillisecondLateness) {
+  constexpr std::size_t kShots = 50;
+  constexpr auto kDelay = std::chrono::microseconds(200);
+  LoopbackFabric fabric;
+  ThreadedEnv env(fabric);
+  std::vector<std::int64_t> late_us;  // worker only until `done`
+  std::atomic<bool> done{false};
+  Timer timer;
+  std::function<void()> shoot = [&] {
+    const auto armed = std::chrono::steady_clock::now();
+    timer.arm(Duration::micros(kDelay.count()), [&, armed] {
+      late_us.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+                            std::chrono::steady_clock::now() - armed - kDelay)
+                            .count());
+      if (late_us.size() == kShots) {
+        done = true;
+      } else {
+        shoot();
+      }
+    });
+  };
+  env.run_sync([&] {
+    timer = env.make_timer();
+    shoot();
+  });
+  ASSERT_TRUE(eventually([&] { return done.load(); }));
+  std::sort(late_us.begin(), late_us.end());
+  EXPECT_GE(late_us.front(), 0);  // never early
+  EXPECT_LT(late_us[kShots / 2], 500) << "median lateness in us";
+  fabric.stop_all();
 }
 
 // --------------------------------------------- cross-runtime equivalence
