@@ -17,6 +17,7 @@
 // BENCH_throughput.json baseline is produced by the reactor; CI replays a
 // short run and diffs the schema against it (.github/workflows/ci.yml,
 // bench-smoke job).
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -84,6 +85,21 @@ struct Rig {
   // Reply stream, fed by the driver endpoint's handler.
   std::atomic<std::uint64_t> replies{0};
   std::atomic<std::uint64_t> accepted{0};
+
+  // Client-observed check round trips, while `timing` is set: the driver
+  // stamps each request's send instant in a ring indexed by request id
+  // (larger than any in-flight window), and the reply handler observes the
+  // time since.
+  static constexpr std::size_t kSendRing = 4096;
+  std::array<std::atomic<std::int64_t>, kSendRing> sent_ns{};
+  std::atomic<bool> timing{false};
+  obs::Histo rtt;
+
+  static std::int64_t now_ns() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               Clock::now().time_since_epoch())
+        .count();
+  }
 
   /// shard_groups == 0: the legacy 3-manager flat rig (C = 2).
   /// shard_groups >= 1: 4 managers, C = 1; 1 = one group owning everything,
@@ -178,6 +194,12 @@ struct Rig {
     driver_env.transport().register_endpoint(
         HostId(kDriverId), [this](HostId, const net::MessagePtr& msg) {
           if (const auto* reply = net::message_cast<proto::InvokeReply>(msg)) {
+            if (timing.load(std::memory_order_relaxed)) {
+              const std::int64_t sent =
+                  sent_ns[reply->request_id % kSendRing].load(
+                      std::memory_order_relaxed);
+              rtt.observe_seconds(static_cast<double>(now_ns() - sent) * 1e-9);
+            }
             if (reply->accepted) accepted.fetch_add(1, std::memory_order_relaxed);
             replies.fetch_add(1, std::memory_order_relaxed);
           }
@@ -280,10 +302,14 @@ struct CheckDriver {
     const std::uint64_t nonce = nonces_[slot]++;
     const auth::Signature sig = auth::sign(
         user, auth::Authenticator::signed_bytes("x", nonce), rig_.kp.secret);
-    rig_.fabric->send(
-        HostId(kDriverId), rig_.host_ids[static_cast<std::size_t>(h)],
-        net::make_message<proto::InvokeRequest>(kApp, user, ++request_id_,
-                                                nonce, sig, "x", 0));
+    const std::uint64_t id = ++request_id_;
+    auto request = net::make_message<proto::InvokeRequest>(kApp, user, id,
+                                                           nonce, sig, "x", 0);
+    rig_.sent_ns[id % Rig::kSendRing].store(Rig::now_ns(),
+                                            std::memory_order_relaxed);
+    rig_.fabric->send(HostId(kDriverId),
+                      rig_.host_ids[static_cast<std::size_t>(h)],
+                      std::move(request));
   }
 
   Rig& rig_;
@@ -407,15 +433,12 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
       std::exit(2);
     }
 
-    // Phase 1: open-loop check storm, caches hot. The host-side decision
-    // latency histogram (AccessController::emit observes requested->decided
-    // per decision) is reset here so its percentiles cover exactly this
-    // storm, not the warm-up.
-    obs::Histo& check_latency =
-        obs::Registry::global().histogram("wan_check_latency_seconds");
-    check_latency.reset();
+    // Phase 1: open-loop check storm, caches hot, with the client-observed
+    // round trip of every check timed.
+    rig.timing.store(true);
     const auto storm = driver.run(storm_secs, window);
-    const metrics::Histogram latency_snap = check_latency.snapshot();
+    rig.timing.store(false);
+    const metrics::Histogram latency_snap = rig.rtt.snapshot();
     const double checks_per_sec =
         static_cast<double>(storm.replies) / storm.elapsed;
     std::printf("\n  check storm   (%4.1fs, window %3llu): %9.0f checks/sec"
@@ -432,10 +455,12 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
                                 {"seconds", storm.elapsed},
                                 {"window", static_cast<double>(window)}});
 
-    // Host-side per-decision latency during phase 1, from the
-    // wan_check_latency_seconds histogram (cache-hot, so this is the signed
-    // request -> local decide path, not a quorum round). Field names avoid
-    // `checks_per_sec` so the CI regression gate keys only on the rate row.
+    // Client-observed check latency during phase 1: send of the signed
+    // InvokeRequest to arrival of its InvokeReply at the driver endpoint,
+    // timed by the driver's own steady clock (cache-hot, so no quorum
+    // round; under the open-loop window it includes queueing). Field names
+    // avoid `checks_per_sec` so the CI regression gate keys only on the
+    // rate row.
     const double lat_p50 = latency_snap.quantile_seconds(0.50);
     const double lat_p99 = latency_snap.quantile_seconds(0.99);
     std::printf("  check latency (%llu samples):      p50 %8.1fus  "

@@ -28,20 +28,21 @@ std::optional<ManagerSet> NameService::resolve(AppId app) const {
   return it->second;
 }
 
-std::optional<ManagerSet> ManagerResolver::resolve(AppId app, clk::LocalTime now) {
+const ManagerSet* ManagerResolver::resolve(AppId app, clk::LocalTime now) {
   const auto it = cache_.find(app);
   if (it != cache_.end() && now < it->second.expires) {
     ++hits_;
-    return it->second.set;
+    return &it->second.set;
   }
   ++misses_;
-  auto fresh = service_->resolve(app);
+  std::optional<ManagerSet> fresh = service_->resolve(app);
   if (!fresh) {
     cache_.erase(app);
-    return std::nullopt;
+    return nullptr;
   }
-  cache_[app] = Entry{*fresh, now + ttl_};
-  return fresh;
+  Entry& entry = cache_[app];
+  entry = Entry{std::move(*fresh), now + ttl_};
+  return &entry.set;
 }
 
 }  // namespace wan::ns

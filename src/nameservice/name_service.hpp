@@ -67,9 +67,11 @@ class ManagerResolver {
   ManagerResolver(const NameService& service, sim::Duration ttl)
       : service_(&service), ttl_(ttl) {}
 
-  /// Returns the manager set for `app`, consulting the cache first. `now` is
-  /// the host's local clock reading.
-  [[nodiscard]] std::optional<ManagerSet> resolve(AppId app, clk::LocalTime now);
+  /// Returns the manager set for `app`, consulting the cache first, or
+  /// nullptr for an unknown app. `now` is the host's local clock reading.
+  /// The record is the cached one, not a copy: it stays valid until the
+  /// next resolve() or clear().
+  [[nodiscard]] const ManagerSet* resolve(AppId app, clk::LocalTime now);
 
   /// Drops all cached records (host recovery).
   void clear() { cache_.clear(); }

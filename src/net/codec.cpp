@@ -26,14 +26,25 @@ void CodecRegistry::register_codec(WireTag tag, TypeId type, EncodeFn encode,
                                    DecodeFn decode) {
   WAN_REQUIRE(encode != nullptr);
   WAN_REQUIRE(decode != nullptr);
+  WAN_REQUIRE_MSG(tag < kMaxTags,
+                  "wire tag past CodecRegistry::kMaxTags: raise the limit");
+  WAN_REQUIRE_MSG(type.value() < kMaxTypes,
+                  "TypeId past CodecRegistry::kMaxTypes: raise the limit");
   const std::lock_guard<std::mutex> lock(mu_);
-  WAN_REQUIRE_MSG(by_tag_.find(tag) == by_tag_.end(),
+  std::atomic<const Entry*>& tag_slot = by_tag_[tag];
+  std::atomic<const Entry*>& type_slot = by_type_[type.value()];
+  WAN_REQUIRE_MSG(tag_slot.load(std::memory_order_relaxed) == nullptr,
                   "wire tag already registered — tags are stable and never "
                   "reused (see docs/WIRE_FORMAT.md)");
-  WAN_REQUIRE_MSG(by_type_.find(type.value()) == by_type_.end(),
+  WAN_REQUIRE_MSG(type_slot.load(std::memory_order_relaxed) == nullptr,
                   "message type already has a wire codec");
-  by_tag_.emplace(tag, std::move(decode));
-  by_type_.emplace(type.value(), Entry{tag, std::move(encode)});
+  const Entry* entry = entries_
+                           .emplace_back(std::make_unique<const Entry>(
+                               Entry{tag, std::move(encode), std::move(decode)}))
+                           .get();
+  // Published complete: a lookup that loads the pointer sees the entry.
+  tag_slot.store(entry, std::memory_order_release);
+  type_slot.store(entry, std::memory_order_release);
 }
 
 std::optional<std::vector<std::uint8_t>> CodecRegistry::encode(
@@ -47,31 +58,24 @@ bool CodecRegistry::encode_into(HostId from, HostId to, const Message& msg,
                                 std::vector<std::uint8_t>* out,
                                 EncodeError* error) const {
   WAN_REQUIRE(out != nullptr);
-  WireTag tag = 0;
-  const EncodeFn* encode = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = by_type_.find(msg.type_id().value());
-    if (it == by_type_.end()) {
-      out->clear();
-      if (error != nullptr) *error = EncodeError::kUnregistered;
-      return false;
-    }
-    tag = it->second.tag;
-    encode = &it->second.encode;
+  const std::uint32_t type = msg.type_id().value();
+  const Entry* entry =
+      type < kMaxTypes ? by_type_[type].load(std::memory_order_acquire)
+                       : nullptr;
+  if (entry == nullptr) {
+    out->clear();
+    if (error != nullptr) *error = EncodeError::kUnregistered;
+    return false;
   }
-  // Encoders are registered once at startup and never replaced, so calling
-  // through the pointer outside the lock is safe (unordered_map never moves
-  // a node) and keeps payload serialization out of the critical section.
   WireWriter w(std::move(*out));
   w.u16(kWireMagic);
   w.u8(kWireVersion);
   w.u8(0);  // flags
-  w.u16(tag);
+  w.u16(entry->tag);
   w.host_id(from);
   w.host_id(to);
   w.u32(0);  // payload length, patched below
-  (*encode)(msg, w);
+  entry->encode(msg, w);
   *out = w.take();
   if (out->size() > kMaxFrameSize) {
     out->clear();
@@ -125,20 +129,14 @@ CodecRegistry::Decoded CodecRegistry::decode(const std::uint8_t* data,
     out.error = DecodeError::kTruncated;
     return out;
   }
-  const DecodeFn* decode = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = by_tag_.find(tag);
-    if (it == by_tag_.end()) {
-      out.error = DecodeError::kUnknownTag;
-      return out;
-    }
-    decode = &it->second;
+  const Entry* entry =
+      tag < kMaxTags ? by_tag_[tag].load(std::memory_order_acquire) : nullptr;
+  if (entry == nullptr) {
+    out.error = DecodeError::kUnknownTag;
+    return out;
   }
-  // Called through the pointer outside the lock, as for encoders: decoders
-  // are never replaced and map nodes never move.
   WireReader payload(data + kWireHeaderSize, payload_len);
-  MessagePtr msg = (*decode)(payload);
+  MessagePtr msg = entry->decode(payload);
   if (msg == nullptr || !payload.ok() || !payload.exhausted()) {
     out.error = DecodeError::kMalformed;
     return out;
@@ -149,15 +147,15 @@ CodecRegistry::Decoded CodecRegistry::decode(const std::uint8_t* data,
 
 std::size_t CodecRegistry::registered_count() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return by_tag_.size();
+  return entries_.size();
 }
 
 std::vector<WireTag> CodecRegistry::tags() const {
   std::vector<WireTag> out;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(by_tag_.size());
-    for (const auto& [tag, fn] : by_tag_) out.push_back(tag);
+    out.reserve(entries_.size());
+    for (const auto& entry : entries_) out.push_back(entry->tag);
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -38,13 +38,15 @@
 // incompatible change bumps it and old frames are rejected, not misread.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/message.hpp"
@@ -215,9 +217,14 @@ enum class DecodeError : std::uint8_t {
 ///
 /// Protocol layers register each message type once under its stable tag
 /// (duplicate tags or types abort: both are programming errors caught at
-/// startup). Thereafter encode/decode are read-only and safe from any
-/// thread — the recv loop of every socket transport decodes through the
-/// process-global instance.
+/// startup). Thread safety: registration is serialized by a mutex and may
+/// happen on any thread, at any time. Each registration builds one entry
+/// that never moves or changes and publishes it, with a release store, into
+/// two fixed arrays of atomic pointers indexed by tag and by TypeId value.
+/// encode/decode look up with one acquire load and take no lock, so they
+/// are safe from any thread, concurrently with registration; a lookup that
+/// races a registration sees the type either fully registered or not at
+/// all.
 class CodecRegistry {
  public:
   /// Serializes `msg`'s fields (not the frame header).
@@ -228,7 +235,13 @@ class CodecRegistry {
 
   [[nodiscard]] static CodecRegistry& global();
 
-  /// Registers a codec for `type` under `tag`. Aborts on tag or type reuse.
+  /// Tags and TypeId values a registry can hold: [0, kMaxTags) and
+  /// [0, kMaxTypes).
+  static constexpr std::size_t kMaxTags = 256;
+  static constexpr std::size_t kMaxTypes = 1024;
+
+  /// Registers a codec for `type` under `tag`. Aborts on tag or type reuse,
+  /// and on a tag or TypeId value past the table sizes above.
   void register_codec(WireTag tag, TypeId type, EncodeFn encode,
                       DecodeFn decode);
 
@@ -272,11 +285,13 @@ class CodecRegistry {
   struct Entry {
     WireTag tag = 0;
     EncodeFn encode;
+    DecodeFn decode;
   };
 
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint32_t, Entry> by_type_;   ///< TypeId value keyed
-  std::unordered_map<WireTag, DecodeFn> by_tag_;
+  mutable std::mutex mu_;  ///< serializes registration; lookups skip it
+  std::vector<std::unique_ptr<const Entry>> entries_;  ///< owns; mu_
+  std::array<std::atomic<const Entry*>, kMaxTags> by_tag_{};
+  std::array<std::atomic<const Entry*>, kMaxTypes> by_type_{};
 };
 
 }  // namespace wan::net

@@ -302,7 +302,7 @@ void AccessController::check_access(AppId app, UserId user, CheckCallback done,
 void AccessController::start_session(AppId app, UserId user, CheckCallback done,
                                      obs::TraceId parent,
                                      sim::TimePoint requested) {
-  auto managers = resolver_.resolve(app, local_now());
+  const ns::ManagerSet* record = resolver_.resolve(app, local_now());
   const SessionKey key = session_key(app, user);
 
   // Sharded routing: the check quorum assembles inside the manager group
@@ -310,15 +310,15 @@ void AccessController::start_session(AppId app, UserId user, CheckCallback done,
   // never changes the protocol. An installed override (rebalance commit,
   // ShardMapAnnounce) wins over the name-service record so the flip is
   // atomic per host even when the directory lags.
-  if (managers) {
+  std::vector<HostId> managers;
+  if (record != nullptr) {
     const shard::ShardMap* map = shard_map(app);
-    if (map == nullptr && !managers->map.empty()) map = &managers->map;
-    if (map != nullptr && !map->trivial()) {
-      managers->managers = map->group_for(app, user);
-    }
+    if (map == nullptr && !record->map.empty()) map = &record->map;
+    managers = map != nullptr && !map->trivial() ? map->group_for(app, user)
+                                                 : record->managers;
   }
 
-  if (!managers || managers->managers.empty()) {
+  if (managers.empty()) {
     AccessDecision d;
     d.app = app;
     d.user = user;
@@ -346,12 +346,12 @@ void AccessController::start_session(AppId app, UserId user, CheckCallback done,
       config_.byzantine_slack > 0
           ? config_.check_quorum + config_.byzantine_slack
           : std::min<int>(config_.check_quorum,
-                          static_cast<int>(managers->managers.size()));
+                          static_cast<int>(managers.size()));
   auto session = std::make_unique<CheckSession>(needed, env_);
   session->app = app;
   session->user = user;
   session->started = requested;
-  session->managers = std::move(managers->managers);
+  session->managers = std::move(managers);
   session->trace = obs::mint(obs::TraceKind::kCheck, self_, next_trace_seq_++);
   session->waiters.push_back(std::move(done));
   obs::record(session->trace, obs::SpanKind::kBegin, self_, env_.now(),

@@ -10,20 +10,11 @@ QuorumConfig::QuorumConfig(int managers, int check_quorum)
 }
 
 bool QuorumTracker::record(HostId member) {
-  if (reached()) {
-    members_.insert(member);
-    if (members_.size() > order_.size()) order_.push_back(member);
-    return false;
-  }
-  const auto [_, inserted] = members_.insert(member);
-  if (!inserted) return false;
-  order_.push_back(member);
-  return reached();
-}
-
-void QuorumTracker::reset() {
-  members_.clear();
-  order_.clear();
+  if (has(member)) return false;
+  voters_.push_back(member);
+  // True once, on the vote that brings the count to `needed`; later votes
+  // are still recorded.
+  return count() == needed_;
 }
 
 }  // namespace wan::quorum

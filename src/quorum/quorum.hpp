@@ -7,8 +7,8 @@
 // and reports when a quorum has been assembled.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -41,30 +41,38 @@ class QuorumConfig {
 
 /// Collects votes from distinct members until `needed` have been gathered.
 /// Duplicate votes from the same member are ignored (retransmissions).
+/// M is a handful, so the voters live in one flat vector, reserved up front
+/// and searched linearly: a vote allocates nothing.
 class QuorumTracker {
  public:
-  explicit QuorumTracker(int needed) : needed_(needed) { WAN_REQUIRE(needed >= 0); }
+  /// Voter capacity reserved at construction; more votes still fit.
+  static constexpr std::size_t kReservedVoters = 8;
+
+  explicit QuorumTracker(int needed) : needed_(needed) {
+    WAN_REQUIRE(needed >= 0);
+    voters_.reserve(kReservedVoters);
+  }
 
   /// Records a vote; returns true if this vote completed the quorum (exactly
   /// once — later votes return false).
   bool record(HostId member);
 
-  [[nodiscard]] bool reached() const noexcept {
-    return static_cast<int>(members_.size()) >= needed_;
-  }
-  [[nodiscard]] int count() const noexcept { return static_cast<int>(members_.size()); }
+  [[nodiscard]] bool reached() const noexcept { return count() >= needed_; }
+  [[nodiscard]] int count() const noexcept { return static_cast<int>(voters_.size()); }
   [[nodiscard]] int needed() const noexcept { return needed_; }
-  [[nodiscard]] bool has(HostId member) const { return members_.contains(member); }
+  [[nodiscard]] bool has(HostId member) const {
+    return std::find(voters_.begin(), voters_.end(), member) != voters_.end();
+  }
 
   /// Members that have voted, in insertion order.
-  [[nodiscard]] const std::vector<HostId>& voters() const noexcept { return order_; }
+  [[nodiscard]] const std::vector<HostId>& voters() const noexcept { return voters_; }
 
-  void reset();
+  /// Forgets every vote (the reserved capacity stays).
+  void reset() noexcept { voters_.clear(); }
 
  private:
   int needed_;
-  std::unordered_set<HostId> members_;
-  std::vector<HostId> order_;
+  std::vector<HostId> voters_;
 };
 
 }  // namespace wan::quorum

@@ -165,9 +165,11 @@ class Env {
   virtual ~Env() = default;
 
   /// Current real time. In simulation this is the global simulated clock; in
-  /// a threaded runtime it is steady-clock time since the fabric's epoch.
-  /// Protocol code must not treat it as a local clock — that is what Clock
-  /// (and its skew bound `b`) is for.
+  /// a threaded runtime it is steady-clock time since the fabric's epoch,
+  /// taken once per dispatch on the worker (a ThreadedEnv's now() is the
+  /// dispatch time). Either way a handler runs at one instant: time does not
+  /// advance within it. Protocol code must not treat it as a local clock —
+  /// that is what Clock (and its skew bound `b`) is for.
   [[nodiscard]] virtual sim::TimePoint now() const = 0;
 
   /// Timer factories. The returned timers fire on this environment.

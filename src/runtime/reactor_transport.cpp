@@ -66,15 +66,8 @@ void ReactorTransport::shutdown() {
 
 bool ReactorTransport::enqueue_frame(std::vector<std::uint8_t> frame,
                                      const ResolvedAddr& dest) {
-  if (!worker().on_thread()) {
-    // Through the inbox. A frame refused by a stopped worker is simply gone,
-    // as it would be in a closed socket.
-    return worker().post(nullptr, [this, frame = std::move(frame), dest]() mutable {
-      enqueue_frame(std::move(frame), dest);
-    });
-  }
   if (out_.size() >= send_queue_limit_) {
-    count_socket_drop("queue_full");
+    count_socket_drop(SocketDrop::kQueueFull);
     recycle_send_buffer(std::move(frame));
     return false;
   }
@@ -160,15 +153,15 @@ void ReactorTransport::flush_outbound() {
         // Hard error on the head datagram: drop its frames, keep going
         // with the rest.
         for (std::size_t i = first[sent]; i < first[sent + 1]; ++i) {
-          count_socket_drop("sendto_error");
+          count_socket_drop(SocketDrop::kSendtoError);
         }
         ++sent;
       }
     }
     for (std::size_t i = 0; i < first[sent]; ++i) {
-      recycle_send_buffer(std::move(out_.front().frame));
-      out_.pop_front();
+      recycle_send_buffer(std::move(out_[i].frame));
     }
+    out_.erase(out_.begin(), out_.begin() + static_cast<std::ptrdiff_t>(first[sent]));
     if (blocked) {
       worker().want_write(true);
       return;

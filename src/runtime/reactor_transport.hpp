@@ -16,7 +16,8 @@
 //     then due timers and posted work; the outbound batch is flushed with
 //     sendmmsg after the receive batch and again at the end of the turn.
 //     Sends made on the worker append to that batch with no lock and no
-//     wakeup; senders on other threads reach it through the worker's inbox.
+//     wakeup; a send made on another thread is posted to the worker whole
+//     (SocketTransport::send).
 //   * Bundled datagrams: consecutive batched frames for the same peer share
 //     one datagram, gathered by scatter iovecs (no copy), up to
 //     net::kBundleBytes; a frame over the cap travels alone. Per
@@ -37,7 +38,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,8 +71,8 @@ class ReactorTransport final : public SocketTransport, private Worker::Io {
 
   ReactorTransport() = default;
 
-  /// Appends to the outbound batch (queue_full past the limit); off the
-  /// worker, through its inbox.
+  /// Appends to the outbound batch (queue_full past the limit). Worker
+  /// thread only.
   bool enqueue_frame(std::vector<std::uint8_t> frame,
                      const ResolvedAddr& dest) override;
 
@@ -85,7 +85,10 @@ class ReactorTransport final : public SocketTransport, private Worker::Io {
   void flush_outbound();
 
   // Worker thread only.
-  std::deque<Outbound> out_;
+  /// The outbound batch, FIFO. A vector, not a deque: sent frames are
+  /// erased from the front and the capacity stays, so queueing allocates
+  /// nothing in steady state.
+  std::vector<Outbound> out_;
   /// kBatch full-size datagram buffers, left untouched until used.
   std::unique_ptr<std::uint8_t[]> recv_storage_;
   std::array<iovec, kBatch> recv_iov_{};

@@ -36,14 +36,15 @@ ReliableChannel::ReliableChannel(SocketTransport& transport,
 ReliableChannel::~ReliableChannel() { transport_.worker().free_timer(timer_); }
 
 void ReliableChannel::set_peer_unreachable(UnreachableFn fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  unreachable_ = std::move(fn);
+  transport_.run_on_worker(
+      [this, fn = std::move(fn)]() mutable { unreachable_ = std::move(fn); });
 }
 
 std::size_t ReliableChannel::in_flight() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [key, flow] : send_flows_) n += flow.pending.size();
+  transport_.run_on_worker([this, &n] {
+    for (const auto& [key, flow] : send_flows_) n += flow.pending.size();
+  });
   return n;
 }
 
@@ -87,38 +88,30 @@ void ReliableChannel::send_reliable(HostId from, HostId to,
       net::kMaxFrameSize) {
     // Checked before a sequence number is burned: the receiver's cumulative
     // watermark would wait forever on a seq that was never transmitted.
-    count_socket_drop("oversize");
+    count_socket_drop(SocketDrop::kOversize);
     return;
   }
 
-  std::vector<std::uint8_t> frame;
-  std::uint64_t sent_seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    SendFlow& flow = send_flows_[flow_key(from.value(), to.value())];
-    const std::uint64_t seq = flow.next_seq++;
-    sent_seq = seq;
-    const auto [cum, bits] = ack_state(flow_key(to.value(), from.value()));
-    const net::ReliableData data(seq, cum, bits, std::move(inner));
-    std::optional<std::vector<std::uint8_t>> outer =
-        codec.encode(from, to, data);
-    WAN_ASSERT(outer.has_value());  // size pre-checked above
-    const auto now = SteadyClock::now();
-    Pending p;
-    p.frame = *outer;
-    p.dest = dest;
-    p.first_sent = now;
-    p.rto = to_chrono(opts_.initial_rto);
-    p.next_due = now + jittered(p.rto);
-    schedule(p.next_due);
-    flow.pending.emplace(seq, std::move(p));
-    frame = std::move(*outer);
-  }
+  SendFlow& flow = send_flows_[flow_key(from.value(), to.value())];
+  const std::uint64_t seq = flow.next_seq++;
+  const auto [cum, bits] = ack_state(flow_key(to.value(), from.value()));
+  const net::ReliableData data(seq, cum, bits, std::move(inner));
+  std::optional<std::vector<std::uint8_t>> outer = codec.encode(from, to, data);
+  WAN_ASSERT(outer.has_value());  // size pre-checked above
+  const auto now = SteadyClock::now();
+  Pending p;
+  p.frame = *outer;
+  p.dest = dest;
+  p.first_sent = now;
+  p.rto = to_chrono(opts_.initial_rto);
+  p.next_due = now + jittered(p.rto);
+  schedule(p.next_due);
+  flow.pending.emplace(seq, std::move(p));
   trace_flow("rel.send", obs::SpanKind::kSend, from.value(), to.value(),
-             static_cast<std::int64_t>(sent_seq));
+             static_cast<std::int64_t>(seq));
   // A false return is a queue-full shed: the pending entry above already
   // guarantees a retransmit picks it up, so the drop only delays.
-  (void)transport_.enqueue_frame(std::move(frame), dest);
+  (void)transport_.enqueue_frame(std::move(*outer), dest);
 }
 
 void ReliableChannel::absorb_ack(std::uint64_t key, std::uint64_t cum,
@@ -154,28 +147,20 @@ void ReliableChannel::absorb_ack(std::uint64_t key, std::uint64_t cum,
 
 void ReliableChannel::send_ack(std::uint32_t data_from,
                                std::uint32_t data_to) {
-  std::uint64_t cum = 0;
-  std::uint64_t bits = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::tie(cum, bits) = ack_state(flow_key(data_from, data_to));
-  }
-  std::optional<ResolvedAddr> dest;
-  {
-    std::lock_guard<std::mutex> lock(transport_.mu_);
-    const auto it = transport_.peers_.find(data_from);
-    if (it != transport_.peers_.end()) dest = it->second;
-  }
-  if (!dest) {
-    count_socket_drop("unknown_dest");
+  const auto [cum, bits] = ack_state(flow_key(data_from, data_to));
+  // The peer table is worker state, and acks are sent on the worker.
+  const auto peer = transport_.peers_.find(data_from);
+  if (peer == transport_.peers_.end()) {
+    count_socket_drop(SocketDrop::kUnknownDest);
     return;
   }
+  const ResolvedAddr dest = peer->second;
   const net::ReliableAck ack(cum, bits);
   const std::optional<std::vector<std::uint8_t>> frame =
       net::CodecRegistry::global().encode(HostId(data_to), HostId(data_from),
                                           ack);
   WAN_ASSERT(frame.has_value());
-  if (transport_.enqueue_frame(std::move(*frame), *dest)) {
+  if (transport_.enqueue_frame(std::move(*frame), dest)) {
     acks_sent_.inc();
     trace_flow("rel.ack", obs::SpanKind::kSend, data_to, data_from,
                static_cast<std::int64_t>(cum));
@@ -185,37 +170,26 @@ void ReliableChannel::send_ack(std::uint32_t data_from,
 void ReliableChannel::on_data(std::uint32_t from_value,
                               std::uint32_t to_value,
                               const net::ReliableData& data) {
-  bool duplicate = false;
-  bool out_of_window = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Piggybacked ack: a data frame A -> B acknowledges the flow B -> A.
-    absorb_ack(flow_key(to_value, from_value), data.cum_ack, data.ack_bits,
-               SteadyClock::now());
-    RecvFlow& flow = recv_flows_[flow_key(from_value, to_value)];
-    if (data.seq <= flow.cum || flow.above.count(data.seq) != 0) {
-      duplicate = true;
-    } else if (data.seq > flow.cum + opts_.recv_window) {
-      // A gap this large is hostile or pathological; accepting it would let
-      // a forged seq pin unbounded dedup state. Dropped un-acked — the
-      // sender retransmits once the window advances.
-      out_of_window = true;
-    } else {
-      flow.above.insert(data.seq);
-      while (!flow.above.empty() && *flow.above.begin() == flow.cum + 1) {
-        flow.above.erase(flow.above.begin());
-        ++flow.cum;
-      }
-    }
-  }
-  if (out_of_window) {
-    count_socket_drop("seq_out_of_window");
-    return;
-  }
-  if (duplicate) {
+  // Piggybacked ack: a data frame A -> B acknowledges the flow B -> A.
+  absorb_ack(flow_key(to_value, from_value), data.cum_ack, data.ack_bits,
+             SteadyClock::now());
+  RecvFlow& flow = recv_flows_[flow_key(from_value, to_value)];
+  if (data.seq <= flow.cum || flow.above.count(data.seq) != 0) {
     dup_drops_.inc();
     send_ack(from_value, to_value);  // the original ack may have been lost
     return;
+  }
+  if (data.seq > flow.cum + opts_.recv_window) {
+    // A gap this large is hostile or pathological; accepting it would let a
+    // forged seq pin unbounded dedup state. Dropped un-acked — the sender
+    // retransmits once the window advances.
+    count_socket_drop(SocketDrop::kSeqOutOfWindow);
+    return;
+  }
+  flow.above.insert(data.seq);
+  while (!flow.above.empty() && *flow.above.begin() == flow.cum + 1) {
+    flow.above.erase(flow.above.begin());
+    ++flow.cum;
   }
 
   // Unwrap. The envelope promised a complete frame; validate it like any
@@ -225,12 +199,12 @@ void ReliableChannel::on_data(std::uint32_t from_value,
       data.inner.data(), data.inner.size());
   send_ack(from_value, to_value);  // received either way; stop retransmits
   if (!inner.ok()) {
-    count_socket_drop(net::to_cstring(inner.error));
+    count_socket_drop(inner.error);
     return;
   }
   if (inner.frame->from.value() != from_value ||
       inner.frame->to.value() != to_value) {
-    count_socket_drop("reliable_inner_mismatch");
+    count_socket_drop(SocketDrop::kReliableInnerMismatch);
     return;
   }
   transport_.collect(from_value, to_value, inner.frame->msg);
@@ -238,7 +212,6 @@ void ReliableChannel::on_data(std::uint32_t from_value,
 
 void ReliableChannel::on_ack(std::uint32_t from_value, std::uint32_t to_value,
                              const net::ReliableAck& ack) {
-  std::lock_guard<std::mutex> lock(mu_);
   // An ack frame B -> A acknowledges the flow A -> B.
   absorb_ack(flow_key(to_value, from_value), ack.cum_ack, ack.ack_bits,
              SteadyClock::now());
@@ -251,10 +224,8 @@ void ReliableChannel::schedule(SteadyClock::time_point due) {
 }
 
 void ReliableChannel::sweep() {
-  std::unique_lock<std::mutex> lock(mu_);
   armed_ = SteadyClock::time_point::max();
   const auto now = SteadyClock::now();
-  std::vector<std::pair<std::vector<std::uint8_t>, ResolvedAddr>> resend;
   std::map<std::uint32_t, std::size_t> dead;  ///< peer -> abandoned count
   for (auto& [key, flow] : send_flows_) {
     const auto flow_from = static_cast<std::uint32_t>(key >> 32);
@@ -282,19 +253,16 @@ void ReliableChannel::sweep() {
                        to_chrono(opts_.max_rto));
       p.next_due = now + jittered(p.rto);
       schedule(p.next_due);
-      resend.emplace_back(p.frame, p.dest);
+      retransmits_.inc();
+      // Queue-full sheds are fine: the entry is still pending and the next
+      // backoff interval retries.
+      (void)transport_.enqueue_frame(p.frame, p.dest);
       ++it;
     }
   }
-  const UnreachableFn unreachable = unreachable_;
-  lock.unlock();
-  for (auto& [frame, dest] : resend) {
-    retransmits_.inc();
-    // Queue-full sheds are fine: the entry is still pending and the next
-    // backoff interval retries.
-    (void)transport_.enqueue_frame(std::move(frame), dest);
-  }
-  if (unreachable != nullptr) {
+  if (unreachable_ != nullptr) {
+    // A copy: the callback may replace itself.
+    const UnreachableFn unreachable = unreachable_;
     for (const auto& [peer, abandoned] : dead) {
       unreachable(HostId(peer), abandoned);
     }

@@ -31,10 +31,11 @@
 // message, or an explicit peer_unreachable.
 //
 // Threading: the send path, the receive path and the retransmit sweep (one
-// worker timer at the earliest deadline) all run on the fabric's worker; one
-// mutex guards the flow tables against callers on other threads. Frames go
-// to the transport's bounded outbound batch outside it, and a queue-full
-// shed of a reliable frame is recovered by the next retransmit.
+// worker timer at the earliest deadline) all run on the fabric's worker,
+// and the flow tables are worker state with no lock, like the transport's
+// routing tables. set_peer_unreachable() and in_flight() called off the
+// worker hop onto it. A queue-full shed of a reliable frame is recovered by
+// the next retransmit.
 //
 // Observability: wan_retransmits_total, wan_acks_total (ack frames sent),
 // wan_dup_drops_total (receive-side dedup), wan_reliable_expired_total
@@ -46,7 +47,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -66,7 +66,7 @@ namespace wan::runtime {
 
 class ReliableChannel {
  public:
-  /// Fired (off-lock, on the worker) when a peer exhausts the retry budget;
+  /// Fired (on the worker) when a peer exhausts the retry budget;
   /// `abandoned` counts the frames dropped for it in this sweep.
   using UnreachableFn = std::function<void(HostId peer, std::size_t abandoned)>;
   /// The channel of `transport`: frames go to its outbound batch, acks to
@@ -132,15 +132,14 @@ class ReliableChannel {
   };
   static constexpr std::uint64_t kFlowHashSeed = 0x57414e464c4f5753ULL;
 
-  /// Next interval: rto * backoff^(n) clamped to max, +/- jitter. mu_ held.
+  /// Next interval: rto * backoff^(n) clamped to max, +/- jitter.
   std::chrono::nanoseconds jittered(std::chrono::nanoseconds rto);
-  /// Ack state of the receive flow (from -> to). mu_ held.
+  /// Ack state of the receive flow (from -> to).
   std::pair<std::uint64_t, std::uint64_t> ack_state(std::uint64_t key) const;
-  /// Applies a cumulative + selective ack to a send flow. mu_ held.
+  /// Applies a cumulative + selective ack to a send flow.
   void absorb_ack(std::uint64_t key, std::uint64_t cum, std::uint64_t bits,
                   SteadyClock::time_point now);
   /// Encodes and enqueues a pure ack for the flow (data_from -> data_to).
-  /// Called outside mu_.
   void send_ack(std::uint32_t data_from, std::uint32_t data_to);
 
   /// Flow-level span (trace 0: the channel is beneath the causal chains it
@@ -149,7 +148,6 @@ class ReliableChannel {
                   std::uint32_t to, std::int64_t a1) const noexcept;
 
   /// Arms the retransmit timer for `due` unless it is already due sooner.
-  /// mu_ held.
   void schedule(SteadyClock::time_point due);
   /// Retransmits and expires what is due, then re-arms (worker thread).
   void sweep();
@@ -158,12 +156,12 @@ class ReliableChannel {
   const ReliabilityOptions opts_;
   const std::uint32_t timer_;
 
-  mutable std::mutex mu_;
+  // Worker thread only.
   SteadyClock::time_point armed_ = SteadyClock::time_point::max();
   std::unordered_map<std::uint64_t, SendFlow, FlowHash> send_flows_;
   std::unordered_map<std::uint64_t, RecvFlow, FlowHash> recv_flows_;
   Rng jitter_rng_;
-  UnreachableFn unreachable_;  ///< written before the first send in practice
+  UnreachableFn unreachable_;
 
   obs::Counter& retransmits_;
   obs::Counter& acks_sent_;

@@ -6,6 +6,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -92,10 +94,46 @@ obs::Counter& socket_delivery_handoffs() {
   return c;
 }
 
-void count_socket_drop(const char* reason) {
-  obs::Registry::global()
-      .counter(std::string("wan_udp_drops_total{reason=\"") + reason + "\"}")
-      .inc();
+namespace {
+
+// Counter names of the SocketDrop values, in enum order. The decode
+// rejects follow them in the counter table, named by net::to_cstring.
+constexpr std::array<const char*, 11> kDropReasons = {
+    "queue_full",        "oversize",      "unregistered_type",
+    "unknown_dest",      "endpoint_down", "blocked",
+    "not_local",         "sendto_error",  "injected_loss",
+    "seq_out_of_window", "reliable_inner_mismatch"};
+static_assert(kDropReasons.size() ==
+              static_cast<std::size_t>(SocketDrop::kReliableInnerMismatch) + 1);
+constexpr std::size_t kDecodeDropBase = kDropReasons.size();
+constexpr std::size_t kDropCounters =
+    kDecodeDropBase + static_cast<std::size_t>(net::DecodeError::kMalformed) + 1;
+
+std::array<std::atomic<obs::Counter*>, kDropCounters> drop_counters{};
+
+void count_drop_at(std::size_t i) {
+  obs::Counter* c = drop_counters[i].load(std::memory_order_acquire);
+  if (c == nullptr) {
+    // Racing first drops resolve the same registry handle.
+    const char* reason =
+        i < kDecodeDropBase
+            ? kDropReasons[i]
+            : net::to_cstring(static_cast<net::DecodeError>(i - kDecodeDropBase));
+    c = &obs::Registry::global().counter(
+        std::string("wan_udp_drops_total{reason=\"") + reason + "\"}");
+    drop_counters[i].store(c, std::memory_order_release);
+  }
+  c->inc();
+}
+
+}  // namespace
+
+void count_socket_drop(SocketDrop reason) {
+  count_drop_at(static_cast<std::size_t>(reason));
+}
+
+void count_socket_drop(net::DecodeError error) {
+  count_drop_at(kDecodeDropBase + static_cast<std::size_t>(error));
 }
 
 // ---------------------------------------------------------------------------
@@ -253,6 +291,13 @@ bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
 
 void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
   WAN_REQUIRE(msg != nullptr);
+  if (!worker().on_thread()) {
+    // Routing, encoding and the outbound batch are worker state.
+    worker().post(nullptr, [this, from, to, msg = std::move(msg)]() mutable {
+      send(from, to, std::move(msg));
+    });
+    return;
+  }
   static obs::Counter& sends =
       obs::Registry::global().counter("wan_env_sends_total{env=\"reactor\"}");
   sends.inc();
@@ -263,8 +308,8 @@ void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
   if (!net::CodecRegistry::global().encode_into(from, to, *msg, &frame,
                                                 &error)) {
     count_socket_drop(error == net::CodecRegistry::EncodeError::kUnregistered
-                          ? "unregistered_type"
-                          : "oversize");
+                          ? SocketDrop::kUnregisteredType
+                          : SocketDrop::kOversize);
     recycle_send_buffer(std::move(frame));
     return;
   }
@@ -276,14 +321,14 @@ void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
 }
 
 std::vector<std::uint8_t> SocketTransport::take_send_buffer() {
-  if (!worker().on_thread() || pool_.empty()) return {};
+  if (pool_.empty()) return {};
   std::vector<std::uint8_t> buf = std::move(pool_.back());
   pool_.pop_back();
   return buf;
 }
 
 void SocketTransport::recycle_send_buffer(std::vector<std::uint8_t>&& buf) {
-  if (worker().on_thread() && pool_.size() < send_queue_limit_) {
+  if (pool_.size() < send_queue_limit_) {
     pool_.push_back(std::move(buf));
   }
 }
@@ -296,67 +341,70 @@ ReliableChannel* SocketTransport::reliable_channel() noexcept {
   return reliable_.get();
 }
 
+void SocketTransport::run_on_worker(Worker::Fn fn) {
+  if (worker().on_thread()) {
+    fn();
+  } else {
+    worker().run_sync(nullptr, std::move(fn));
+  }
+}
+
 void SocketTransport::attach(HostId id, Worker::Node* node,
                              Transport::Handler handler) {
   WAN_REQUIRE(id.valid());
   WAN_REQUIRE(handler != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  endpoints_[id] = Endpoint{
-      node,
-      std::make_shared<const Transport::Handler>(std::move(handler)), false};
+  auto shared = std::make_shared<const Transport::Handler>(std::move(handler));
+  run_on_worker([this, id, node, shared = std::move(shared)]() mutable {
+    endpoints_[id] = Endpoint{node, std::move(shared), false};
+  });
 }
 
 void SocketTransport::set_endpoint_down(HostId id, bool down) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = endpoints_.find(id);
-  WAN_REQUIRE(it != endpoints_.end());
-  it->second.down = down;
+  run_on_worker([this, id, down] {
+    const auto it = endpoints_.find(id);
+    WAN_REQUIRE(it != endpoints_.end());
+    it->second.down = down;
+  });
 }
 
 bool SocketTransport::add_peer(HostId id, const NodeAddress& addr) {
   const std::optional<std::uint32_t> ip_be = resolve_host(addr.host, nullptr);
   if (!ip_be) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  peers_[id.value()] = ResolvedAddr{*ip_be, htons(addr.port)};
+  const ResolvedAddr resolved{*ip_be, htons(addr.port)};
+  run_on_worker([this, id, resolved] { peers_[id.value()] = resolved; });
   return true;
 }
 
 void SocketTransport::block_inbound_from(HostId peer, bool blocked) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (blocked) {
-    blocked_sources_.insert(peer.value());
-  } else {
-    blocked_sources_.erase(peer.value());
-  }
+  run_on_worker([this, peer, blocked] {
+    if (blocked) {
+      blocked_sources_.insert(peer.value());
+    } else {
+      blocked_sources_.erase(peer.value());
+    }
+  });
 }
 
 void SocketTransport::set_fault_plan(const FaultPlan& plan) {
-  // The plan is worker state, like the receive path that draws from it.
-  const auto apply = [this, plan] {
+  run_on_worker([this, plan] {
     fault_plan_ = plan;
     fault_rng_ = Rng(plan.seed);
     faults_armed_ =
         plan.loss > 0.0 || plan.duplicate > 0.0 || plan.reorder > 0.0;
     held_.reset();
-  };
-  if (worker().on_thread()) {
-    apply();
-  } else {
-    worker().run_sync(nullptr, apply);
-  }
+  });
 }
 
 std::optional<ResolvedAddr> SocketTransport::route_for_send(HostId from,
                                                             HostId to) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto src = endpoints_.find(from);
   if (src == endpoints_.end() || src->second.down) {
-    count_socket_drop("endpoint_down");
+    count_socket_drop(SocketDrop::kEndpointDown);
     return std::nullopt;
   }
   const auto peer = peers_.find(to.value());
   if (peer == peers_.end()) {
-    count_socket_drop("unknown_dest");
+    count_socket_drop(SocketDrop::kUnknownDest);
     return std::nullopt;
   }
   return peer->second;
@@ -375,7 +423,7 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
       const net::CodecRegistry::Decoded decoded = codec.decode(d.data + off, n);
       off += n;
       if (!decoded.ok()) {
-        count_socket_drop(net::to_cstring(decoded.error));
+        count_socket_drop(decoded.error);
         continue;
       }
       ++frames;
@@ -386,22 +434,20 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
   socket_frames_received().inc(frames);
   if (staged_.empty()) return;
 
-  // One routing pass under mu_ per batch: mark blocked sources, and look up
-  // each destination endpoint once.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Staged& f : staged_) {
-      f.blocked = blocked_sources_.count(f.from) != 0;
-      if (f.blocked || handoff_for(f.to) != nullptr) continue;
-      Handoff& h = handoffs_.emplace_back();
-      h.to = f.to;
-      if (const auto it = endpoints_.find(HostId(f.to));
-          it != endpoints_.end()) {
-        h.node = it->second.node;
-        h.handler = it->second.handler;
-        h.down = it->second.down;
-      }
-    }
+  // One routing pass per batch: mark blocked sources, and look up each
+  // destination endpoint once.
+  for (Staged& f : staged_) {
+    f.blocked =
+        !blocked_sources_.empty() && blocked_sources_.count(f.from) != 0;
+    if (f.blocked || handoff_for(f.to) != nullptr) continue;
+    if (live_handoffs_ == handoffs_.size()) handoffs_.emplace_back();
+    Handoff& h = handoffs_[live_handoffs_++];
+    h.to = f.to;
+    const auto it = endpoints_.find(HostId(f.to));
+    const bool local = it != endpoints_.end();
+    h.node = local ? it->second.node : nullptr;
+    h.handler = local ? it->second.handler : nullptr;
+    h.down = local && it->second.down;
   }
 
   for (Staged& f : staged_) {
@@ -409,7 +455,7 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
     // frame: a one-way partition must swallow the envelope too, or the ack
     // it triggers would defeat the cut the test armed.
     if (f.blocked) {
-      count_socket_drop("blocked");
+      count_socket_drop(SocketDrop::kBlocked);
       continue;
     }
     if (reliable_ != nullptr) {
@@ -431,19 +477,26 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
   }
   staged_.clear();
 
-  // Handlers run here, on the worker. Nothing above is held across them, so
-  // they may send, post, arm timers, or stop their own node (the rest of its
+  // Handlers run here, on the worker, one dispatch per node. They may
+  // send, post, arm timers, or stop their own node (the rest of its
   // messages are then skipped).
-  for (Handoff& h : handoffs_) {
+  const std::span<Handoff> live(handoffs_.data(), live_handoffs_);
+  for (Handoff& h : live) {
     if (h.msgs.empty()) continue;
     socket_deliveries().inc(h.msgs.size());
     socket_delivery_handoffs().inc();
+    worker().new_dispatch();
     for (const auto& [from, msg] : h.msgs) {
       if (!h.node->live()) break;
       (*h.handler)(from, msg);
     }
   }
-  handoffs_.clear();
+  // Keep each list's capacity for the next batch.
+  for (Handoff& h : live) {
+    h.msgs.clear();
+    h.handler.reset();
+  }
+  live_handoffs_ = 0;
 }
 
 void SocketTransport::stage(std::uint32_t from, std::uint32_t to,
@@ -453,7 +506,7 @@ void SocketTransport::stage(std::uint32_t from, std::uint32_t to,
     return;
   }
   if (fault_rng_.next_bool(fault_plan_.loss)) {
-    count_socket_drop("injected_loss");
+    count_socket_drop(SocketDrop::kInjectedLoss);
     return;
   }
   if (!held_.has_value() && fault_rng_.next_bool(fault_plan_.reorder)) {
@@ -470,8 +523,8 @@ void SocketTransport::stage(std::uint32_t from, std::uint32_t to,
 }
 
 SocketTransport::Handoff* SocketTransport::handoff_for(std::uint32_t to) {
-  for (Handoff& h : handoffs_) {
-    if (h.to == to) return &h;
+  for (std::size_t i = 0; i < live_handoffs_; ++i) {
+    if (handoffs_[i].to == to) return &handoffs_[i];
   }
   return nullptr;
 }
@@ -480,11 +533,11 @@ void SocketTransport::collect(std::uint32_t from, std::uint32_t to,
                               net::MessagePtr msg) {
   Handoff* h = handoff_for(to);
   if (h == nullptr || h->handler == nullptr) {
-    count_socket_drop("not_local");
+    count_socket_drop(SocketDrop::kNotLocal);
     return;
   }
   if (h->down) {
-    count_socket_drop("endpoint_down");
+    count_socket_drop(SocketDrop::kEndpointDown);
     return;
   }
   h->msgs.emplace_back(HostId(from), std::move(msg));

@@ -9,10 +9,15 @@
 // subclass this base with a socketless fake that feeds on_datagrams() on its
 // worker.
 //
-// Threading: the receive path, the handlers it runs and sends made by those
-// handlers all run on the fabric's one worker thread (runtime/worker.hpp).
-// mu_ guards the endpoint, peer and blocked-source tables, which control
-// calls from other threads change; the encode-buffer pool is worker-only.
+// Threading: everything here is worker state and takes no lock. The
+// receive path, the handlers it runs and sends made by those handlers all
+// run on the fabric's one worker thread (runtime/worker.hpp), and so do the
+// endpoint, peer and blocked-source tables, the encode-buffer pool and the
+// fault plan. Called off the worker, the control calls (attach, add_peer,
+// set_endpoint_down, block_inbound_from, set_fault_plan) hop onto it with
+// Worker::run_sync and return once applied, and send() posts the whole send
+// to it. After shutdown() the worker runs nothing more, so those calls are
+// no-ops.
 //
 // The wire protocol is net::CodecRegistry frames, one or more whole frames
 // per datagram (docs/WIRE_FORMAT.md). The receive path hands each receive
@@ -38,7 +43,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -127,6 +131,7 @@ class SocketTransport : public Fabric {
   /// reliability layer enabled (EnvOptions::reliability), messages whose
   /// net::Message::reliable() is true travel wrapped in the ack/retransmit
   /// envelope; heartbeats and the envelope itself stay fire-and-forget.
+  /// Called off the worker, the whole send is posted to it.
   void send(HostId from, HostId to, net::MessagePtr msg) override;
 
   void attach(HostId id, Worker::Node* node,
@@ -192,19 +197,19 @@ class SocketTransport : public Fabric {
 
   /// Route lookup for a send; nullopt counts the unknown_dest drop.
   /// Additionally verifies the source endpoint is attached and up
-  /// (endpoint_down drop otherwise).
+  /// (endpoint_down drop otherwise). Worker thread only.
   std::optional<ResolvedAddr> route_for_send(HostId from, HostId to);
 
   /// Hands one encoded frame to the bounded outbound batch. Returns false
   /// on a queue-full shed (counted as queue_full by the implementation).
-  /// Called on the worker, and by senders on other threads.
+  /// Worker thread only.
   virtual bool enqueue_frame(std::vector<std::uint8_t> frame,
                              const ResolvedAddr& dest) = 0;
 
   /// The encode-buffer pool: send() encodes into a buffer taken here, and
   /// the subclass returns it once the frame is on the wire, so the
-  /// steady-state send path allocates nothing. Capped at the queue limit;
-  /// worker-only (elsewhere take hands out a fresh buffer, recycle frees).
+  /// steady-state send path allocates nothing. Capped at the queue limit.
+  /// Worker thread only.
   std::vector<std::uint8_t> take_send_buffer();
   void recycle_send_buffer(std::vector<std::uint8_t>&& buf);
 
@@ -215,11 +220,12 @@ class SocketTransport : public Fabric {
   /// fault plan (if armed), blocked-source filtering and the reliability
   /// layer's envelope handling (when enabled); every reject class lands in
   /// its labelled drop counter. The survivors are grouped by destination
-  /// endpoint (looked up under one mu_ acquisition per batch) and each
-  /// endpoint's handler runs inline over its messages in arrival order,
-  /// skipping the rest once the node stops. The fault plan runs before the
-  /// reliability layer, so injected loss hits the envelope and
-  /// retransmission is what recovers it. Worker thread only.
+  /// endpoint (looked up once per batch) and each endpoint's handler runs
+  /// inline over its messages in arrival order, as one dispatch
+  /// (Worker::new_dispatch), skipping the rest once the node stops. The
+  /// fault plan runs before the reliability layer, so injected loss hits
+  /// the envelope and retransmission is what recovers it. Worker thread
+  /// only.
   void on_datagrams(std::span<const Datagram> batch);
 
   int fd_ = -1;
@@ -227,7 +233,7 @@ class SocketTransport : public Fabric {
   std::size_t send_queue_limit_ = 1024;
   std::unique_ptr<ReliableChannel> reliable_;  ///< nullptr when disabled
 
-  mutable std::mutex mu_;
+  // Routing tables, worker thread only.
   std::unordered_map<HostId, Endpoint> endpoints_;
   std::unordered_map<std::uint32_t, ResolvedAddr> peers_;  ///< HostId value
   std::unordered_set<std::uint32_t> blocked_sources_;
@@ -246,8 +252,9 @@ class SocketTransport : public Fabric {
   std::optional<Staged> held_;  ///< reordered frame awaiting the next one
 
  private:
-  // Per-batch scratch of on_datagrams(), worker thread only (kept as
-  // members so their capacity is reused batch to batch).
+  // Per-batch scratch of on_datagrams(), worker thread only. Kept as
+  // members, and handoffs_ entries (with their message lists) are reused
+  // rather than destroyed, so a steady stream allocates nothing per batch.
   struct Handoff {
     std::uint32_t to = 0;
     Worker::Node* node = nullptr;
@@ -263,18 +270,41 @@ class SocketTransport : public Fabric {
   void collect(std::uint32_t from, std::uint32_t to, net::MessagePtr msg);
   /// This batch's handoff list for `to`, or nullptr.
   Handoff* handoff_for(std::uint32_t to);
+  /// Runs `fn` on the worker: inline there, else through run_sync (dropped
+  /// once the worker has stopped).
+  void run_on_worker(Worker::Fn fn);
   std::vector<Staged> staged_;
-  std::vector<Handoff> handoffs_;
+  std::vector<Handoff> handoffs_;  ///< [0, live_handoffs_) in this batch
+  std::size_t live_handoffs_ = 0;
 
   std::vector<std::vector<std::uint8_t>> pool_;  ///< free encode buffers
 };
 
-/// Shared drop accounting: wan_udp_drops_total{reason=...}. Reasons are
-/// queue_full, oversize, unregistered_type, unknown_dest, endpoint_down,
-/// blocked, not_local, sendto_error, injected_loss, seq_out_of_window,
-/// reliable_inner_mismatch, or a codec DecodeError string. Drops are rare,
-/// so the per-call registry lookup is fine.
-void count_socket_drop(const char* reason);
+/// Why the socket fabric dropped a frame; counted in
+/// wan_udp_drops_total{reason="..."} under the snake_case name of each
+/// value (queue_full, oversize, ..., reliable_inner_mismatch), and the
+/// decode rejects under their net::DecodeError string (truncated,
+/// bad_magic, bad_version, unknown_tag, malformed).
+enum class SocketDrop : std::uint8_t {
+  kQueueFull,
+  kOversize,
+  kUnregisteredType,
+  kUnknownDest,
+  kEndpointDown,
+  kBlocked,
+  kNotLocal,
+  kSendtoError,
+  kInjectedLoss,
+  kSeqOutOfWindow,
+  kReliableInnerMismatch,
+};
+
+/// Shared drop accounting. Each reason's counter is resolved once, at its
+/// first drop, and kept in a fixed table, so a drop is one atomic add: the
+/// receive path counts every fuzzed or spoofed datagram, at a rate the
+/// sender chooses.
+void count_socket_drop(SocketDrop reason);
+void count_socket_drop(net::DecodeError error);
 
 /// Hot counters of the socket fabric. Frames count decoded (or
 /// sent) protocol frames, datagrams count kernel datagrams, so frames /

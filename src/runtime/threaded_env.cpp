@@ -29,6 +29,8 @@ class WorkerTimer final : public TimerImpl, public PeriodicTimerImpl {
       : worker_(std::move(worker)), slot_(worker_->new_timer(node)) {}
   ~WorkerTimer() override { worker_->free_timer(slot_); }
 
+  // Arming reads the clock itself rather than using the dispatch time, so
+  // a deadline is never earlier than the real arm time plus the delay.
   void arm(sim::Duration delay, std::function<void()> fn) override {
     threaded_timer_arms().inc();
     worker_->arm(slot_, SteadyClock::now() + to_chrono(delay), std::move(fn));
@@ -71,9 +73,10 @@ void ThreadedEnv::multicast(HostId from, const std::vector<HostId>& to,
 }
 
 sim::TimePoint ThreadedEnv::now() const {
+  const SteadyClock::time_point t =
+      worker_->on_thread() ? worker_->dispatch_time() : SteadyClock::now();
   return sim::TimePoint::from_nanos(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          SteadyClock::now() - fabric_.epoch())
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t - fabric_.epoch())
           .count());
 }
 

@@ -17,7 +17,13 @@
 //
 // Time: sim::TimePoint, measured from the fabric's construction instant on
 // the steady clock, so timestamps from different nodes compare (per-node
-// *local* clock skew stays in runtime::Clock / clk::LocalClock on top).
+// *local* clock skew stays in runtime::Clock / clk::LocalClock on top). On
+// the worker, now() is the dispatch time (Worker::dispatch_time): every
+// read in one handler, timer shot or posted closure returns the same
+// instant, as under SimEnv, and the clock is read once per dispatch. Off
+// the worker, now() reads the clock. Timers still arm from a fresh clock
+// reading, so a deadline is never earlier than the real arm time plus the
+// delay.
 //
 // Teardown discipline: call stop() (or Fabric::stop_all()) on every env
 // BEFORE destroying the protocol modules attached to it — a stopped node

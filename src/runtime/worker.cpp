@@ -248,6 +248,7 @@ void Worker::loop() {
         ::epoll_wait(epoll_fd_, events, 4, ready_.empty() ? -1 : 0);
     if (n < 0 && errno != EINTR) return;
     std::uint32_t io_events = 0;
+    bool timer_fired = false;
     for (int i = 0; i < n; ++i) {
       if (events[i].data.u32 == kIoTag) {
         io_events = events[i].events;
@@ -256,12 +257,19 @@ void Worker::loop() {
       std::uint64_t drained = 0;
       const int fd = events[i].data.u32 == kWakeTag ? wake_fd_ : timer_fd_;
       [[maybe_unused]] const ssize_t r = ::read(fd, &drained, sizeof drained);
-      if (fd == timer_fd_) timerfd_at_ = SteadyTP::max();
+      if (fd == timer_fd_) {
+        timerfd_at_ = SteadyTP::max();
+        timer_fired = true;
+      }
     }
     if (stopping_.load(std::memory_order_acquire)) return;
     Io* io = io_.load(std::memory_order_acquire);
+    new_dispatch();
     if (io != nullptr && io_events != 0) io->on_ready(io_events);
-    run_timers();
+    // The timerfd always holds the earliest deadline (rearm_timerfd below;
+    // a deadline already past fires at once), so until it fires no timer
+    // can be due.
+    if (timer_fired) run_timers();
     run_posted();
     if (io != nullptr) io->end_turn();
     rearm_timerfd();
@@ -285,6 +293,10 @@ void Worker::prune_top() {
 
 void Worker::run_timers() {
   const SteadyTP now = SteadyClock::now();
+  // The first shot runs at the reading that found it due; later ones stamp
+  // themselves on first use, as any dispatch does.
+  stamp_ = now;
+  stamped_ = true;
   for (;;) {
     Fn fn;
     Node* node = nullptr;
@@ -299,12 +311,13 @@ void Worker::run_timers() {
       node = s.node;
       if (s.period.count() > 0 && (node == nullptr || node->live())) {
         fn = s.fn;  // the slot keeps its callback for the next shot
-        push_due(SteadyClock::now() + s.period, slot);
+        push_due(dispatch_time() + s.period, slot);
       } else {
         fn = disarm(slot);
       }
     }
     if (node == nullptr || node->live()) fn();
+    new_dispatch();
   }
 }
 
@@ -317,7 +330,10 @@ void Worker::run_posted() {
                   std::make_move_iterator(ready_.end()));
   ready_.clear();
   for (Posted& p : running_) {
-    if (p.node == nullptr || p.node->live()) p.fn();
+    if (p.node == nullptr || p.node->live()) {
+      new_dispatch();
+      p.fn();
+    }
   }
   running_.clear();
 }

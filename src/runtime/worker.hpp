@@ -15,6 +15,15 @@
 // at once, stale entries are skipped when they surface, and the heap is
 // compacted when they outnumber live ones. A Node's stop flag, checked
 // before every post, timer and inline delivery runs, makes stops per node.
+//
+// Dispatch time: a dispatch is one posted closure, one timer shot, or one
+// node's run over its messages in a receive batch (the I/O source marks
+// those with new_dispatch()). dispatch_time() reads the steady clock once
+// per dispatch, at its first call, and returns that stamp until the next
+// dispatch begins; the first timer shot of a turn is stamped with the
+// reading that found it due. So a handler runs at one instant, and a later
+// dispatch sees a later one. Due timers are only looked for when the
+// timerfd has fired, so a turn with no timer due reads no clock.
 #pragma once
 
 #include <atomic>
@@ -59,6 +68,19 @@ class Worker {
 
   /// True on this worker's loop thread.
   [[nodiscard]] bool on_thread() const noexcept;
+
+  /// The current dispatch's time (see the header comment): the clock is
+  /// read at the first call in a dispatch only. Worker thread only.
+  [[nodiscard]] SteadyTP dispatch_time() noexcept {
+    if (!stamped_) {
+      stamp_ = SteadyClock::now();
+      stamped_ = true;
+    }
+    return stamp_;
+  }
+  /// Starts a new dispatch: the next dispatch_time() reads the clock afresh.
+  /// Worker thread only.
+  void new_dispatch() noexcept { stamped_ = false; }
 
   /// A new node context, valid for the worker's lifetime.
   Node* add_node();
@@ -154,6 +176,8 @@ class Worker {
   std::size_t live_timers_ = 0;
 
   // Worker thread only.
+  SteadyTP stamp_{};  ///< the current dispatch's time, once stamped_
+  bool stamped_ = false;
   bool want_write_ = false;
   SteadyTP timerfd_at_ = SteadyTP::max();  ///< deadline the timerfd holds
   std::vector<Posted> ready_;    ///< posts made on the worker

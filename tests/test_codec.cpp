@@ -7,12 +7,16 @@
 // documented in docs/WIRE_FORMAT.md; tags are frozen there.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -653,6 +657,90 @@ TEST(CodecReject, OversizePayloadFailsEncode) {
   EXPECT_FALSE(CodecRegistry::global().encode_into(HostId(1), HostId(2),
                                                    Unwired{}, &out, &error));
   EXPECT_EQ(error, CodecRegistry::EncodeError::kUnregistered);
+}
+
+/// A message whose type is chosen at run time, so one class can stand for
+/// any number of registered types.
+struct RaceProbe final : net::Message {
+  RaceProbe(net::TypeId t, std::uint64_t v) : type(t), value(v) {}
+  [[nodiscard]] std::string type_name() const override {
+    return net::TypeId::name_of(type.value());
+  }
+  [[nodiscard]] net::TypeId type_id() const override { return type; }
+  net::TypeId type;
+  std::uint64_t value;
+};
+
+// Lookups take no lock. Several threads encode and decode through a
+// registry while another registers new tags: every published type round
+// trips, and a decode of the tag being registered right now sees it either
+// not at all or complete.
+TEST(CodecRegistry, LookupsRunConcurrentlyWithRegistration) {
+  constexpr int kTypes = 48;
+  constexpr net::WireTag kFirstTag = 200;
+  auto reg = std::make_unique<CodecRegistry>();
+  std::vector<net::TypeId> types;
+  for (int k = 0; k < kTypes; ++k) {
+    types.push_back(net::TypeId::intern("CodecRaceProbe" + std::to_string(k)));
+  }
+  const auto register_type = [&](int k) {
+    const net::TypeId type = types[static_cast<std::size_t>(k)];
+    reg->register_codec(
+        static_cast<net::WireTag>(kFirstTag + k), type,
+        [](const net::Message& m, net::WireWriter& w) {
+          w.u64(static_cast<const RaceProbe&>(m).value);
+        },
+        [type](net::WireReader& r) -> net::MessagePtr {
+          return net::make_message<RaceProbe>(type, r.u64());
+        });
+  };
+  register_type(0);
+
+  std::atomic<int> published{0};  // types [0, published] are registered
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<std::uint8_t> frame;
+      for (std::uint64_t i = 0; !stop.load(); ++i) {
+        const int last = published.load(std::memory_order_acquire);
+        const int k = static_cast<int>((i + static_cast<std::uint64_t>(t)) %
+                                       static_cast<std::uint64_t>(last + 1));
+        const RaceProbe msg(types[static_cast<std::size_t>(k)], i);
+        if (!reg->encode_into(HostId(1), HostId(2), msg, &frame)) {
+          ++failures;
+          continue;
+        }
+        const CodecRegistry::Decoded d = reg->decode(frame.data(), frame.size());
+        if (!d.ok() || d.frame->msg->type_id().value() != msg.type.value() ||
+            static_cast<const RaceProbe&>(*d.frame->msg).value != i) {
+          ++failures;
+        }
+        // The next tag, possibly mid-registration: unknown or whole.
+        if (last + 1 < kTypes) {
+          const auto next = static_cast<net::WireTag>(kFirstTag + last + 1);
+          std::memcpy(frame.data() + 4, &next, sizeof next);
+          const CodecRegistry::Decoded n =
+              reg->decode(frame.data(), frame.size());
+          if (n.ok() ? n.frame->msg->type_id().value() !=
+                           types[static_cast<std::size_t>(last + 1)].value()
+                     : n.error != DecodeError::kUnknownTag) {
+            ++failures;
+          }
+        }
+      }
+    });
+  }
+  for (int k = 1; k < kTypes; ++k) {
+    register_type(k);
+    published.store(k, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  stop = true;
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(reg->registered_count(), static_cast<std::size_t>(kTypes));
 }
 
 }  // namespace

@@ -67,10 +67,10 @@ TEST(ManagerResolver, CachesWithinTtl) {
   svc.set_managers(AppId(1), {HostId(1)});
   ManagerResolver resolver(svc, Duration::minutes(10));
   const LocalTime t0 = LocalTime::from_nanos(0);
-  EXPECT_TRUE(resolver.resolve(AppId(1), t0).has_value());
+  EXPECT_NE(resolver.resolve(AppId(1), t0), nullptr);
   const auto before = svc.lookups();
   // Within the TTL the service is not consulted again.
-  EXPECT_TRUE(resolver.resolve(AppId(1), t0 + Duration::minutes(5)).has_value());
+  EXPECT_NE(resolver.resolve(AppId(1), t0 + Duration::minutes(5)), nullptr);
   EXPECT_EQ(svc.lookups(), before);
   EXPECT_EQ(resolver.cache_hits(), 1u);
 }
@@ -94,10 +94,10 @@ TEST(ManagerResolver, UnknownAppNotCached) {
   NameService svc;
   ManagerResolver resolver(svc, Duration::minutes(10));
   const LocalTime t0 = LocalTime::from_nanos(0);
-  EXPECT_FALSE(resolver.resolve(AppId(1), t0).has_value());
+  EXPECT_EQ(resolver.resolve(AppId(1), t0), nullptr);
   svc.set_managers(AppId(1), {HostId(1)});
   // A negative result must not stick for the TTL.
-  EXPECT_TRUE(resolver.resolve(AppId(1), t0 + Duration::seconds(1)).has_value());
+  EXPECT_NE(resolver.resolve(AppId(1), t0 + Duration::seconds(1)), nullptr);
 }
 
 TEST(ManagerResolver, ClearForcesRequery) {

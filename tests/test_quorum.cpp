@@ -74,6 +74,34 @@ TEST(QuorumTracker, VotersPreserveOrder) {
   EXPECT_FALSE(t.has(HostId(3)));
 }
 
+TEST(QuorumTracker, VotesAfterQuorumKeepOrderWithoutDuplicates) {
+  QuorumTracker t(2);
+  EXPECT_FALSE(t.record(HostId(4)));
+  EXPECT_TRUE(t.record(HostId(1)));
+  EXPECT_FALSE(t.record(HostId(7)));  // late, but still a voter
+  EXPECT_FALSE(t.record(HostId(1)));  // retransmissions after the quorum
+  EXPECT_FALSE(t.record(HostId(7)));
+  EXPECT_FALSE(t.record(HostId(3)));
+  EXPECT_EQ(t.voters(),
+            (std::vector<HostId>{HostId(4), HostId(1), HostId(7), HostId(3)}));
+  EXPECT_EQ(t.count(), 4);
+}
+
+TEST(QuorumTracker, NeededBeyondTheReservedVoters) {
+  const int needed = static_cast<int>(QuorumTracker::kReservedVoters) + 5;
+  QuorumTracker t(needed);
+  std::vector<HostId> expected;
+  for (int i = 0; i < needed; ++i) {
+    const HostId member(static_cast<std::uint32_t>(100 - i));
+    EXPECT_EQ(t.record(member), i == needed - 1) << "vote " << i;
+    EXPECT_FALSE(t.record(HostId(100)));  // the first voter, again
+    expected.push_back(member);
+    EXPECT_EQ(t.count(), i + 1);
+  }
+  EXPECT_TRUE(t.reached());
+  EXPECT_EQ(t.voters(), expected);
+}
+
 TEST(QuorumTracker, ResetClearsState) {
   QuorumTracker t(1);
   EXPECT_TRUE(t.record(HostId(1)));

@@ -604,6 +604,31 @@ TEST(BatchedDelivery, StopInsideHandlerSkipsTheRestOfTheBatch) {
   EXPECT_EQ(log.at(2), (std::vector<std::uint64_t>{2, 4, 6}));
 }
 
+// Each node's run over its messages in a batch is one dispatch: every
+// message of the run reads the same now(), even when its handler runs
+// long, and the next node's run reads a later one.
+TEST(BatchedDelivery, EachNodeRunIsOneDispatch) {
+  BatchProbe probe;
+  ThreadedEnv env_a(probe);
+  ThreadedEnv env_b(probe);
+  std::map<std::uint64_t, sim::TimePoint> at;  // seq -> now(); worker only
+  env_a.transport().register_endpoint(
+      HostId(2), [&](HostId, const net::MessagePtr& msg) {
+        at[static_cast<const proto::HeartbeatPing&>(*msg).seq] = env_a.now();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+  env_b.transport().register_endpoint(
+      HostId(3), [&](HostId, const net::MessagePtr& msg) {
+        at[static_cast<const proto::HeartbeatPing&>(*msg).seq] = env_b.now();
+      });
+
+  probe.feed({ping(1, 2, 1), ping(1, 3, 2), ping(1, 2, 3)});
+
+  ASSERT_EQ(at.size(), 3u);
+  EXPECT_EQ(at[1], at[3]);
+  EXPECT_GE((at[2] - at[1]).count_nanos(), 2'000'000);
+}
+
 // ------------------------------------------------------ bundled datagrams
 
 /// Frames back to back in one datagram, as a bundling sender packs them.
@@ -912,6 +937,52 @@ std::vector<std::pair<std::uint32_t, net::MessagePtr>> pings_to(
   std::vector<std::pair<std::uint32_t, net::MessagePtr>> msgs;
   for (std::size_t i = 0; i < count; ++i) msgs.emplace_back(host, heartbeat(i));
   return msgs;
+}
+
+// The routing tables are worker state: control calls from another thread
+// hop onto the worker while it delivers a live stream. Every frame sent is
+// then either delivered or counted as a blocked or endpoint_down drop —
+// none lost, none counted twice (and under TSan, no race).
+TEST(ReactorTransport, ControlCallsFromAnotherThreadDuringAStream) {
+  RawSenderRig rig;
+  constexpr std::uint64_t kDatagrams = 300;
+  constexpr std::uint64_t kFramesPerDatagram = 8;
+  const std::uint64_t blocked_before = drop_count("blocked");
+  const std::uint64_t down_before = drop_count("endpoint_down");
+  const auto accounted = [&] {
+    return rig.delivered() + (drop_count("blocked") - blocked_before) +
+           (drop_count("endpoint_down") - down_before);
+  };
+
+  std::atomic<bool> stop{false};
+  std::thread toggler([&] {
+    for (std::uint32_t i = 0; !stop.load(); ++i) {
+      rig.transport->block_inbound_from(HostId(1), (i & 1) != 0);
+      rig.transport->set_endpoint_down(HostId(2), (i & 2) != 0);
+      rig.transport->add_peer(HostId(1000 + i % 64),
+                              NodeAddress{"127.0.0.1", 9});
+    }
+    rig.transport->block_inbound_from(HostId(1), false);
+    rig.transport->set_endpoint_down(HostId(2), false);
+  });
+  std::uint64_t sent = 0;
+  for (std::uint64_t d = 0; d < kDatagrams; ++d) {
+    std::vector<std::vector<std::uint8_t>> frames;
+    for (std::uint64_t k = 0; k < kFramesPerDatagram; ++k) {
+      frames.push_back(RawSenderRig::ping_frame(sent++));
+    }
+    rig.send_raw(bundle(frames));
+    // Paced, so the kernel's receive buffer never overflows.
+    ASSERT_TRUE(eventually(
+        [&] { return accounted() + 16 * kFramesPerDatagram >= sent; }));
+  }
+  stop = true;
+  toggler.join();
+
+  ASSERT_TRUE(eventually([&] { return accounted() == sent; }))
+      << accounted() << " of " << sent;
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(accounted(), sent);
 }
 
 // A burst to one peer leaves the reactor bundled: fewer datagrams than

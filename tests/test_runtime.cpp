@@ -152,6 +152,42 @@ TEST(ThreadedEnv, NowAdvancesWithWallClock) {
   fabric.stop_all();
 }
 
+// On the worker, now() is the dispatch time: reads within one posted
+// closure or one timer shot are equal however long the handler runs, a
+// later dispatch sees a strictly later time, and reads off the worker
+// follow the clock.
+TEST(ThreadedEnv, NowIsTheDispatchTimeOnTheWorker) {
+  LoopbackFabric fabric;
+  ThreadedEnv env(fabric);
+  const auto pause = std::chrono::milliseconds(2);
+  sim::TimePoint first, second, posted, shot_a, shot_b;
+  std::atomic<bool> done{false};
+  Timer timer;
+  env.run_sync([&] {
+    first = env.now();
+    std::this_thread::sleep_for(pause);
+    second = env.now();
+    env.post([&] { posted = env.now(); });
+    timer = env.make_timer();
+    timer.arm(Duration::micros(100), [&] {
+      shot_a = env.now();
+      std::this_thread::sleep_for(pause);
+      shot_b = env.now();
+      done = true;
+    });
+  });
+  ASSERT_TRUE(eventually([&] { return done.load(); }));
+  EXPECT_EQ(first, second);
+  EXPECT_GE((posted - first).count_nanos(), 2'000'000);
+  EXPECT_EQ(shot_a, shot_b);
+  EXPECT_GT(shot_a, first);
+
+  const sim::TimePoint off0 = env.now();
+  std::this_thread::sleep_for(pause);
+  EXPECT_GE((env.now() - off0).count_nanos(), 2'000'000);
+  fabric.stop_all();
+}
+
 TEST(LoopbackFabric, DeliversBetweenEnvsAndRespectsDown) {
   LoopbackFabric fabric;
   ThreadedEnv a(fabric);
