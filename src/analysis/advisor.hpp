@@ -1,7 +1,7 @@
 // Parameter advisor: "our algorithm allows each application to set the
 // parameters that determine the level of security and availability, as well
 // as the access control overhead" (§5). This component turns application
-// requirements into concrete (M, C, Te) choices using the §4.1 model:
+// requirements into concrete (M, C) choices using the §4.1 model:
 //
 //  * choose C for fixed M (availability-first, security-first, or balanced),
 //  * find the smallest M that can meet joint PA/PS targets — Table 2's
@@ -9,8 +9,6 @@
 #pragma once
 
 #include <optional>
-
-#include "sim/time.hpp"
 
 namespace wan::analysis {
 
@@ -44,12 +42,5 @@ struct Recommendation {
 /// checks). nullopt if even max_managers cannot meet the targets.
 [[nodiscard]] std::optional<Recommendation> smallest_feasible(
     const Requirements& req, int max_managers = 64);
-
-/// Expiry-period advisor: largest Te (and thus cheapest overhead, O(C/Te))
-/// whose revocation exposure is acceptable. Trivial arithmetic, provided so
-/// callers state intent: Te = max_exposure (the bound IS the exposure).
-[[nodiscard]] inline sim::Duration choose_te(sim::Duration max_exposure) {
-  return max_exposure;
-}
 
 }  // namespace wan::analysis

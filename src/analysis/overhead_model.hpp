@@ -12,18 +12,6 @@
 
 namespace wan::analysis {
 
-/// Steady-state control messages per second generated by ONE active
-/// (host, user) pair: one check per expiry period te; each check costs
-/// `queries` requests + `responses` responses.
-///
-/// With QueryFanout::kAll:        queries = M, responses ~= accessible count
-/// With QueryFanout::kExactQuorum: queries = C, responses ~= C
-[[nodiscard]] inline double control_messages_per_second(sim::Duration te,
-                                                        int queries,
-                                                        int responses) {
-  return static_cast<double>(queries + responses) / te.to_seconds();
-}
-
 /// The paper's O(C/Te) proportionality constant for the exact-quorum fanout:
 /// 2C messages (C queries + C responses) every te.
 [[nodiscard]] inline double overhead_c_over_te(int check_quorum,

@@ -30,11 +30,4 @@ sim::Duration ExponentialTailLatency::sample(HostId, HostId, Rng& rng) {
                      rng.next_exponential(tail_mean_.to_seconds()));
 }
 
-std::unique_ptr<LatencyModel> default_wan_latency() {
-  // ~40ms propagation + 20ms mean queueing tail: a mid-90s transcontinental
-  // Internet path under moderate load.
-  return std::make_unique<ExponentialTailLatency>(sim::Duration::millis(40),
-                                                  sim::Duration::millis(20));
-}
-
 }  // namespace wan::net

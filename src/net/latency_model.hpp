@@ -54,6 +54,4 @@ class ExponentialTailLatency final : public LatencyModel {
   sim::Duration base_, tail_mean_;
 };
 
-std::unique_ptr<LatencyModel> default_wan_latency();
-
 }  // namespace wan::net

@@ -40,12 +40,6 @@ void Network::set_host_down(HostId id, bool down) {
   it->second.down = down;
 }
 
-bool Network::host_down(HostId id) const {
-  auto it = endpoints_.find(id);
-  WAN_REQUIRE(it != endpoints_.end());
-  return it->second.down;
-}
-
 void Network::start() {
   if (started_) return;
   started_ = true;

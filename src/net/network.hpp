@@ -73,7 +73,6 @@ class Network {
   /// Marks a host crashed (true) or recovered (false). A down host's inbound
   /// and outbound packets are silently discarded, matching a crashed site.
   void set_host_down(HostId id, bool down);
-  [[nodiscard]] bool host_down(HostId id) const;
 
   /// Unreliable unicast. Self-sends are delivered (with latency 0).
   void send(HostId from, HostId to, MessagePtr msg);

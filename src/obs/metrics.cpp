@@ -92,11 +92,4 @@ std::string Registry::prometheus_text() const {
   return out;
 }
 
-void Registry::reset_values() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histos_) h->reset();
-}
-
 }  // namespace wan::obs

@@ -96,10 +96,6 @@ class Registry {
   /// _count/_sum/_max plus p50/p99 quantile samples.
   [[nodiscard]] std::string prometheus_text() const;
 
-  /// Zeroes every registered value (handles stay valid). Test-only escape
-  /// hatch: the registry is process-global, so tests isolate by resetting.
-  void reset_values();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -12,6 +12,10 @@ namespace wan::proto {
 
 namespace {
 
+/// How long a host stops querying a manager whose replies contradicted its
+/// own earlier replies. Doubles per repeat offense, capped at 32x.
+constexpr sim::Duration kQuarantineBackoff = sim::Duration::seconds(30);
+
 // Metric handles resolve once (function-local static) and then cost one
 // relaxed atomic add per event.
 obs::Counter& decision_counter(DecisionPath p) {
@@ -535,8 +539,7 @@ void AccessController::quarantine(HostId manager, clk::LocalTime now) {
   const std::uint32_t shift = std::min<std::uint32_t>(prof.offenses, 5);
   ++prof.offenses;
   prof.quarantined_until =
-      now + sim::Duration::nanos(config_.quarantine_backoff.count_nanos()
-                                 << shift);
+      now + sim::Duration::nanos(kQuarantineBackoff.count_nanos() << shift);
   ++hardening_.quarantines_imposed;
   WAN_WARN << to_string(self_) << " quarantines manager "
            << to_string(manager) << " (offense " << prof.offenses << ")";

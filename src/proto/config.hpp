@@ -2,6 +2,9 @@
 // THESE are application-controlled, trading security against availability
 // and performance: M (manager-set size), C (check quorum), Te (revocation
 // bound), R (verification attempts), plus the freeze-strategy alternative.
+// Engineering values nothing varies (the quarantine backoff of a lying
+// manager, the dissemination batch cap and flush window) are constexpr in
+// the .cpp that reads them, not fields here.
 #pragma once
 
 #include <cstdint>
@@ -62,14 +65,10 @@ struct ProtocolConfig {
   sim::Duration cache_sweep_period = sim::Duration::minutes(1);
   sim::Duration cache_idle_limit = sim::Duration::minutes(30);
   sim::Duration name_service_ttl = sim::Duration::minutes(10);
-  /// How long a host stops querying a manager whose replies contradicted its
-  /// own earlier replies (see AccessController hardening). Doubles per
-  /// repeat offense, capped at 32x.
-  sim::Duration quarantine_backoff = sim::Duration::seconds(30);
 
-  /// How managers fan revocation notices out to cached hosts and how
-  /// recovery resync transfers ACL state (src/proto/dissemination.hpp).
-  /// Defaults reproduce the paper's unicast loop and full-snapshot sync.
+  /// How managers fan revocation notices out to cached hosts
+  /// (src/proto/dissemination.hpp). The default reproduces the paper's
+  /// unicast loop.
   runtime::DisseminationOptions dissemination;
 
   /// The local-clock expiration period managers attach to responses. Under
@@ -90,7 +89,6 @@ struct ProtocolConfig {
     WAN_REQUIRE(max_attempts >= 0);
     WAN_REQUIRE(byzantine_slack >= 0);
     WAN_REQUIRE(query_timeout > sim::Duration{});
-    WAN_REQUIRE(quarantine_backoff > sim::Duration{});
     dissemination.validate();
     if (freeze_enabled) {
       WAN_REQUIRE(Ti > sim::Duration{});

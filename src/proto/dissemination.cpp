@@ -18,6 +18,14 @@ namespace {
 // serve every app a manager runs.
 using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
 
+/// Coalesced/tree: a buffered window is flushed as soon as it holds this many
+/// rights, even if the flush timer has not fired.
+constexpr std::size_t kBatchMaxRights = 64;
+/// Coalesced/tree: how long a freshly revoked right may sit buffered waiting
+/// for more rights to share its frame. Small by construction: it spends a
+/// slice of the Te budget to save frames.
+constexpr sim::Duration kFlushInterval = sim::Duration::millis(20);
+
 Key key_of(AppId app, UserId user, const acl::Version& v) {
   return {static_cast<std::uint64_t>(app.value()),
           static_cast<std::uint64_t>(user.value()), v.counter};
@@ -179,14 +187,13 @@ class BatchingDisseminator : public Disseminator {
 
     Buffer& buf = buffer_of(app);
     buf.keys.push_back(key);
-    if (buf.keys.size() >= opts_.batch_max_rights ||
-        opts_.flush_interval.is_zero()) {
+    if (buf.keys.size() >= kBatchMaxRights) {
       flush_app(app);
       return;
     }
     if (!buf.armed) {
       buf.armed = true;
-      buf.flush.arm(opts_.flush_interval, [this, app] { flush_app(app); });
+      buf.flush.arm(kFlushInterval, [this, app] { flush_app(app); });
     }
   }
 

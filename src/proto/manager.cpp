@@ -84,7 +84,6 @@ void ManagerModule::manage_app(AppId app, std::vector<HostId> managers) {
     if (m != self_) ctl.peers.push_back(m);
   }
   ctl.check_quorum = config_.check_quorum;
-  mint_log_epoch(ctl);
   const clk::LocalTime now = local_now();
   for (const HostId p : ctl.peers) ctl.last_heard[p] = now;
   if (config_.freeze_enabled) start_heartbeats(app, ctl);
@@ -487,10 +486,6 @@ void ManagerModule::on_message(HostId from, const net::MessagePtr& msg) {
     handle_sync_response(from, *sr);
   } else if (const auto* sp = net::message_cast<SyncPush>(msg)) {
     handle_sync_push(from, *sp);
-  } else if (const auto* dq = net::message_cast<DeltaSyncRequest>(msg)) {
-    handle_delta_sync_request(from, *dq);
-  } else if (const auto* dr = net::message_cast<DeltaSyncResponse>(msg)) {
-    handle_delta_sync_response(from, *dr);
   } else if (const auto* sa = net::message_cast<ShardMapAnnounce>(msg)) {
     handle_shard_map_announce(from, *sa);
   } else if (const auto* hb = net::message_cast<ShardHandoffBegin>(msg)) {
@@ -811,92 +806,6 @@ void ManagerModule::handle_sync_push(HostId from, const SyncPush& m) {
   merge_snapshot(m.app, *ctl, m.snapshot);
 }
 
-void ManagerModule::handle_delta_sync_request(HostId from,
-                                              const DeltaSyncRequest& m) {
-  AppCtl* ctl = ctl_of(m.app);
-  if (ctl == nullptr || !is_peer(*ctl, from)) return;
-  note_peer(*ctl, from);
-  if (!ctl->synced) return;  // cannot vouch for state we have not recovered
-
-  // Same scoping as handle_sync_request: only the shards the REQUESTER's
-  // group owns travel (everything, under a trivial map).
-  const auto owned_by_requester = [&](UserId u) {
-    const shard::ShardMap& map = ctl->shard_map;
-    if (map.trivial()) return true;
-    const auto req_group = map.group_index_of(from);
-    if (!req_group) return false;
-    return map.group_of_shard(map.shard_of(m.app, u)) == *req_group;
-  };
-
-  // A cursor is only a position in THIS incarnation's log, and only while
-  // the capped log still holds everything past it. Anything else falls back
-  // to the full snapshot — correctness never depends on the log.
-  const bool delta_ok = m.log_epoch == ctl->log_epoch &&
-                        m.cursor >= ctl->log_floor &&
-                        m.cursor <= ctl->next_apply_seq;
-  std::vector<acl::AclUpdate> updates;
-  if (delta_ok) {
-    for (std::uint64_t seq = m.cursor; seq < ctl->next_apply_seq; ++seq) {
-      const acl::AclUpdate& u =
-          ctl->apply_log[static_cast<std::size_t>(seq - ctl->log_floor)];
-      if (owned_by_requester(u.user)) updates.push_back(u);
-    }
-  } else {
-    updates = ctl->store.snapshot_if(owned_by_requester);
-  }
-  sync_entries_sent_ += updates.size();
-  net_.send(self_, from,
-            net::make_message<DeltaSyncResponse>(
-                m.app, m.sync_id, /*full=*/!delta_ok, ctl->log_epoch,
-                ctl->next_apply_seq, std::move(updates)));
-}
-
-void ManagerModule::handle_delta_sync_response(HostId from,
-                                               const DeltaSyncResponse& m) {
-  AppCtl* ctl = ctl_of(m.app);
-  if (ctl == nullptr || !is_peer(*ctl, from)) return;
-  note_peer(*ctl, from);
-  if (m.sync_id != ctl->sync_id) return;
-  if (ctl->synced) {
-    // Straggler from the completed sync (see handle_sync_response). A delta
-    // suffix merges just as safely as a snapshot: both are version-gated.
-    if (merge_snapshot(m.app, *ctl, m.updates) > 0) push_snapshot(m.app, *ctl);
-    ctl->sync_cursors[from] = {m.log_epoch, m.next_seq};
-    return;
-  }
-  if (ctl->sync_votes == nullptr) return;
-  merge_snapshot(m.app, *ctl, m.updates);
-  // Only after merging may we claim the peer's position: the cursor asserts
-  // "everything this peer applied before next_seq is reflected here".
-  ctl->sync_cursors[from] = {m.log_epoch, m.next_seq};
-  record_sync_vote(m.app, *ctl, from);
-}
-
-void ManagerModule::mint_log_epoch(AppCtl& ctl) {
-  // Deterministic under the simulated clock, unique per incarnation (the
-  // salt survives crash() like version_stamp_ does): a fresh epoch
-  // invalidates every cursor handed out against the previous log.
-  ctl.log_epoch = stable_hash64(
-      static_cast<std::uint64_t>(self_.value()),
-      static_cast<std::uint64_t>(env_.now().nanos_since_origin()),
-      ++log_epoch_salt_);
-  if (ctl.log_epoch == 0) ctl.log_epoch = 1;  // 0 is the "no cursor" epoch
-  ctl.apply_log.clear();
-  ctl.log_floor = 0;
-  ctl.next_apply_seq = 0;
-}
-
-void ManagerModule::log_applied(AppCtl& ctl, const acl::AclUpdate& update) {
-  ctl.apply_log.push_back(update);
-  ++ctl.next_apply_seq;
-  const std::size_t cap =
-      std::max<std::size_t>(1, config_.dissemination.delta_log_cap);
-  while (ctl.apply_log.size() > cap) {
-    ctl.apply_log.pop_front();
-    ++ctl.log_floor;
-  }
-}
-
 void ManagerModule::push_snapshot(AppId app, AppCtl& ctl) {
   if (ctl.peers.empty()) return;
   // Same scoping as handle_sync_request: peers are this group, so only the
@@ -937,23 +846,8 @@ void ManagerModule::sync_round(AppId app) {
   AppCtl* ctl = ctl_of(app);
   if (ctl == nullptr || !up_ || ctl->synced) return;
   // Retransmit until enough snapshots arrive.
-  if (config_.dissemination.delta_sync) {
-    // Ask each peer for just the suffix past our last-known cursor; a peer
-    // that cannot honour the cursor answers with a full snapshot anyway.
-    for (const HostId p : ctl->peers) {
-      const auto it = ctl->sync_cursors.find(p);
-      const std::uint64_t epoch = it != ctl->sync_cursors.end()
-                                      ? it->second.first : 0;
-      const std::uint64_t cursor = it != ctl->sync_cursors.end()
-                                       ? it->second.second : 0;
-      net_.send(self_, p,
-                net::make_message<DeltaSyncRequest>(app, ctl->sync_id, epoch,
-                                                    cursor));
-    }
-  } else {
-    const auto msg = net::make_message<SyncRequest>(app, ctl->sync_id);
-    for (const HostId p : ctl->peers) net_.send(self_, p, msg);
-  }
+  const auto msg = net::make_message<SyncRequest>(app, ctl->sync_id);
+  for (const HostId p : ctl->peers) net_.send(self_, p, msg);
   if (ctl->sync_timer) {
     ctl->sync_timer->arm(config_.sync_retransmit,
                          [this, app] { sync_round(app); });
@@ -986,7 +880,6 @@ std::size_t ManagerModule::attach_journal(ManagerJournal* journal) {
 bool ManagerModule::apply_update(AppId app, AppCtl& ctl,
                                  const acl::AclUpdate& update) {
   const bool applied = ctl.store.apply(update);
-  if (applied && config_.dissemination.delta_sync) log_applied(ctl, update);
   if (applied && journal_ != nullptr) {
     journal_->append(app, update);
     maybe_compact(app, ctl);
@@ -1315,16 +1208,6 @@ void ManagerModule::commit_shard_map(AppId app, shard::ShardMap next) {
             << ctl->pending_acquire.size() << ")";
 }
 
-void ManagerModule::abort_shard_handoff(AppId app) {
-  AppCtl* ctl = ctl_of(app);
-  if (ctl == nullptr) return;
-  for (auto& [shard, h] : ctl->handoffs_out) h->retry.cancel();
-  ctl->handoffs_out.clear();
-  ctl->handoffs_in.clear();
-  ctl->staging.clear();
-  ctl->proposed.reset();
-}
-
 void ManagerModule::announce_shard_map(AppId app,
                                        const std::vector<HostId>& recipients) {
   AppCtl* ctl = ctl_of(app);
@@ -1485,7 +1368,7 @@ void ManagerModule::handle_handoff_chunk(HostId from,
       obs::Registry::global().counter("wan_shard_chunks_received_total");
   chunks_received.inc();
   // Chunks merge into the staging store, never the live one: queries must
-  // not see a half-transferred slice, and an abort simply discards staging.
+  // not see a half-transferred slice, and a crash simply discards staging.
   // LWW merging makes chunks from different senders and restarted series
   // all land correctly regardless of order.
   ctl->staging[m.shard].merge(m.updates);
@@ -1524,13 +1407,6 @@ void ManagerModule::crash() {
     ctl.reads.clear();
     ctl.txns.clear();
     ctl.last_heard.clear();
-    // Delta-sync state is as volatile as the store it shadows: the log dies
-    // with the store, and our cursors into peers are void (an empty store
-    // cannot be completed by a suffix — recovery must pull full snapshots).
-    ctl.apply_log.clear();
-    ctl.log_floor = 0;
-    ctl.next_apply_seq = 0;
-    ctl.sync_cursors.clear();
     ctl.sync_votes.reset();
     ctl.sync_timer.reset();
     if (ctl.heartbeat) ctl.heartbeat->stop();
@@ -1561,9 +1437,6 @@ void ManagerModule::recover() {
   for (auto& [app, ctl] : apps_) {
     for (const HostId p : ctl.peers) ctl.last_heard[p] = now;
     if (config_.freeze_enabled) start_heartbeats(app, ctl);
-    // A fresh apply-log incarnation: cursors peers hold into the pre-crash
-    // log must miss (the log died with the store) and fall back to full.
-    mint_log_epoch(ctl);
     // Crash-recovery syncs (and only those) may adopt group state for
     // shards stuck in pending_acquire — see adopt_pending_shards().
     ctl.sync_adopts_pending = true;

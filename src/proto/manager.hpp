@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -270,10 +269,6 @@ class ManagerModule : private Disseminator::Sink {
   /// flip without them.
   void commit_shard_map(AppId app, shard::ShardMap next);
 
-  /// Abandons an in-progress rebalance: outgoing handoffs stop, staged
-  /// slices are discarded, the current map stays authoritative.
-  void abort_shard_handoff(AppId app);
-
   /// Sends the CURRENT map as a ShardMapAnnounce to `recipients` (the
   /// coordinator's post-commit distribution step; receivers apply epoch
   /// discipline).
@@ -426,14 +421,14 @@ class ManagerModule : private Disseminator::Sink {
     /// set_shard_map().
     shard::ShardMap shard_map;
     /// The map a begin_shard_handoff() is migrating toward; defines shard
-    /// numbering for slice re-snapshots. Cleared at commit/abort.
+    /// numbering for slice re-snapshots. Cleared at commit and on crash().
     std::optional<shard::ShardMap> proposed;
     /// Outgoing handoffs by shard (this manager is an old owner).
     std::map<std::uint32_t, std::unique_ptr<HandoffOut>> handoffs_out;
     /// Incoming handoff series by (shard, sender).
     std::map<std::pair<std::uint32_t, HostId>, HandoffIn> handoffs_in;
     /// Staged slices by shard — merged into the store only at activation,
-    /// never consulted by queries, discarded on abort.
+    /// never consulted by queries, discarded on crash().
     std::map<std::uint32_t, acl::AclStore> staging;
     /// Gained shards awaiting enough complete series. Queries for these
     /// shards are refused.
@@ -443,23 +438,6 @@ class ManagerModule : private Disseminator::Sink {
     /// adopt the group's state for shards stuck in pending_acquire whose
     /// senders retired against acks the crash erased.
     bool sync_adopts_pending = false;
-    /// Delta-sync apply log (config.dissemination.delta_sync): the tail of
-    /// updates applied to the store, in apply order. A recovering peer
-    /// presenting a cursor inside [log_floor, next_apply_seq] under the
-    /// current log_epoch gets just the suffix; anything else (epoch
-    /// mismatch, cursor older than the capped log) falls back to a full
-    /// snapshot. Volatile — cleared with the store on crash().
-    std::deque<acl::AclUpdate> apply_log;
-    std::uint64_t log_floor = 0;       ///< apply seq of apply_log.front()
-    std::uint64_t next_apply_seq = 0;  ///< seq the next applied update gets
-    /// Identifies one incarnation of this manager's apply log; a cursor is
-    /// only meaningful under the epoch it was handed out with. Re-minted by
-    /// mint_log_epoch() whenever the log restarts (manage_app, recover).
-    std::uint64_t log_epoch = 0;
-    /// Requester-side cursors: the (log_epoch, next_seq) each peer reported
-    /// in its last DeltaSyncResponse. Cleared on crash() — a recovering
-    /// manager's store is empty, so a suffix cannot reconstruct it.
-    std::map<HostId, std::pair<std::uint64_t, std::uint64_t>> sync_cursors;
   };
 
   void handle_query(HostId from, const QueryRequest& q);
@@ -474,10 +452,7 @@ class ManagerModule : private Disseminator::Sink {
   void handle_sync_request(HostId from, const SyncRequest& m);
   void handle_sync_response(HostId from, const SyncResponse& m);
   void handle_sync_push(HostId from, const SyncPush& m);
-  void handle_delta_sync_request(HostId from, const DeltaSyncRequest& m);
-  void handle_delta_sync_response(HostId from, const DeltaSyncResponse& m);
-  /// Records a sync vote from `from`; on quorum, completes the recovery
-  /// (shared tail of handle_sync_response / handle_delta_sync_response).
+  /// Records a sync vote from `from`; on quorum, completes the recovery.
   void record_sync_vote(AppId app, AppCtl& ctl, HostId from);
   void push_snapshot(AppId app, AppCtl& ctl);
 
@@ -521,11 +496,6 @@ class ManagerModule : private Disseminator::Sink {
   void send(HostId to, const net::MessagePtr& msg) override;
   void delivered(AppId app, HostId host, UserId user,
                  acl::Version version) override;
-  /// Starts a fresh apply-log incarnation for `ctl` (new epoch, empty log).
-  void mint_log_epoch(AppCtl& ctl);
-  /// Appends an APPLIED update to the delta-sync log (capped; advancing the
-  /// floor past a compaction point forces stale cursors to full snapshots).
-  void log_applied(AppCtl& ctl, const acl::AclUpdate& update);
   /// The journaled mutation path: AclStore::apply plus, when a journal is
   /// attached and the update changed a register, a durable append (and a
   /// compaction check). Every store mutation site routes through this or
@@ -568,7 +538,6 @@ class ManagerModule : private Disseminator::Sink {
   /// Revocation fan-out strategy (built from config_.dissemination; owns all
   /// in-flight revoke state, which crash() drops via shutdown()).
   std::unique_ptr<Disseminator> disseminator_;
-  std::uint64_t log_epoch_salt_ = 0;  ///< per-incarnation epoch tie-breaker
   std::optional<bool> debug_frozen_;
   std::function<void(const QueryAnswerEvent&)> response_observer_;
 

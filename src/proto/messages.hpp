@@ -439,54 +439,4 @@ struct RelayAck final : net::Message {
   std::size_t wire_size() const override { return 24 + acked_dests.size() * 8; }
 };
 
-// --- delta ACL sync (recovery, §3.4) ----------------------------------------
-//
-// Full-snapshot sync re-sends the entire ACL on every recovery. With delta
-// sync enabled (DisseminationOptions::delta_sync) each manager keeps a
-// bounded apply log — the updates it applied, in apply order, stamped with a
-// per-incarnation log_epoch and a monotonic apply_seq — and a recovering
-// peer presents its last cursor to receive only the suffix it missed. A
-// cursor from another incarnation (epoch mismatch) or below the log's
-// compaction floor falls back to a full snapshot. Plain SyncRequest/
-// SyncResponse remain the reference path and the cross-version fallback.
-
-/// Recovering manager -> peer: "send me what I missed since (log_epoch,
-/// cursor)". cursor == the next apply_seq the requester has NOT applied;
-/// log_epoch == 0 means "no cursor for you, send everything".
-struct DeltaSyncRequest final : net::Message {
-  AppId app{};
-  std::uint64_t sync_id = 0;
-  std::uint64_t log_epoch = 0;  ///< responder incarnation the cursor is from
-  std::uint64_t cursor = 0;     ///< first apply_seq the requester lacks
-
-  DeltaSyncRequest(AppId a, std::uint64_t s, std::uint64_t e, std::uint64_t c)
-      : app(a), sync_id(s), log_epoch(e), cursor(c) {}
-
-  WAN_MESSAGE_TYPE("DeltaSyncRequest")
-  std::size_t wire_size() const override { return 40; }
-};
-
-/// Peer -> recovering manager: the post-cursor suffix of the peer's apply
-/// log (`full == false`), or a full snapshot when the cursor was unusable
-/// (`full == true`). `log_epoch`/`next_seq` are the cursor to present next
-/// time.
-struct DeltaSyncResponse final : net::Message {
-  AppId app{};
-  std::uint64_t sync_id = 0;
-  bool full = false;            ///< updates is a complete snapshot
-  std::uint64_t log_epoch = 0;  ///< responder's current incarnation
-  std::uint64_t next_seq = 0;   ///< resume cursor after applying `updates`
-  std::vector<acl::AclUpdate> updates;
-
-  DeltaSyncResponse(AppId a, std::uint64_t s, bool f, std::uint64_t e,
-                    std::uint64_t n, std::vector<acl::AclUpdate> u)
-      : app(a), sync_id(s), full(f), log_epoch(e), next_seq(n),
-        updates(std::move(u)) {}
-
-  WAN_MESSAGE_TYPE("DeltaSyncResponse")
-  std::size_t wire_size() const override {
-    return 48 + AclSlicePayload::estimate(updates.size());
-  }
-};
-
 }  // namespace wan::proto

@@ -574,46 +574,6 @@ void do_register() {
         return net::make_message<RelayAck>(app, batch_id, std::move(acked));
       });
 
-  reg<DeltaSyncRequest>(
-      "DeltaSyncRequest", kTagDeltaSyncRequest,
-      [](const DeltaSyncRequest& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.sync_id);
-        w.u64(m.log_epoch);
-        w.u64(m.cursor);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t sync_id = r.u64();
-        const std::uint64_t log_epoch = r.u64();
-        const std::uint64_t cursor = r.u64();
-        if (!r.ok()) return nullptr;
-        return net::make_message<DeltaSyncRequest>(app, sync_id, log_epoch,
-                                                   cursor);
-      });
-
-  reg<DeltaSyncResponse>(
-      "DeltaSyncResponse", kTagDeltaSyncResponse,
-      [](const DeltaSyncResponse& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.sync_id);
-        w.boolean(m.full);
-        w.u64(m.log_epoch);
-        w.u64(m.next_seq);
-        AclSlicePayload::encode(w, m.updates);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t sync_id = r.u64();
-        const bool full = r.boolean();
-        const std::uint64_t log_epoch = r.u64();
-        const std::uint64_t next_seq = r.u64();
-        std::vector<acl::AclUpdate> updates = AclSlicePayload::decode(r);
-        if (!r.ok()) return nullptr;
-        return net::make_message<DeltaSyncResponse>(app, sync_id, full,
-                                                    log_epoch, next_seq,
-                                                    std::move(updates));
-      });
 }
 
 }  // namespace

@@ -49,15 +49,14 @@ enum WireTags : net::WireTag {
   kTagRevokeBatchAck = 23,
   kTagRelayForward = 24,
   kTagRelayAck = 25,
-  kTagDeltaSyncRequest = 26,
-  kTagDeltaSyncResponse = 27,
+  // 26 and 27 are retired (delta ACL sync); never reuse them.
 };
 
 /// The shared on-wire layout of an ACL slice — a `u32` entry count followed
-/// by that many fixed-size AclUpdate records. Four messages carry one
-/// (SyncResponse, SyncPush, ShardHandoffChunk, DeltaSyncResponse); they all
-/// encode through this helper so the layout, the hostile-count bound check,
-/// and the simulated-bandwidth estimate exist exactly once.
+/// by that many fixed-size AclUpdate records. Three messages carry one
+/// (SyncResponse, SyncPush, ShardHandoffChunk); they all encode through this
+/// helper so the layout, the hostile-count bound check, and the
+/// simulated-bandwidth estimate exist exactly once.
 struct AclSlicePayload {
   /// Real codec bytes per entry (bounds a claimed count before allocation).
   static constexpr std::size_t kEntryWireSize = 4 + 1 + 1 + (8 + 4 + 8);

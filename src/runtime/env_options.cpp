@@ -41,10 +41,6 @@ bool parse_dissemination(const std::string& text, DisseminationKind* out) {
 }
 
 void DisseminationOptions::validate() const {
-  WAN_REQUIRE_MSG(batch_max_rights >= 1,
-                  "a batch must be able to carry at least one right");
-  WAN_REQUIRE_MSG(!flush_interval.is_negative(),
-                  "the coalescing window cannot be negative");
   if (kind == DisseminationKind::kTree) {
     WAN_REQUIRE_MSG(relay_width >= 1,
                     "tree dissemination needs at least one destination per "

@@ -17,6 +17,11 @@
 // Fields a backend ignores are deliberately not an error: the whole point is
 // that one struct travels from flag parsing to whichever backend the run
 // selects.
+//
+// Only values some deployment or test actually chooses are fields. Tuning
+// values nothing varies are constexpr in the one .cpp that reads them: the
+// coalescing batch cap and flush window in proto/dissemination.cpp, and the
+// retransmit backoff, jitter and receive window in reliable_channel.cpp.
 #pragma once
 
 #include <cstddef>
@@ -50,19 +55,12 @@ struct ReliabilityOptions {
   bool enabled = false;
   /// First retransmit fires this long after the original send...
   sim::Duration initial_rto = sim::Duration::millis(50);
-  /// ...then backs off exponentially (rto *= backoff) up to this ceiling...
+  /// ...then backs off exponentially with jitter (kBackoff and kJitter in
+  /// reliable_channel.cpp) up to this ceiling.
   sim::Duration max_rto = sim::Duration::millis(1000);
-  double backoff = 2.0;
-  /// ...with each interval jittered by a uniform +/- fraction so synchronized
-  /// retransmit storms decorrelate.
-  double jitter = 0.1;
   /// Transmissions per message including the first; when exhausted the
   /// message is abandoned and the peer_unreachable upcall fires.
   int retry_budget = 10;
-  /// Receive-side dedup remembers out-of-order seqs this far above the
-  /// cumulative watermark; frames beyond it are dropped (seq_out_of_window)
-  /// until retransmits fill the gap.
-  std::size_t recv_window = 1024;
   /// Seed of the jitter stream (deterministic tests pin it).
   std::uint64_t jitter_seed = 1;
 };
@@ -86,24 +84,9 @@ enum class DisseminationKind : std::uint8_t {
 /// seeds are untouched unless a run opts in.
 struct DisseminationOptions {
   DisseminationKind kind = DisseminationKind::kUnicast;
-  /// Coalesced/tree: a destination's buffered batch is flushed once it holds
-  /// this many (user, version) rights even if the flush timer has not fired.
-  std::size_t batch_max_rights = 64;
-  /// Coalesced/tree: how long a freshly revoked right may sit buffered
-  /// waiting for more rights to share its frame. Small by construction —
-  /// it spends a slice of the Te budget to save frames.
-  sim::Duration flush_interval = sim::Duration::millis(20);
   /// Tree: destinations per relay group; each group's first member acts as
   /// the relay for the rest. 0 or 1 degenerates to coalesced-direct.
   std::size_t relay_width = 4;
-  /// Recovery resync: when true managers answer SyncRequests with only the
-  /// updates the requester has not yet applied (delta sync over the peer's
-  /// apply log), falling back to a full snapshot when the requester's cursor
-  /// predates log compaction. Off by default (full snapshots, the reference).
-  bool delta_sync = false;
-  /// Delta sync: apply-log entries a manager retains per app before the
-  /// floor advances (older cursors then fall back to a full snapshot).
-  std::size_t delta_log_cap = 1024;
 
   /// Validates internal consistency (aborts on misconfiguration).
   void validate() const;

@@ -11,6 +11,18 @@ namespace wan::runtime {
 
 namespace {
 
+/// Each retransmit interval is the previous one times this factor, up to
+/// ReliabilityOptions::max_rto.
+constexpr double kBackoff = 2.0;
+static_assert(kBackoff >= 1.0, "retransmit intervals must not shrink");
+/// Each interval is jittered by a uniform +/- this fraction so synchronized
+/// retransmit storms decorrelate.
+constexpr double kJitter = 0.1;
+/// Receive-side dedup remembers out-of-order seqs this far above the
+/// cumulative watermark; frames beyond it are dropped (seq_out_of_window)
+/// until retransmits fill the gap.
+constexpr std::uint64_t kRecvWindow = 1024;
+
 std::chrono::nanoseconds to_chrono(sim::Duration d) {
   return std::chrono::nanoseconds(d.count_nanos());
 }
@@ -29,7 +41,6 @@ ReliableChannel::ReliableChannel(SocketTransport& transport,
       expired_(obs::Registry::global().counter("wan_reliable_expired_total")),
       rtt_(obs::Registry::global().histogram("wan_reliable_rtt_seconds")) {
   WAN_REQUIRE(opts_.retry_budget >= 1);
-  WAN_REQUIRE(opts_.backoff >= 1.0);
   net::register_reliable_codecs();
 }
 
@@ -51,7 +62,7 @@ std::size_t ReliableChannel::in_flight() const {
 std::chrono::nanoseconds ReliableChannel::jittered(
     std::chrono::nanoseconds rto) {
   const double factor =
-      1.0 + opts_.jitter * (2.0 * jitter_rng_.next_double() - 1.0);
+      1.0 + kJitter * (2.0 * jitter_rng_.next_double() - 1.0);
   return std::chrono::nanoseconds(
       static_cast<std::int64_t>(static_cast<double>(rto.count()) * factor));
 }
@@ -179,7 +190,7 @@ void ReliableChannel::on_data(std::uint32_t from_value,
     send_ack(from_value, to_value);  // the original ack may have been lost
     return;
   }
-  if (data.seq > flow.cum + opts_.recv_window) {
+  if (data.seq > flow.cum + kRecvWindow) {
     // A gap this large is hostile or pathological; accepting it would let a
     // forged seq pin unbounded dedup state. Dropped un-acked — the sender
     // retransmits once the window advances.
@@ -249,7 +260,7 @@ void ReliableChannel::sweep() {
                  static_cast<std::int64_t>(it->first));
       ++p.attempts;
       p.rto = std::min(std::chrono::nanoseconds(static_cast<std::int64_t>(
-                           static_cast<double>(p.rto.count()) * opts_.backoff)),
+                           static_cast<double>(p.rto.count()) * kBackoff)),
                        to_chrono(opts_.max_rto));
       p.next_due = now + jittered(p.rto);
       schedule(p.next_due);

@@ -132,7 +132,7 @@ class ReliableChannel {
   };
   static constexpr std::uint64_t kFlowHashSeed = 0x57414e464c4f5753ULL;
 
-  /// Next interval: rto * backoff^(n) clamped to max, +/- jitter.
+  /// Next interval: rto * kBackoff^n clamped to max_rto, +/- kJitter.
   std::chrono::nanoseconds jittered(std::chrono::nanoseconds rto);
   /// Ack state of the receive flow (from -> to).
   std::pair<std::uint64_t, std::uint64_t> ack_state(std::uint64_t key) const;

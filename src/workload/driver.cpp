@@ -28,10 +28,6 @@ Driver::Driver(Scenario& scenario, DriverConfig config, std::uint64_t seed)
   }
 }
 
-bool Driver::intended_granted(int user_idx) const {
-  return intended_granted_[static_cast<std::size_t>(user_idx)];
-}
-
 void Driver::start() {
   WAN_REQUIRE(!running_);
   running_ = true;

@@ -40,10 +40,6 @@ class Driver {
   [[nodiscard]] std::uint64_t grants_issued() const noexcept { return grants_; }
   [[nodiscard]] std::uint64_t revokes_issued() const noexcept { return revokes_; }
 
-  /// Current intended authorization (what the last completed/issued op wants)
-  /// — drives the grant/revoke alternation.
-  [[nodiscard]] bool intended_granted(int user_idx) const;
-
  private:
   void schedule_access(int host_idx);
   void schedule_manager_op();

@@ -35,8 +35,8 @@ using net::DecodeError;
 
 /// The full tag table under test: the 15 original protocol messages, the
 /// reliability envelope (tags 16/17, net/reliable.hpp), the shard
-/// rebalancing messages (tags 18-21), and the dissemination/delta-sync
-/// messages (tags 22-27).
+/// rebalancing messages (tags 18-21), and the dissemination messages
+/// (tags 22-25). Tags 26-27 are retired (delta sync) and stay unregistered.
 void register_all() {
   proto::register_wire_messages();
   net::register_reliable_codecs();
@@ -126,8 +126,9 @@ shard::ShardMap random_shard_map(Rng& rng) {
                                    rng.next_u64(), rng.next_u64());
 }
 
-/// One seeded generator per message type, in wire-tag order 1..27. Adding a
-/// message type without extending this list fails the coverage check below.
+/// One seeded generator per message type, in wire-tag order 1..25 (26-27 are
+/// retired). Adding a message type without extending this list fails the
+/// coverage check below.
 std::vector<std::function<net::MessagePtr(Rng&)>> generators() {
   using net::make_message;
   return {
@@ -253,15 +254,6 @@ std::vector<std::function<net::MessagePtr(Rng&)>> generators() {
         return make_message<proto::RelayAck>(random_app(rng), rng.next_u64(),
                                              random_hosts(rng));
       },
-      [](Rng& rng) {
-        return make_message<proto::DeltaSyncRequest>(
-            random_app(rng), rng.next_u64(), rng.next_u64(), rng.next_u64());
-      },
-      [](Rng& rng) {
-        return make_message<proto::DeltaSyncResponse>(
-            random_app(rng), rng.next_u64(), (rng.next_u64() & 1) != 0,
-            rng.next_u64(), rng.next_u64(), random_snapshot(rng));
-      },
   };
 }
 
@@ -277,7 +269,8 @@ TEST(Codec, RegistryCoversEveryMessageType) {
   register_all();
   EXPECT_EQ(CodecRegistry::global().registered_count(),
             generators().size());
-  // Tags are the frozen contiguous block 1..27 (docs/WIRE_FORMAT.md).
+  // Tags are the frozen contiguous block 1..25; 26-27 are retired and never
+  // reused (docs/WIRE_FORMAT.md).
   const std::vector<net::WireTag> tags = CodecRegistry::global().tags();
   ASSERT_EQ(tags.size(), generators().size());
   for (std::size_t i = 0; i < tags.size(); ++i) {
@@ -547,7 +540,8 @@ TEST(CodecCorpus, EveryCheckedInFrameKeepsItsOutcome) {
   // The corpus shipped with 14 entries, grew to 19 with the reliability
   // envelope (tags 16/17), to 25 with the shard messages (tags 18-21), and
   // to 35 with the dissemination/delta-sync messages (tags 22-27); it only
-  // ever grows.
+  // ever grows. The delta-sync frames (tags 26-27, since retired) stay as
+  // unknown_tag_26_*/unknown_tag_27_* pins.
   EXPECT_GE(seen, 35u);
 }
 

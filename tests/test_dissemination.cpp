@@ -1,23 +1,26 @@
 // The revocation-dissemination strategies (src/proto/dissemination.hpp):
 // frame economics of the coalesced and tree strategies against the unicast
-// reference, the Te bound under partitioned and Byzantine relays, relay
-// bookkeeping on the host side, and the delta ACL sync recovery path with
-// its full-snapshot fallback. The conformance sweeps prove the strategies
-// DECIDE identically; this suite proves the collective ones are actually
-// cheaper and fail safely.
+// reference, the batch cap, the Te bound under partitioned and Byzantine
+// relays, and relay bookkeeping on the host side. The conformance sweeps
+// prove the strategies DECIDE identically; this suite proves the collective
+// ones are actually cheaper and fail safely.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/partition_model.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "proto/host.hpp"
 #include "proto/wire.hpp"
 #include "runtime/backend.hpp"
@@ -241,106 +244,51 @@ TEST(TreeDissemination, RelaySessionsPurgeAfterTe) {
 
 // ------------------------------------------------------ coalesced basics
 
-// flush_interval zero disables the coalescing window: every revocation is
-// dispatched the instant it arrives (the latency profile of unicast with
-// the framing of RevokeBatch), and the strategy still drains cleanly.
-TEST(CoalescedDissemination, ZeroFlushIntervalDispatchesImmediately) {
-  ScenarioConfig cfg = dissemination_config(DisseminationKind::kCoalesced, 3);
-  cfg.protocol.dissemination.flush_interval = Duration{};
+// The batch cap: 65 rights revoked inside one flush window leave every
+// manager as exactly two RevokeBatch frames per cached host, a full one of
+// 64 rights sent the moment the cap is reached and one carrying the
+// leftover right when the window closes.
+TEST(CoalescedDissemination, SixtyFiveRightsSplitIntoAFullBatchAndTheRest) {
+  constexpr int kUsers = 65;
+  ScenarioConfig cfg = dissemination_config(DisseminationKind::kCoalesced, 2);
+  cfg.users = kUsers;
   Scenario s(cfg);
-  for (int u = 0; u < 2; ++u) {
-    ASSERT_TRUE(s.grant(s.user(u), 0));
-  }
+  for (int u = 0; u < kUsers; ++u) ASSERT_TRUE(s.grant(s.user(u), 0));
   s.run_for(Duration::seconds(2));
   for (int h = 0; h < s.host_count(); ++h) {
-    for (int u = 0; u < 2; ++u) s.check(h, s.user(u));
+    for (int u = 0; u < kUsers; ++u) s.check(h, s.user(u));
   }
   s.run_for(Duration::seconds(3));
+  for (int h = 0; h < s.host_count(); ++h) {
+    ASSERT_EQ(s.host(h).controller().cache(s.app())->size(),
+              static_cast<std::size_t>(kUsers));
+  }
 
-  for (int u = 0; u < 2; ++u) ASSERT_TRUE(s.revoke(s.user(u), 0));
-  s.run_for(Duration::seconds(1));
+  obs::Tracer tracer;
+  {
+    const obs::TracerScope scope(&tracer);
+    for (int u = 0; u < kUsers; ++u) ASSERT_TRUE(s.revoke(s.user(u), 0));
+    s.run_for(Duration::seconds(1));
+  }
+  // (manager, host) -> rights carried by each frame, in send order.
+  std::map<std::pair<std::uint32_t, std::int64_t>, std::vector<std::int64_t>>
+      frames;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (std::strcmp(e.name, "revoke_fanout") == 0) {
+      frames[{e.node, e.a0}].push_back(e.a1);
+    }
+  }
+  EXPECT_EQ(frames.size(), static_cast<std::size_t>(3 * s.host_count()));
+  for (const auto& [link, rights] : frames) {
+    EXPECT_EQ(rights, (std::vector<std::int64_t>{64, 1}))
+        << "manager " << link.first << " -> host " << link.second;
+  }
   for (int h = 0; h < s.host_count(); ++h) {
     EXPECT_EQ(s.host(h).controller().cache(s.app())->size(), 0u);
   }
   for (int m = 0; m < 3; ++m) {
     EXPECT_EQ(s.manager(m).manager().inflight_revocations(), 0u);
   }
-}
-
-// ------------------------------------------------------------ delta sync
-
-ScenarioConfig delta_sync_config() {
-  ScenarioConfig cfg = dissemination_config(DisseminationKind::kUnicast, 2);
-  cfg.protocol.dissemination.delta_sync = true;
-  return cfg;
-}
-
-// The suffix regression the wire tag exists for: a recovering manager's
-// FIRST sync round (no cursor) transfers the peer's full snapshot; once a
-// cursor is held, later rounds transfer EXACTLY the updates applied since —
-// pinned by sync_entries_sent, which would balloon if the peer fell back to
-// snapshots. The second peer is cut off to keep the sync open across rounds.
-TEST(DeltaSync, LaterRoundsTransferOnlyThePostCursorSuffix) {
-  Scenario s(delta_sync_config());
-  for (int u = 0; u < 6; ++u) ASSERT_TRUE(s.grant(s.user(u), 0));
-  s.run_for(Duration::seconds(2));
-
-  s.manager(1).crash();
-  s.run_for(Duration::seconds(1));
-  s.scripted().cut_link(s.manager_ids()[1], s.manager_ids()[2]);
-  const std::uint64_t sent0 = s.manager(0).manager().sync_entries_sent();
-  s.manager(1).recover();
-
-  // Round 1 (no cursor): manager 0 serves its full 6-entry snapshot; the
-  // cut peer cannot vote, so the sync stays open.
-  s.run_for(Duration::millis(500));
-  EXPECT_EQ(s.manager(0).manager().sync_entries_sent() - sent0, 6u);
-  EXPECT_FALSE(s.manager(1).manager().synced(s.app()));
-
-  // Two more updates land while the recovering manager waits...
-  ASSERT_TRUE(s.grant(s.user(6), 0));
-  ASSERT_TRUE(s.grant(s.user(7), 0));
-  // ... so round 2 (cursor = 6) must transfer exactly that 2-entry suffix.
-  s.run_for(Duration::seconds(3));
-  EXPECT_EQ(s.manager(0).manager().sync_entries_sent() - sent0, 8u);
-
-  // Further rounds have an empty suffix: the count is pinned flat.
-  s.run_for(Duration::seconds(4));
-  EXPECT_EQ(s.manager(0).manager().sync_entries_sent() - sent0, 8u);
-
-  s.scripted().heal_all();
-  s.run_for(Duration::seconds(3));
-  EXPECT_TRUE(s.manager(1).manager().synced(s.app()));
-}
-
-// Correctness never depends on the capped apply log: once compaction has
-// advanced past the requester's cursor, the peer answers with the full
-// snapshot again (6 initial + 6 new = 12 entries, not the 6-entry suffix a
-// still-valid cursor would have bought).
-TEST(DeltaSync, FallsBackToFullSnapshotWhenTheLogCompactedPastTheCursor) {
-  ScenarioConfig cfg = delta_sync_config();
-  cfg.protocol.dissemination.delta_log_cap = 4;
-  Scenario s(cfg);
-  for (int u = 0; u < 6; ++u) ASSERT_TRUE(s.grant(s.user(u), 0));
-  s.run_for(Duration::seconds(2));
-
-  s.manager(1).crash();
-  s.run_for(Duration::seconds(1));
-  s.scripted().cut_link(s.manager_ids()[1], s.manager_ids()[2]);
-  const std::uint64_t sent0 = s.manager(0).manager().sync_entries_sent();
-  s.manager(1).recover();
-  s.run_for(Duration::millis(500));
-  EXPECT_EQ(s.manager(0).manager().sync_entries_sent() - sent0, 6u);
-
-  // Six more updates overflow the 4-entry log: floor moves to 8, past the
-  // recovering manager's cursor of 6.
-  for (int u = 6; u < 12; ++u) ASSERT_TRUE(s.grant(s.user(u), 0));
-  s.run_for(Duration::seconds(3));
-  EXPECT_EQ(s.manager(0).manager().sync_entries_sent() - sent0, 6u + 12u);
-
-  s.scripted().heal_all();
-  s.run_for(Duration::seconds(3));
-  EXPECT_TRUE(s.manager(1).manager().synced(s.app()));
 }
 
 // --------------------------------------------- threaded smoke (TSan job)
