@@ -379,7 +379,7 @@ std::uint64_t fanout_frames(runtime::DisseminationKind dk, int hosts,
   cfg.const_latency = sim::Duration::millis(10);
   cfg.protocol.check_quorum = 2;
   cfg.protocol.Te = sim::Duration::seconds(30);
-  cfg.protocol.dissemination.kind = dk;
+  cfg.protocol.dissemination = dk;
   cfg.seed = 7;
   workload::Scenario s(cfg);
   for (int u = 0; u < users; ++u) s.grant(s.user(u), 0);
@@ -556,29 +556,20 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
           runtime::DisseminationKind::kUnicast, kFanHosts, kFanUsers);
       const std::uint64_t coal = fanout_frames(
           runtime::DisseminationKind::kCoalesced, kFanHosts, kFanUsers);
-      const std::uint64_t tree = fanout_frames(
-          runtime::DisseminationKind::kTree, kFanHosts, kFanUsers);
       const double per_rev = 1.0 / kFanUsers;
       std::printf("  fanout frames (32 hosts, per rev): %6.1f unicast  "
-                  "%6.1f coalesced (%.1fx)  %6.1f tree (%.1fx)\n",
+                  "%6.1f coalesced (%.1fx)\n",
                   static_cast<double>(uni) * per_rev,
                   static_cast<double>(coal) * per_rev,
                   coal > 0 ? static_cast<double>(uni) / static_cast<double>(coal)
-                           : 0.0,
-                  static_cast<double>(tree) * per_rev,
-                  tree > 0 ? static_cast<double>(uni) / static_cast<double>(tree)
                            : 0.0);
       json.record(
           "fanout_frames_per_revocation",
           {{"cached_hosts", static_cast<double>(kFanHosts)},
            {"unicast", static_cast<double>(uni) * per_rev},
            {"coalesced", static_cast<double>(coal) * per_rev},
-           {"tree", static_cast<double>(tree) * per_rev},
            {"coalesced_savings_x",
             coal > 0 ? static_cast<double>(uni) / static_cast<double>(coal)
-                     : 0.0},
-           {"tree_savings_x",
-            tree > 0 ? static_cast<double>(uni) / static_cast<double>(tree)
                      : 0.0}});
     }
   });

@@ -257,8 +257,11 @@ ChaosResult run_chaos(const ChaosOptions& opts) {
         // then commit the flip on ALL managers — up or down — in that same
         // event. The map survives crashes; a down gainer stays pending until
         // the frozen handoff retransmits reach it after recovery.
+        // Only the pending scheduler event owns the closure; the closure
+        // itself holds it weakly, or the two would keep each other alive.
         auto poll = std::make_shared<std::function<void()>>();
-        *poll = [&, poll, leaving, next] {
+        *poll = [&, weak = std::weak_ptr<std::function<void()>>(poll), leaving,
+                 next] {
           if (scenario.shard_map().epoch() >= next.epoch()) return;
           bool drained = true;
           for (const int m : leaving) {
@@ -271,7 +274,7 @@ ChaosResult run_chaos(const ChaosOptions& opts) {
           if (!drained) {
             scenario.scheduler().schedule_at(
                 scenario.scheduler().now() + sim::Duration::millis(250),
-                [poll] { (*poll)(); });
+                [self = weak.lock()] { (*self)(); });
             return;
           }
           for (int m = 0; m < M; ++m) {
@@ -288,23 +291,6 @@ ChaosResult run_chaos(const ChaosOptions& opts) {
         scenario.scheduler().schedule_at(
             scenario.scheduler().now() + sim::Duration::millis(250),
             [poll] { (*poll)(); });
-        return true;
-      }
-      case FaultKind::kByzantineRelay: {
-        // Tree-dissemination adversary: the host acks every RelayForward as
-        // fully delivered and delivers nothing. A crashed host cannot lie.
-        auto& host = scenario.host(e.a);
-        if (!host.up()) return false;
-        host.controller().debug_set_lying_relay(true);
-        return true;
-      }
-      case FaultKind::kRestoreRelay: {
-        auto& host = scenario.host(e.a);
-        // A crash between the flip and this event already reset the flag
-        // (a reimaged host comes back honest); count the remediation anyway
-        // when the host is up, clearing is idempotent.
-        if (!host.up()) return false;
-        host.controller().debug_set_lying_relay(false);
         return true;
       }
     }
@@ -348,8 +334,6 @@ ChaosResult run_chaos(const ChaosOptions& opts) {
   }
   for (int h = 0; h < H; ++h) {
     if (!scenario.host(h).up()) scenario.host(h).recover();
-    // Remediate any relay still lying, like the Byzantine managers above.
-    scenario.host(h).controller().debug_set_lying_relay(false);
   }
   scenario.run_for(sim::Duration::seconds(10));
   // Post-incident administrative anti-entropy: every member pulls, merges,

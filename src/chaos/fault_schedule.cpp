@@ -43,8 +43,6 @@ const char* to_cstring(FaultKind k) noexcept {
     case FaultKind::kByzantineManager: return "byzantine-manager";
     case FaultKind::kRestoreManager: return "restore-manager";
     case FaultKind::kShardRebalance: return "shard-rebalance";
-    case FaultKind::kByzantineRelay: return "byzantine-relay";
-    case FaultKind::kRestoreRelay: return "restore-relay";
   }
   return "?";
 }
@@ -276,20 +274,9 @@ ChaosPlan make_plan(std::uint64_t seed, sim::Duration horizon,
     add(uniform_offset(faults, window), FaultKind::kShardRebalance, leave);
   }
 
-  // Collective dissemination. Assigning the kind draws nothing; only tree
-  // plans (which cannot predate this site) take extra draws, so unicast and
-  // coalesced sweeps of historical seeds replay bit-identically.
-  p.dissemination.kind = opts.dissemination;
-  if (opts.dissemination == runtime::DisseminationKind::kTree) {
-    p.dissemination.relay_width =
-        static_cast<std::size_t>(faults.next_in_range(2, 4));
-    const int relay =
-        static_cast<int>(faults.next_below(static_cast<std::uint64_t>(H)));
-    const sim::Duration at = uniform_offset(faults, window);
-    const sim::Duration dur = exp_duration(faults, 60.0, 10.0, 120.0);
-    add(at, FaultKind::kByzantineRelay, relay);
-    add(at + dur, FaultKind::kRestoreRelay, relay);
-  }
+  // Collective dissemination. Assigning the kind draws nothing, so every
+  // strategy replays historical seeds bit-identically.
+  p.dissemination = opts.dissemination;
 
   std::stable_sort(ev.begin(), ev.end(),
                    [](const FaultEvent& x, const FaultEvent& y) {

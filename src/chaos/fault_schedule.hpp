@@ -38,8 +38,6 @@ enum class FaultKind : std::uint8_t {
   kByzantineManager,  ///< manager index a starts lying (aux seeds its lies)
   kRestoreManager,    ///< manager index a is remediated back to honesty
   kShardRebalance,    ///< sharded runs: group index a leaves the shard map
-  kByzantineRelay,    ///< tree runs: app host index a starts lying as a relay
-  kRestoreRelay,      ///< app host index a is remediated back to honesty
 };
 
 [[nodiscard]] const char* to_cstring(FaultKind k) noexcept;
@@ -84,11 +82,8 @@ struct PlanOptions {
   /// by groups entering/leaving the map, never by editing Managers(app).
   bool sharded = false;
   /// Revocation-dissemination strategy for the deployment (the fanout path
-  /// the schedule stresses). A pure knob: selecting unicast (the default)
-  /// draws nothing, so historical plans stay bit-identical. Tree plans draw
-  /// extra sites — a randomized relay width plus one Byzantine-relay window
-  /// (the strategy's own adversary: a relay that acks its whole group and
-  /// delivers nothing, which the Te bound must absorb).
+  /// the schedule stresses). A pure knob: selecting a strategy draws
+  /// nothing, so historical plans stay bit-identical.
   runtime::DisseminationKind dissemination =
       runtime::DisseminationKind::kUnicast;
 };

@@ -117,19 +117,6 @@ void AccessController::sweep_tick() {
   for (auto& [app, state] : apps_) {
     state.cache.sweep(now, config_.cache_idle_limit);
   }
-  // Relay sessions the manager stopped driving (fully acked, expired, or
-  // the manager crashed) age out after Te: by then every right the session
-  // carried has expired on each leaf's own clock, and a late RelayForward
-  // for the same batch would simply mint a fresh session.
-  const sim::TimePoint horizon = env_.now();
-  for (auto it = relay_sessions_.begin(); it != relay_sessions_.end();) {
-    if (horizon - it->second.touched >= config_.Te) {
-      relay_leaf_index_.erase(it->second.leaf_batch_id);
-      it = relay_sessions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 AccessController::~AccessController() = default;
@@ -165,10 +152,6 @@ void AccessController::on_message(HostId from, const net::MessagePtr& msg) {
     handle_revoke(from, *revoke);
   } else if (const auto* batch = net::message_cast<RevokeBatch>(msg)) {
     handle_revoke_batch(from, *batch);
-  } else if (const auto* relay = net::message_cast<RelayForward>(msg)) {
-    handle_relay_forward(from, *relay);
-  } else if (const auto* leaf = net::message_cast<RevokeBatchAck>(msg)) {
-    handle_leaf_ack(from, *leaf);
   } else if (const auto* announce = net::message_cast<ShardMapAnnounce>(msg)) {
     handle_shard_map(from, *announce);
   }
@@ -654,8 +637,7 @@ bool AccessController::sender_is_manager(AppId app, HostId from) {
 }
 
 void AccessController::flush_right(AppId app, UserId user,
-                                   acl::Version version, obs::TraceId trace,
-                                   bool authoritative) {
+                                   acl::Version version, obs::TraceId trace) {
   // Fig. 2: flush unconditionally. If the user was meanwhile re-granted, the
   // flush only costs one re-check — safe for security, cheap for availability.
   // The flush span lands on the *issuing manager's* update trace (`trace`),
@@ -670,10 +652,8 @@ void AccessController::flush_right(AppId app, UserId user,
     state->cache.remove_on_revoke(user);
   }
   // The notify is authoritative deny evidence at its version: remember it so
-  // a lying manager's stale grant replies at or below it are discarded. Only
-  // a copy received from an authenticated manager qualifies — see
-  // handle_revoke_batch for why relayed copies do not.
-  if (authoritative && !version.initial()) {
+  // a lying manager's stale grant replies at or below it are discarded.
+  if (!version.initial()) {
     acl::Version& floor = deny_floor_[user_key(app, user)];
     if (version > floor) floor = version;
   }
@@ -687,111 +667,25 @@ void AccessController::handle_revoke(HostId from, const RevokeNotify& msg) {
              << to_string(from);
     return;
   }
-  flush_right(msg.app, msg.user, msg.version, msg.trace,
-              /*authoritative=*/true);
+  flush_right(msg.app, msg.user, msg.version, msg.trace);
   net_.send(self_, from,
             net::make_message<RevokeNotifyAck>(msg.app, msg.user, msg.version));
 }
 
 void AccessController::handle_revoke_batch(HostId from,
                                            const RevokeBatch& msg) {
-  // Two senders are possible: the manager itself (coalesced dissemination,
-  // or a tree group down to one member) and a peer host relaying on a
-  // manager's behalf. A relay cannot be authenticated as one — any host
-  // could claim the role — so a relayed item still flushes the cache
-  // (spoofing it costs the victim at most one re-check per item) but NEVER
-  // raises the deny floor: a floor is sticky deny evidence, and only a
-  // genuine manager's word is good for that.
-  const bool authoritative = sender_is_manager(msg.app, from);
-  for (const RevokeItem& item : msg.items) {
-    flush_right(msg.app, item.user, item.version, msg.trace, authoritative);
-  }
-  net_.send(self_, from,
-            net::make_message<RevokeBatchAck>(msg.app, msg.batch_id));
-}
-
-void AccessController::handle_relay_forward(HostId from,
-                                            const RelayForward& msg) {
-  // Relay duty is only accepted from an authenticated manager: the frame
-  // names other hosts to contact, and honouring a forged one would turn
-  // this host into an amplification cannon.
+  // Same gate as handle_revoke: a batch is a vector of RevokeNotify, and
+  // only the managers send revocations (Fig. 2).
   if (!sender_is_manager(msg.app, from)) {
-    WAN_WARN << to_string(self_) << " dropped RelayForward from non-manager "
+    WAN_WARN << to_string(self_) << " dropped RevokeBatch from non-manager "
              << to_string(from);
     return;
   }
-  if (lying_relay_) {
-    // Chaos hook (debug_set_lying_relay): claim complete delivery, deliver
-    // nothing. The Te bound must absorb this — see the header comment.
-    net_.send(self_, from,
-              net::make_message<RelayAck>(msg.app, msg.batch_id, msg.dests));
-    return;
+  for (const RevokeItem& item : msg.items) {
+    flush_right(msg.app, item.user, item.version, msg.trace);
   }
-  const auto key = std::make_pair(from, msg.batch_id);
-  auto [it, created] = relay_sessions_.try_emplace(key);
-  RelaySession& s = it->second;
-  if (created) {
-    s.app = msg.app;
-    s.leaf_batch_id = next_leaf_batch_id_++;
-    s.trace = msg.trace;
-    relay_leaf_index_[s.leaf_batch_id] = key;
-  }
-  s.touched = env_.now();
-  // The manager refilters the payload on every retransmission (expired
-  // rights drop out), so the latest frame is authoritative for the leaves.
-  s.items = msg.items;
-  for (const HostId d : msg.dests) {
-    if (s.acked.count(d) != 0) continue;
-    if (d == self_) {
-      // The relay is itself a destination; deliver locally. The sender is a
-      // manager, so this copy is authoritative.
-      for (const RevokeItem& item : s.items) {
-        flush_right(msg.app, item.user, item.version, s.trace,
-                    /*authoritative=*/true);
-      }
-      s.acked.insert(d);
-      continue;
-    }
-    s.pending.insert(d);
-  }
-  static obs::Counter& frames =
-      obs::Registry::global().counter("wan_revoke_fanout_frames_total");
-  static obs::Counter& rights =
-      obs::Registry::global().counter("wan_revoke_coalesced_rights");
-  const auto leaf_frame = net::make_message<RevokeBatch>(
-      msg.app, s.leaf_batch_id, s.items, s.trace);
-  for (const HostId d : s.pending) {
-    obs::record(s.trace, obs::SpanKind::kSend, self_, env_.now(),
-                "revoke_fanout", d.value(),
-                static_cast<std::int64_t>(s.items.size()));
-    frames.inc();
-    rights.inc(s.items.size());
-    net_.send(self_, d, leaf_frame);
-  }
-  // Cumulative ack — everything confirmed so far, self included — sent on
-  // every round, so a lost ack costs one retransmit period and nothing more.
-  if (!s.acked.empty()) {
-    net_.send(self_, from,
-              net::make_message<RelayAck>(
-                  msg.app, msg.batch_id,
-                  std::vector<HostId>(s.acked.begin(), s.acked.end())));
-  }
-}
-
-void AccessController::handle_leaf_ack(HostId from, const RevokeBatchAck& msg) {
-  const auto idx = relay_leaf_index_.find(msg.batch_id);
-  if (idx == relay_leaf_index_.end()) return;
-  const auto sit = relay_sessions_.find(idx->second);
-  if (sit == relay_sessions_.end()) return;
-  RelaySession& s = sit->second;
-  if (s.app != msg.app || s.pending.erase(from) == 0) return;
-  s.acked.insert(from);
-  s.touched = env_.now();
-  // Push the news upward immediately (still cumulative, still idempotent).
-  net_.send(self_, idx->second.first,
-            net::make_message<RelayAck>(
-                s.app, idx->second.second,
-                std::vector<HostId>(s.acked.begin(), s.acked.end())));
+  net_.send(self_, from,
+            net::make_message<RevokeBatchAck>(msg.app, msg.batch_id));
 }
 
 void AccessController::install_shard_map(AppId app, shard::ShardMap map) {
@@ -835,11 +729,6 @@ void AccessController::crash() {
   // the stats ledger survives, like any metrics counter would.
   profiles_.clear();
   deny_floor_.clear();
-  // Relay duties die with the host; the retransmitting managers re-seed
-  // them. A reimaged host also comes back honest.
-  relay_sessions_.clear();
-  relay_leaf_index_.clear();
-  lying_relay_ = false;
   authenticator_.reset();
   resolver_.clear();
   sweep_timer_.stop();

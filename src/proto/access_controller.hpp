@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -110,20 +109,6 @@ class AccessController {
   /// quarantine (test/diag hook).
   [[nodiscard]] bool manager_quarantined(HostId manager) const;
 
-  /// Chaos/test hook: a Byzantine relay. While set, a RelayForward is acked
-  /// upward as fully delivered WITHOUT forwarding or flushing anything — the
-  /// worst lie a relay can tell. The dissemination Te bound must survive it:
-  /// the manager believes the lie, but every leaf's cached entry still
-  /// expires on its own local clock within te. Cleared by crash() (a
-  /// reimaged host comes back honest).
-  void debug_set_lying_relay(bool lying) noexcept { lying_relay_ = lying; }
-
-  /// Relay duties currently held open for retransmitting managers
-  /// (test/diag hook).
-  [[nodiscard]] std::size_t relay_sessions() const noexcept {
-    return relay_sessions_.size();
-  }
-
   /// Installs (or replaces) the shard map this host routes `app`'s checks
   /// through; overrides whatever map the name service carries. The
   /// coordinator of a rebalance calls this at commit; over the wire the
@@ -180,20 +165,16 @@ class AccessController {
   void handle_query_response(HostId from, const QueryResponse& resp);
   void handle_revoke(HostId from, const RevokeNotify& msg);
   void handle_revoke_batch(HostId from, const RevokeBatch& msg);
-  void handle_relay_forward(HostId from, const RelayForward& msg);
-  void handle_leaf_ack(HostId from, const RevokeBatchAck& msg);
   void handle_shard_map(HostId from, const ShardMapAnnounce& msg);
   /// Whether `from` is a manager of `app` (name-service record or installed
   /// shard map) — the trust gate every revocation message goes through.
   [[nodiscard]] bool sender_is_manager(AppId app, HostId from);
-  /// One right's local revocation treatment: flush the cache entry, record
-  /// the flush span/counter on `trace`, and — only when the sender was an
-  /// authenticated manager — raise the deny floor. Relay-delivered copies
-  /// are NOT floor evidence: any host can claim to relay, and a spoofed
-  /// frame must cost at most one re-check, never a sticky deny.
+  /// One right's local revocation treatment, called only for a sender
+  /// sender_is_manager() accepted: flush the cache entry, record the flush
+  /// span/counter on `trace`, and raise the deny floor.
   void flush_right(AppId app, UserId user, acl::Version version,
-                   obs::TraceId trace, bool authoritative);
-  /// Periodic housekeeping: cache sweep + relay-session purge.
+                   obs::TraceId trace);
+  /// Periodic housekeeping: cache sweep.
   void sweep_tick();
 
   void start_session(AppId app, UserId user, CheckCallback done,
@@ -259,29 +240,6 @@ class AccessController {
   std::unordered_map<std::uint64_t, SessionKey> query_to_session_;
   std::unordered_map<HostId, ManagerProfile> profiles_;
   std::unordered_map<std::uint64_t, acl::Version> deny_floor_;  ///< by user key
-
-  /// One relay duty under tree dissemination: the manager's (sender,
-  /// batch_id) on one side, this host's own leaf batch id on the other.
-  /// The relay keeps NO timer — the manager's RelayForward retransmissions
-  /// drive every resend, so a crashed relay simply stops mattering. The
-  /// acked set makes the upward RelayAck cumulative (idempotent under
-  /// duplication and loss); `touched` feeds the sweep purge, which retires
-  /// sessions the manager has clearly abandoned (older than Te).
-  struct RelaySession {
-    AppId app{};
-    std::uint64_t leaf_batch_id = 0;  ///< id on the frames this relay sends
-    std::vector<RevokeItem> items;    ///< latest frame's payload
-    std::set<HostId> pending;         ///< leaves not yet acked
-    std::set<HostId> acked;           ///< cumulative RelayAck payload
-    obs::TraceId trace = 0;
-    sim::TimePoint touched{};
-  };
-  /// Sessions keyed by (manager, manager's batch id).
-  std::map<std::pair<HostId, std::uint64_t>, RelaySession> relay_sessions_;
-  /// Reverse index: this relay's leaf batch id -> owning session key.
-  std::map<std::uint64_t, std::pair<HostId, std::uint64_t>> relay_leaf_index_;
-  std::uint64_t next_leaf_batch_id_ = 1;
-  bool lying_relay_ = false;  ///< chaos hook, see debug_set_lying_relay()
 
   HardeningStats hardening_;
   std::uint64_t next_query_id_ = 1;

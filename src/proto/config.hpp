@@ -69,7 +69,8 @@ struct ProtocolConfig {
   /// How managers fan revocation notices out to cached hosts
   /// (src/proto/dissemination.hpp). The default reproduces the paper's
   /// unicast loop.
-  runtime::DisseminationOptions dissemination;
+  runtime::DisseminationKind dissemination =
+      runtime::DisseminationKind::kUnicast;
 
   /// The local-clock expiration period managers attach to responses. Under
   /// the freeze strategy the budget Te is split between the inaccessibility
@@ -89,7 +90,6 @@ struct ProtocolConfig {
     WAN_REQUIRE(max_attempts >= 0);
     WAN_REQUIRE(byzantine_slack >= 0);
     WAN_REQUIRE(query_timeout > sim::Duration{});
-    dissemination.validate();
     if (freeze_enabled) {
       WAN_REQUIRE(Ti > sim::Duration{});
       WAN_REQUIRE_MSG(

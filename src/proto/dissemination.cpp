@@ -1,6 +1,5 @@
 #include "proto/dissemination.hpp"
 
-#include <algorithm>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -18,10 +17,10 @@ namespace {
 // serve every app a manager runs.
 using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
 
-/// Coalesced/tree: a buffered window is flushed as soon as it holds this many
+/// Coalesced: a buffered window is flushed as soon as it holds this many
 /// rights, even if the flush timer has not fired.
 constexpr std::size_t kBatchMaxRights = 64;
-/// Coalesced/tree: how long a freshly revoked right may sit buffered waiting
+/// Coalesced: how long a freshly revoked right may sit buffered waiting
 /// for more rights to share its frame. Small by construction: it spends a
 /// slice of the Te budget to save frames.
 constexpr sim::Duration kFlushInterval = sim::Duration::millis(20);
@@ -159,20 +158,17 @@ class UnicastDisseminator final : public Disseminator {
   std::map<Key, std::unique_ptr<Fwd>> fwds_;
 };
 
-// ----------------------------------------------------- coalesced / tree
+// ------------------------------------------------------------- coalesced
 
-/// Shared machinery of the two batching strategies: a Right ledger (who
+/// One RevokeBatch per destination per flush window: a Right ledger (who
 /// still needs which (user, version)), a short-lived flush buffer that
 /// collects rights revoked within one flush window, and Batch records that
-/// own the retransmit loop for the frames actually sent. The tree subclass
-/// only overrides how a flushed set of destinations turns into frames.
-class BatchingDisseminator : public Disseminator {
+/// own the retransmit loop for the frames actually sent.
+class CoalescedDisseminator final : public Disseminator {
  public:
-  BatchingDisseminator(const runtime::DisseminationOptions& opts, HostId self,
-                       runtime::Env& env, sim::Duration te,
-                       sim::Duration retransmit, Sink& sink)
-      : opts_(opts), self_(self), env_(env), te_(te), retransmit_(retransmit),
-        sink_(sink) {}
+  CoalescedDisseminator(HostId self, runtime::Env& env, sim::Duration te,
+                        sim::Duration retransmit, Sink& sink)
+      : self_(self), env_(env), te_(te), retransmit_(retransmit), sink_(sink) {}
 
   void revoke(AppId app, UserId user, acl::Version version,
               const std::set<HostId>& hosts, obs::TraceId trace) override {
@@ -199,11 +195,7 @@ class BatchingDisseminator : public Disseminator {
 
   bool on_message(HostId from, const net::MessagePtr& msg) override {
     if (const auto* a = net::message_cast<RevokeBatchAck>(msg)) {
-      confirm(from, a->batch_id, {from});
-      return true;
-    }
-    if (const auto* a = net::message_cast<RelayAck>(msg)) {
-      confirm(from, a->batch_id, a->acked_dests);
+      confirm(from, a->batch_id);
       return true;
     }
     // Stray RevokeNotifyAck (e.g. from a host that acked a pre-reconfig
@@ -230,7 +222,7 @@ class BatchingDisseminator : public Disseminator {
     buffers_.clear();
   }
 
- protected:
+ private:
   struct Right {
     AppId app{};
     UserId user{};
@@ -240,18 +232,14 @@ class BatchingDisseminator : public Disseminator {
     std::set<HostId> pending;
   };
 
-  /// One first-hop frame's worth of retransmission state: the rights it
-  /// carries and the destinations that have not confirmed yet. For the
-  /// coalesced strategy a batch has exactly one destination; for the tree
-  /// strategy it covers a relay group and re-routes through a different
-  /// member each retry round.
+  /// One frame's worth of retransmission state: the rights it carries and
+  /// the one destination that has not confirmed them yet. Confirmation
+  /// erases the batch.
   struct Batch {
     AppId app{};
-    std::vector<Key> items;       ///< rights carried by the LAST frame sent
-    std::vector<HostId> dests;    ///< confirmation targets, sorted
-    std::set<HostId> pending;     ///< dests still unconfirmed
+    HostId dest{};
+    std::vector<Key> items;  ///< rights carried by the LAST frame sent
     obs::TraceId trace = 0;
-    std::size_t round = 0;        ///< retry rounds completed (relay rotation)
     runtime::Timer retry;
 
     explicit Batch(runtime::Env& env) : retry(env.make_timer()) {}
@@ -303,6 +291,8 @@ class BatchingDisseminator : public Disseminator {
     return items;
   }
 
+  /// Turns one flush window's rights into Batch records + first frames:
+  /// each host gets exactly one frame carrying every right it still holds.
   void flush_app(AppId app) {
     const auto bit = buffers_.find(app);
     if (bit == buffers_.end()) return;
@@ -310,23 +300,21 @@ class BatchingDisseminator : public Disseminator {
     keys.swap(bit->second->keys);
     bit->second->armed = false;
     bit->second->flush.cancel();
-    const std::vector<Key> live = live_keys(keys);
-    if (live.empty()) return;
-    dispatch(app, live);
+    std::map<HostId, std::vector<Key>> by_dest;
+    for (const Key& k : live_keys(keys)) {
+      for (const HostId h : rights_[k].pending) by_dest[h].push_back(k);
+    }
+    for (auto& [dest, dest_keys] : by_dest) {
+      open_batch(app, dest, std::move(dest_keys));
+    }
   }
 
-  /// Turns one flush window's rights into Batch records + first frames.
-  virtual void dispatch(AppId app, const std::vector<Key>& keys) = 0;
-  /// Sends one (re)frame for `batch`; round > 0 means a retry.
-  virtual void send_frame(std::uint64_t batch_id, Batch& batch) = 0;
-
-  void open_batch(AppId app, std::vector<Key> keys, std::vector<HostId> dests) {
+  void open_batch(AppId app, HostId dest, std::vector<Key> keys) {
     const std::uint64_t id = next_batch_id_++;
     auto batch = std::make_unique<Batch>(env_);
     batch->app = app;
+    batch->dest = dest;
     batch->items = std::move(keys);
-    batch->dests = std::move(dests);
-    batch->pending.insert(batch->dests.begin(), batch->dests.end());
     batch->trace = rights_[batch->items.front()].trace;
     Batch& ref = *batch;
     batches_[id] = std::move(batch);
@@ -334,60 +322,55 @@ class BatchingDisseminator : public Disseminator {
     ref.retry.arm(retransmit_, [this, id] { retransmit(id); });
   }
 
+  void send_frame(std::uint64_t batch_id, const Batch& b) {
+    obs::record(b.trace, obs::SpanKind::kSend, self_, env_.now(),
+                "revoke_fanout", b.dest.value(),
+                static_cast<std::int64_t>(b.items.size()));
+    fanout_frames_counter().inc();
+    coalesced_rights_counter().inc(b.items.size());
+    sink_.send(b.dest, net::make_message<RevokeBatch>(b.app, batch_id,
+                                                      wire_items(b.items),
+                                                      b.trace));
+  }
+
   void retransmit(std::uint64_t id) {
     const auto it = batches_.find(id);
     if (it == batches_.end()) return;
     Batch& b = *it->second;
     b.items = live_keys(b.items);
-    if (b.items.empty() || b.pending.empty()) {
+    if (b.items.empty()) {
       batches_.erase(it);
       return;
     }
-    ++b.round;
+    // a0 counts the unconfirmed destinations, as in the unicast span: a
+    // live batch has exactly one.
     obs::record(b.trace, obs::SpanKind::kTimer, self_, env_.now(),
-                "revoke.retransmit",
-                static_cast<std::int64_t>(b.pending.size()));
+                "revoke.retransmit", 1);
     retransmits_counter().inc();
     send_frame(id, b);
     b.retry.arm(retransmit_, [this, id] { retransmit(id); });
   }
 
-  /// Applies confirmations for `dests` of batch `id`: every right the LAST
-  /// frame carried is delivered at each newly confirmed destination.
-  void confirm(HostId from, std::uint64_t id,
-               const std::vector<HostId>& dests) {
+  /// Applies `from`'s confirmation of batch `id`: every right the LAST frame
+  /// carried is delivered at `from`. Only the batch's destination may
+  /// confirm it; anyone else claiming progress is ignored.
+  void confirm(HostId from, std::uint64_t id) {
     const auto it = batches_.find(id);
-    if (it == batches_.end()) return;
-    Batch& b = *it->second;
-    // Only members of the batch may vouch for it; anyone else claiming
-    // progress is an outsider (a lying member only delays its own flush,
-    // which cache expiry bounds — see the tree notes in the header).
-    if (b.pending.count(from) == 0 &&
-        std::find(b.dests.begin(), b.dests.end(), from) == b.dests.end()) {
-      return;
+    if (it == batches_.end() || it->second->dest != from) return;
+    const Batch& b = *it->second;
+    for (const Key& k : b.items) {
+      const auto rit = rights_.find(k);
+      if (rit == rights_.end()) continue;
+      Right& r = rit->second;
+      r.pending.erase(from);
+      sink_.delivered(r.app, from, r.user, r.version);
+      if (r.pending.empty()) rights_.erase(rit);
     }
-    std::size_t confirmed = 0;
-    for (const HostId d : dests) {
-      if (b.pending.erase(d) == 0) continue;
-      ++confirmed;
-      for (const Key& k : b.items) {
-        const auto rit = rights_.find(k);
-        if (rit == rights_.end()) continue;
-        Right& r = rit->second;
-        r.pending.erase(d);
-        sink_.delivered(r.app, d, r.user, r.version);
-        if (r.pending.empty()) rights_.erase(rit);
-      }
-    }
-    if (confirmed > 0) {
-      obs::record(b.trace, obs::SpanKind::kRecv, self_, env_.now(),
-                  "revoke.ack.recv", from.value(),
-                  static_cast<std::int64_t>(confirmed));
-    }
-    if (b.pending.empty()) batches_.erase(it);
+    obs::record(b.trace, obs::SpanKind::kRecv, self_, env_.now(),
+                "revoke.ack.recv", from.value(), 1);
+    batches_.erase(it);
   }
 
-  runtime::DisseminationOptions opts_;
   HostId self_;
   runtime::Env& env_;
   sim::Duration te_;
@@ -399,112 +382,19 @@ class BatchingDisseminator : public Disseminator {
   std::uint64_t next_batch_id_ = 1;
 };
 
-/// One RevokeBatch per destination per flush window.
-class CoalescedDisseminator final : public BatchingDisseminator {
- public:
-  using BatchingDisseminator::BatchingDisseminator;
-
- private:
-  void dispatch(AppId app, const std::vector<Key>& keys) override {
-    // Group the window's rights by destination: each host gets exactly one
-    // frame carrying every right it still holds.
-    std::map<HostId, std::vector<Key>> by_dest;
-    for (const Key& k : keys) {
-      for (const HostId h : rights_[k].pending) by_dest[h].push_back(k);
-    }
-    for (auto& [dest, dest_keys] : by_dest) {
-      open_batch(app, std::move(dest_keys), {dest});
-    }
-  }
-
-  void send_frame(std::uint64_t batch_id, Batch& b) override {
-    const HostId dest = b.dests.front();
-    obs::record(b.trace, obs::SpanKind::kSend, self_, env_.now(),
-                "revoke_fanout", dest.value(),
-                static_cast<std::int64_t>(b.items.size()));
-    fanout_frames_counter().inc();
-    coalesced_rights_counter().inc(b.items.size());
-    sink_.send(dest, net::make_message<RevokeBatch>(b.app, batch_id,
-                                                    wire_items(b.items),
-                                                    b.trace));
-  }
-};
-
-/// One RelayForward per relay group per flush window; the relay fans out and
-/// acks upward. Retries rotate the relay through the surviving (unconfirmed)
-/// members, so a crashed, partitioned, or lying relay costs one retransmit
-/// period, never the bound: by the deadline every cached entry has expired
-/// on its own local clock (te <= Te).
-class TreeDisseminator final : public BatchingDisseminator {
- public:
-  using BatchingDisseminator::BatchingDisseminator;
-
- private:
-  void dispatch(AppId app, const std::vector<Key>& keys) override {
-    // The union of destinations, partitioned into relay groups. Every group
-    // member receives the whole window's items — over-delivery is idempotent
-    // (flushing an uncached entry is a no-op) and keeps the envelope one
-    // frame per group.
-    std::set<HostId> dests;
-    for (const Key& k : keys) {
-      const auto& pending = rights_[k].pending;
-      dests.insert(pending.begin(), pending.end());
-    }
-    std::vector<HostId> ordered(dests.begin(), dests.end());
-    const std::size_t width = std::max<std::size_t>(1, opts_.relay_width);
-    for (std::size_t i = 0; i < ordered.size(); i += width) {
-      const std::size_t end = std::min(ordered.size(), i + width);
-      open_batch(app, std::vector<Key>(keys),
-                 std::vector<HostId>(ordered.begin() + i,
-                                     ordered.begin() + end));
-    }
-  }
-
-  void send_frame(std::uint64_t batch_id, Batch& b) override {
-    std::vector<HostId> pending(b.pending.begin(), b.pending.end());
-    std::vector<RevokeItem> items = wire_items(b.items);
-    fanout_frames_counter().inc();
-    coalesced_rights_counter().inc(items.size());
-    if (pending.size() == 1) {
-      // Singleton group (or every other member confirmed): relay indirection
-      // buys nothing, send the batch straight to the last holdout.
-      const HostId dest = pending.front();
-      obs::record(b.trace, obs::SpanKind::kSend, self_, env_.now(),
-                  "revoke_fanout", dest.value(),
-                  static_cast<std::int64_t>(items.size()));
-      sink_.send(dest, net::make_message<RevokeBatch>(b.app, batch_id,
-                                                      std::move(items),
-                                                      b.trace));
-      return;
-    }
-    const HostId relay = pending[b.round % pending.size()];
-    obs::record(b.trace, obs::SpanKind::kSend, self_, env_.now(),
-                "revoke_fanout", relay.value(),
-                static_cast<std::int64_t>(items.size()));
-    sink_.send(relay, net::make_message<RelayForward>(b.app, batch_id,
-                                                      std::move(items),
-                                                      std::move(pending),
-                                                      b.trace));
-  }
-};
-
 }  // namespace
 
 std::unique_ptr<Disseminator> make_disseminator(
-    const runtime::DisseminationOptions& opts, HostId self, runtime::Env& env,
+    runtime::DisseminationKind kind, HostId self, runtime::Env& env,
     sim::Duration te, sim::Duration retransmit_period,
     Disseminator::Sink& sink) {
-  opts.validate();
-  switch (opts.kind) {
+  switch (kind) {
     case runtime::DisseminationKind::kUnicast:
       return std::make_unique<UnicastDisseminator>(self, env, te,
                                                    retransmit_period, sink);
     case runtime::DisseminationKind::kCoalesced:
-      return std::make_unique<CoalescedDisseminator>(opts, self, env, te,
+      return std::make_unique<CoalescedDisseminator>(self, env, te,
                                                      retransmit_period, sink);
-    case runtime::DisseminationKind::kTree:
-      return std::make_unique<TreeDisseminator>(opts, self, env, te,
-                                                retransmit_period, sink);
   }
   WAN_REQUIRE(false);
   return nullptr;

@@ -11,18 +11,13 @@
 //                  inline loop (pinned by the conformance sweeps);
 //   * kCoalesced — buffers (user, version) rights for a small flush window
 //                  and sends ONE RevokeBatch per destination, so a storm
-//                  costs H frames instead of U x H;
-//   * kTree      — partitions destinations into relay groups and sends each
-//                  group one RelayForward through a relay host, which fans
-//                  out locally and acks upward; H/relay_width frames leave
-//                  the manager. Relay failure modes (crash, partition, lying
-//                  acks) are bounded exactly like a lost RevokeNotify: the
-//                  manager retries through a different relay each round, and
-//                  past the deadline the cached entries have expired on
-//                  their own (te <= Te), so the paper's bound holds without
-//                  trusting any relay.
+//                  costs H frames instead of U x H.
 //
-// Every strategy keeps the manager's retransmit-until-deadline discipline and
+// Both strategies send every frame straight from the manager to the host
+// that caches the right (Fig. 2): no other host forwards a revocation, so a
+// host accepts revocations from managers only.
+//
+// Both strategies keep the manager's retransmit-until-deadline discipline and
 // reports per-(host, right) delivery through Sink::delivered so the owning
 // ManagerModule can retire grant-table entries exactly as before. The
 // strategy owns all in-flight state; ManagerModule::crash() drops it through
@@ -79,11 +74,11 @@ class Disseminator {
   virtual void shutdown() = 0;
 };
 
-/// Builds the strategy `opts.kind` names. `te` bounds every fan-out
+/// Builds the strategy `kind` names. `te` bounds every fan-out
 /// (deadline = now + te at revoke time) and `retransmit_period` paces the
 /// retry loop — both come from the manager's ProtocolConfig.
 [[nodiscard]] std::unique_ptr<Disseminator> make_disseminator(
-    const runtime::DisseminationOptions& opts, HostId self, runtime::Env& env,
+    runtime::DisseminationKind kind, HostId self, runtime::Env& env,
     sim::Duration te, sim::Duration retransmit_period, Disseminator::Sink& sink);
 
 }  // namespace wan::proto

@@ -465,7 +465,7 @@ void ManagerModule::on_message(HostId from, const net::MessagePtr& msg) {
   } else if (const auto* a = net::message_cast<UpdateAck>(msg)) {
     handle_update_ack(from, *a);
   } else if (disseminator_->on_message(from, msg)) {
-    // Revocation fan-out acks (RevokeNotifyAck / RevokeBatchAck / RelayAck):
+    // Revocation fan-out acks (RevokeNotifyAck / RevokeBatchAck):
     // consumed by the dissemination strategy, which reports per-host
     // delivery back through Sink::delivered.
   } else if (const auto* vq = net::message_cast<VersionQuery>(msg)) {

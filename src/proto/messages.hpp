@@ -356,23 +356,22 @@ struct ShardHandoffDone final : net::Message {
 // --- collective revocation dissemination (src/proto/dissemination.hpp) -------
 //
 // The reference protocol unicasts one RevokeNotify per cached host per
-// revoked right. The coalesced and tree strategies trade a small slice of
-// the Te budget (a flush window) for fewer frames: many (user, version)
-// rights ride one RevokeBatch per destination, and the tree strategy pushes
-// whole batches through relay hosts that fan out locally and ack upward.
-// All three strategies keep the manager's retransmit-until-Te loop — a
-// relay or batch that goes unacked is simply resent (possibly through a
-// different relay), so the paper's revocation bound is unchanged.
+// revoked right. The coalesced strategy trades a small slice of the Te
+// budget (a flush window) for fewer frames: many (user, version) rights ride
+// one RevokeBatch per destination. Both strategies keep the manager's
+// retransmit-until-Te loop — a batch that goes unacked is simply resent, so
+// the paper's revocation bound is unchanged.
 
 /// One revoked right inside a batch: flush `user`'s cache entry; deny-floor
-/// evidence at `version` (only when the sender is an authenticated manager).
+/// evidence at `version`.
 struct RevokeItem {
   UserId user{};
   acl::Version version{};
 };
 
-/// Manager (or relay) -> application host: flush every listed right from
-/// ACL_cache(app). Semantically a vector of RevokeNotify in one frame.
+/// Manager -> application host: flush every listed right from
+/// ACL_cache(app). Semantically a vector of RevokeNotify in one frame; a host
+/// drops one from any other sender, exactly like a RevokeNotify.
 struct RevokeBatch final : net::Message {
   AppId app{};
   std::uint64_t batch_id = 0;  ///< sender-local; echoed by the ack
@@ -398,45 +397,6 @@ struct RevokeBatchAck final : net::Message {
 
   WAN_MESSAGE_TYPE("RevokeBatchAck")
   std::size_t wire_size() const override { return 24; }
-};
-
-/// Manager -> relay host: apply `items` locally if you appear in `dests`,
-/// then fan a relay-minted RevokeBatch out to every other destination and
-/// report progress upward with incremental RelayAcks. The relay keeps no
-/// durable state — a crashed or partitioned relay just stops acking and the
-/// manager's retransmit loop re-routes the pending destinations through a
-/// surviving relay (or directly, for singleton groups).
-struct RelayForward final : net::Message {
-  AppId app{};
-  std::uint64_t batch_id = 0;  ///< manager-local; echoed by RelayAck
-  std::vector<RevokeItem> items;
-  std::vector<HostId> dests;  ///< leaf destinations (the relay may be one)
-  obs::TraceId trace = 0;     ///< the issuing manager's update chain
-
-  RelayForward(AppId a, std::uint64_t b, std::vector<RevokeItem> it,
-               std::vector<HostId> d, obs::TraceId tr = 0)
-      : app(a), batch_id(b), items(std::move(it)), dests(std::move(d)),
-        trace(tr) {}
-
-  WAN_MESSAGE_TYPE("RelayForward")
-  std::size_t wire_size() const override {
-    return 40 + items.size() * 16 + dests.size() * 8;
-  }
-};
-
-/// Relay host -> manager: these destinations of `batch_id` have acked their
-/// leaf batches (the relay lists itself once its own cache is flushed).
-/// Incremental and idempotent — each ack carries the relay's cumulative set.
-struct RelayAck final : net::Message {
-  AppId app{};
-  std::uint64_t batch_id = 0;
-  std::vector<HostId> acked_dests;
-
-  RelayAck(AppId a, std::uint64_t b, std::vector<HostId> d)
-      : app(a), batch_id(b), acked_dests(std::move(d)) {}
-
-  WAN_MESSAGE_TYPE("RelayAck")
-  std::size_t wire_size() const override { return 24 + acked_dests.size() * 8; }
 };
 
 }  // namespace wan::proto

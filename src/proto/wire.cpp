@@ -69,7 +69,7 @@ acl::AclUpdate get_update(WireReader& r) {
   return u;
 }
 
-/// One (user, version) right inside a RevokeBatch / RelayForward.
+/// One (user, version) right inside a RevokeBatch.
 void put_item(WireWriter& w, const RevokeItem& it) {
   w.user_id(it.user);
   put_version(w, it.version);
@@ -102,25 +102,6 @@ std::vector<RevokeItem> get_items(WireReader& r) {
     items.push_back(get_item(r));
   }
   return items;
-}
-
-void put_hosts(WireWriter& w, const std::vector<HostId>& hosts) {
-  w.u32(static_cast<std::uint32_t>(hosts.size()));
-  for (const HostId h : hosts) w.host_id(h);
-}
-
-std::vector<HostId> get_hosts(WireReader& r) {
-  const std::uint32_t count = r.u32();
-  if (count > r.remaining() / 4) {
-    r.fail();
-    return {};
-  }
-  std::vector<HostId> hosts;
-  hosts.reserve(count);
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    hosts.push_back(r.host_id());
-  }
-  return hosts;
 }
 
 // --- per-type codecs --------------------------------------------------------
@@ -537,41 +518,6 @@ void do_register() {
         const std::uint64_t batch_id = r.u64();
         if (!r.ok()) return nullptr;
         return net::make_message<RevokeBatchAck>(app, batch_id);
-      });
-
-  reg<RelayForward>(
-      "RelayForward", kTagRelayForward,
-      [](const RelayForward& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.batch_id);
-        put_items(w, m.items);
-        put_hosts(w, m.dests);
-        w.u64(m.trace);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t batch_id = r.u64();
-        std::vector<RevokeItem> items = get_items(r);
-        std::vector<HostId> dests = get_hosts(r);
-        const obs::TraceId trace = r.u64();
-        if (!r.ok()) return nullptr;
-        return net::make_message<RelayForward>(app, batch_id, std::move(items),
-                                               std::move(dests), trace);
-      });
-
-  reg<RelayAck>(
-      "RelayAck", kTagRelayAck,
-      [](const RelayAck& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.batch_id);
-        put_hosts(w, m.acked_dests);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t batch_id = r.u64();
-        std::vector<HostId> acked = get_hosts(r);
-        if (!r.ok()) return nullptr;
-        return net::make_message<RelayAck>(app, batch_id, std::move(acked));
       });
 
 }

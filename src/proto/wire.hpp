@@ -47,9 +47,8 @@ enum WireTags : net::WireTag {
   kTagShardHandoffDone = 21,
   kTagRevokeBatch = 22,
   kTagRevokeBatchAck = 23,
-  kTagRelayForward = 24,
-  kTagRelayAck = 25,
-  // 26 and 27 are retired (delta ACL sync); never reuse them.
+  // 24 and 25 are retired (relay tree); 26 and 27 are retired (delta ACL
+  // sync). Never reuse them.
 };
 
 /// The shared on-wire layout of an ACL slice — a `u32` entry count followed

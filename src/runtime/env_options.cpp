@@ -27,7 +27,6 @@ const char* to_cstring(DisseminationKind kind) noexcept {
   switch (kind) {
     case DisseminationKind::kUnicast: return "unicast";
     case DisseminationKind::kCoalesced: return "coalesced";
-    case DisseminationKind::kTree: return "tree";
   }
   return "?";
 }
@@ -35,17 +34,8 @@ const char* to_cstring(DisseminationKind kind) noexcept {
 bool parse_dissemination(const std::string& text, DisseminationKind* out) {
   if (text == "unicast") *out = DisseminationKind::kUnicast;
   else if (text == "coalesced") *out = DisseminationKind::kCoalesced;
-  else if (text == "tree") *out = DisseminationKind::kTree;
   else return false;
   return true;
-}
-
-void DisseminationOptions::validate() const {
-  if (kind == DisseminationKind::kTree) {
-    WAN_REQUIRE_MSG(relay_width >= 1,
-                    "tree dissemination needs at least one destination per "
-                    "relay group");
-  }
 }
 
 shard::ShardMap make_shard_map(const ShardTopologyOptions& topo,

@@ -71,26 +71,12 @@ struct ReliabilityOptions {
 enum class DisseminationKind : std::uint8_t {
   kUnicast,    ///< one RevokeNotify per cached host per right (the reference)
   kCoalesced,  ///< one RevokeBatch per destination carrying many rights
-  kTree,       ///< fan out through relay hosts via RelayForward envelopes
 };
 
-/// "unicast" / "coalesced" / "tree" <-> DisseminationKind (for flags).
+/// "unicast" / "coalesced" <-> DisseminationKind (for flags).
 [[nodiscard]] const char* to_cstring(DisseminationKind kind) noexcept;
 [[nodiscard]] bool parse_dissemination(const std::string& text,
                                        DisseminationKind* out);
-
-/// Knobs of the revocation-dissemination strategy. Defaults reproduce the
-/// paper's unicast loop exactly, so existing deployments and pinned chaos
-/// seeds are untouched unless a run opts in.
-struct DisseminationOptions {
-  DisseminationKind kind = DisseminationKind::kUnicast;
-  /// Tree: destinations per relay group; each group's first member acts as
-  /// the relay for the rest. 0 or 1 degenerates to coalesced-direct.
-  std::size_t relay_width = 4;
-
-  /// Validates internal consistency (aborts on misconfiguration).
-  void validate() const;
-};
 
 /// Shard topology of a deployment (src/shard/shard_map.hpp). Backend-
 /// agnostic like everything in EnvOptions: the sim scenario, the loopback
@@ -122,7 +108,6 @@ struct EnvOptions {
   std::size_t send_queue_limit = 1024;  ///< outbound frames queued before drop
   ReliabilityOptions reliability;       ///< ack/retransmit layer (socket fabric)
   ShardTopologyOptions sharding;        ///< manager-group partition (all backends)
-  DisseminationOptions dissemination;   ///< revocation fan-out strategy (all backends)
 };
 
 /// Builds the epoch-1 shard map the topology knobs describe: `managers` is

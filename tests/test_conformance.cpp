@@ -136,7 +136,7 @@ struct Deployment {
     }
 
     proto::ProtocolConfig config = conformance_config();
-    config.dissemination.kind = dissemination;
+    config.dissemination = dissemination;
     for (std::size_t i = 0; i < manager_ids.size() + host_ids.size(); ++i) {
       envs.push_back(std::make_unique<ThreadedEnv>(*fabric));
     }
@@ -370,13 +370,13 @@ TEST(Conformance, SeedSweepShard1) { run_conformance_seeds(26, 25); }
 TEST(Conformance, SeedSweepShard2) { run_conformance_seeds(51, 25); }
 TEST(Conformance, SeedSweepShard3) { run_conformance_seeds(76, 25); }
 
-/// The collective dissemination strategies (docs/ARCHITECTURE.md) change
+/// The coalesced dissemination strategy (docs/ARCHITECTURE.md) changes
 /// which frames carry a revocation, not what the protocol decides. Replays
-/// the same 100 seeded scripts with RevokeBatch coalescing and with relay
-/// trees: the decision log must equal the reference model entry for entry.
-/// Unicast on both fabrics is the sweep above; the collective kinds run on
-/// the loopback fabric, where the strategies exercise the identical code
-/// path they use on the socket fabric.
+/// the same 100 seeded scripts with RevokeBatch coalescing: the decision log
+/// must equal the reference model entry for entry. Unicast on both fabrics
+/// is the sweep above; coalescing runs on the loopback fabric, where the
+/// strategy exercises the identical code path it uses on the socket
+/// fabric.
 void run_dissemination_seeds(DisseminationKind kind, std::uint64_t first_seed,
                              int count) {
   for (std::uint64_t seed = first_seed; seed < first_seed + count; ++seed) {
@@ -401,18 +401,6 @@ TEST(Conformance, CoalescedSeedSweepShard2) {
 }
 TEST(Conformance, CoalescedSeedSweepShard3) {
   run_dissemination_seeds(DisseminationKind::kCoalesced, 76, 25);
-}
-TEST(Conformance, TreeSeedSweepShard0) {
-  run_dissemination_seeds(DisseminationKind::kTree, 1, 25);
-}
-TEST(Conformance, TreeSeedSweepShard1) {
-  run_dissemination_seeds(DisseminationKind::kTree, 26, 25);
-}
-TEST(Conformance, TreeSeedSweepShard2) {
-  run_dissemination_seeds(DisseminationKind::kTree, 51, 25);
-}
-TEST(Conformance, TreeSeedSweepShard3) {
-  run_dissemination_seeds(DisseminationKind::kTree, 76, 25);
 }
 
 // ------------------------------------------------------- canonical script

@@ -1,9 +1,8 @@
 // The revocation-dissemination strategies (src/proto/dissemination.hpp):
-// frame economics of the coalesced and tree strategies against the unicast
-// reference, the batch cap, the Te bound under partitioned and Byzantine
-// relays, and relay bookkeeping on the host side. The conformance sweeps
-// prove the strategies DECIDE identically; this suite proves the collective
-// ones are actually cheaper and fail safely.
+// frame economics of the coalesced strategy against the unicast reference,
+// the batch cap, and the Te bound for an unreachable destination. The
+// conformance sweeps prove the strategies DECIDE identically; this suite
+// proves the coalesced one is actually cheaper and fails safely.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,7 +31,6 @@ namespace wan {
 namespace {
 
 using proto::AccessDecision;
-using proto::DecisionPath;
 using runtime::DisseminationKind;
 using sim::Duration;
 using workload::Scenario;
@@ -56,18 +54,9 @@ ScenarioConfig dissemination_config(DisseminationKind kind, int app_hosts) {
   cfg.protocol.query_timeout = Duration::seconds(1);
   cfg.protocol.revoke_retransmit = Duration::millis(500);
   cfg.protocol.cache_sweep_period = Duration::seconds(5);
-  cfg.protocol.dissemination.kind = kind;
+  cfg.protocol.dissemination = kind;
   cfg.seed = 7;
   return cfg;
-}
-
-AccessDecision run_check(Scenario& s, int host, UserId user,
-                         Duration window = Duration::seconds(5)) {
-  std::optional<AccessDecision> result;
-  s.check(host, user, [&](const AccessDecision& d) { result = d; });
-  s.run_for(window);
-  EXPECT_TRUE(result.has_value());
-  return result.value_or(AccessDecision{});
 }
 
 // ------------------------------------------------------- frame economics
@@ -118,39 +107,26 @@ FanoutCost mass_revocation_cost(DisseminationKind kind) {
 }
 
 // The headline economics claim: with 32 cached hosts, coalescing revokes
-// into RevokeBatch frames — flat or through relay trees — spends at least
-// 3x fewer frames per mass revocation than the paper's unicast loop, while
-// delivering the identical outcome (asserted inside the helper).
+// into RevokeBatch frames spends at least 3x fewer frames per mass
+// revocation than the paper's unicast loop, while delivering the identical
+// outcome (asserted inside the helper).
 TEST(DisseminationFrames, CollectiveStrategiesCutFramesAtLeast3x) {
   const FanoutCost unicast = mass_revocation_cost(DisseminationKind::kUnicast);
   const FanoutCost coalesced =
       mass_revocation_cost(DisseminationKind::kCoalesced);
-  const FanoutCost tree = mass_revocation_cost(DisseminationKind::kTree);
 
   ASSERT_GT(unicast.frames, 0u);
   ASSERT_GT(coalesced.frames, 0u);
-  ASSERT_GT(tree.frames, 0u);
   EXPECT_GE(unicast.frames, 3 * coalesced.frames)
       << "coalesced dissemination is not >=3x cheaper than unicast";
-  EXPECT_GE(unicast.frames, 3 * tree.frames)
-      << "tree dissemination is not >=3x cheaper than unicast";
 
   // Unicast never batches, so it must not touch the coalescing counter;
-  // the collective strategies carry several rights per frame.
+  // coalesced frames carry several rights each.
   EXPECT_EQ(unicast.rights, 0u);
   EXPECT_GT(coalesced.rights, coalesced.frames);
-  EXPECT_GT(tree.rights, tree.frames);
 }
 
-// --------------------------------------------- relay faults and Te bound
-
-/// Tree deployment small enough that all app hosts land in ONE relay group
-/// (relay_width defaults to 4), so host 0 — the lowest id — is the round-0
-/// relay choice.
-ScenarioConfig one_group_tree_config() {
-  ScenarioConfig cfg = dissemination_config(DisseminationKind::kTree, 4);
-  return cfg;
-}
+// ----------------------------------------------------- Te bound
 
 void cache_user_everywhere(Scenario& s, UserId user) {
   ASSERT_TRUE(s.grant(user, 0));
@@ -162,84 +138,36 @@ void cache_user_everywhere(Scenario& s, UserId user) {
   }
 }
 
-// A partitioned relay must cost one retransmit period, not the bound: the
-// manager's retry rotates relay duty to the next unconfirmed group member,
-// so every reachable host flushes within a couple of rounds, and the
-// unreachable ex-relay's own cached entry expires on its local clock by Te
-// (the delivery-leak oracle's argument).
-TEST(TreeDissemination, PartitionedRelayRotatesAndTeBoundsTheLeak) {
-  Scenario s(one_group_tree_config());
+// An unreachable destination must cost the bound, never more: every
+// reachable host flushes at once, the isolated host's copy expires on its
+// local clock by Te (the delivery-leak oracle's argument), and the managers
+// retire the unreachable destination instead of retrying forever.
+TEST(CoalescedDissemination, IsolatedHostExpiresByTeAndIsRetired) {
+  Scenario s(dissemination_config(DisseminationKind::kCoalesced, 4));
   cache_user_everywhere(s, s.user(0));
 
-  // Cut the round-0 relay off from the whole world, THEN revoke.
+  // Cut host 0 off from the whole world, THEN revoke.
   s.scripted().isolate(s.host_ids()[0], s.all_site_ids());
   ASSERT_TRUE(s.revoke(s.user(0), 0));
   s.run_for(Duration::seconds(3));
   for (int h = 1; h < s.host_count(); ++h) {
     EXPECT_EQ(s.host(h).controller().cache(s.app())->size(), 0u)
-        << "host " << h << " was not flushed after relay rotation";
+        << "host " << h << " was not flushed";
   }
   // The isolated host still holds its copy — the leak the bound absorbs.
   EXPECT_EQ(s.host(0).controller().cache(s.app())->size(), 1u);
+  for (int m = 0; m < 3; ++m) {
+    EXPECT_GT(s.manager(m).manager().inflight_revocations(), 0u)
+        << "manager " << m << " stopped retrying before the deadline";
+  }
 
   // By Te (plus sweep slack) the copy has expired and the managers have
-  // retired the unreachable destination instead of retrying forever.
+  // retired the unreachable destination.
   s.run_for(s.config().protocol.Te + Duration::seconds(12));
   EXPECT_EQ(s.host(0).controller().cache(s.app())->size(), 0u);
   for (int m = 0; m < 3; ++m) {
     EXPECT_EQ(s.manager(m).manager().inflight_revocations(), 0u);
   }
-}
-
-// The worst relay lie: ack the whole group as delivered, deliver nothing.
-// The managers believe it and stop retransmitting — and the protocol is
-// STILL safe, because every cached entry expires on its holder's local
-// clock within te <= Te. This is the dissemination analogue of the chaos
-// harness's delivery-leak oracle.
-TEST(TreeDissemination, LyingRelayIsBoundedByLocalExpiry) {
-  Scenario s(one_group_tree_config());
-  cache_user_everywhere(s, s.user(0));
-
-  s.host(0).controller().debug_set_lying_relay(true);
-  ASSERT_TRUE(s.revoke(s.user(0), 0));
-  s.run_for(Duration::seconds(3));
-
-  // The lie worked: managers drained, yet the leaves were never flushed.
-  for (int m = 0; m < 3; ++m) {
-    EXPECT_EQ(s.manager(m).manager().inflight_revocations(), 0u)
-        << "manager " << m << " saw through a lie it has no way to detect";
-  }
-  std::size_t still_cached = 0;
-  for (int h = 0; h < s.host_count(); ++h) {
-    still_cached += s.host(h).controller().cache(s.app())->size();
-  }
-  EXPECT_GT(still_cached, 0u) << "the lying relay delivered after all";
-
-  // ... but no host may ALLOW the revoked user past Te.
-  s.run_for(s.config().protocol.Te + Duration::seconds(12));
-  for (int h = 0; h < s.host_count(); ++h) {
-    EXPECT_EQ(s.host(h).controller().cache(s.app())->size(), 0u)
-        << "host " << h << " leaked a revoked right past Te";
-  }
-  const AccessDecision d = run_check(s, 1, s.user(0));
-  EXPECT_FALSE(d.allowed);
-  EXPECT_EQ(d.path, DecisionPath::kQuorumDenied);
-}
-
-// Relay duty held for a manager is volatile bookkeeping, not protocol
-// state: sessions idle for Te (nothing left to retransmit for) are purged
-// by the cache sweep, so a long-lived host does not accrete one session per
-// historical revocation.
-TEST(TreeDissemination, RelaySessionsPurgeAfterTe) {
-  Scenario s(one_group_tree_config());
-  cache_user_everywhere(s, s.user(0));
-  ASSERT_TRUE(s.revoke(s.user(0), 0));
-  s.run_for(Duration::seconds(3));
-  // One session per disseminating manager (all three fanned out).
-  EXPECT_EQ(s.host(0).controller().relay_sessions(), 3u);
-
-  s.run_for(s.config().protocol.Te + Duration::seconds(12));
-  EXPECT_EQ(s.host(0).controller().relay_sessions(), 0u);
 }
 
 // ------------------------------------------------------ coalesced basics
@@ -293,120 +221,116 @@ TEST(CoalescedDissemination, SixtyFiveRightsSplitIntoAFullBatchAndTheRest) {
 
 // --------------------------------------------- threaded smoke (TSan job)
 
-// The batching strategies own timers and retransmission state driven from a
+// The coalesced strategy owns timers and retransmission state driven from a
 // real event-loop thread while acks arrive from peer nodes through the
-// loopback fabric and the test thread drives them through run_sync. This deployment mirrors the conformance harness in
-// miniature so the TSan CI job can race-check the dissemination path
-// end-to-end: grant, cache on every host, revoke, drain.
+// loopback fabric and the test thread drives them through run_sync. This
+// deployment mirrors the conformance harness in miniature so the TSan CI
+// job can race-check the dissemination path end-to-end: grant, cache on
+// every host, revoke, drain.
 TEST(DisseminationThreaded, CollectiveRevocationOverLoopbackFabric) {
-  for (const DisseminationKind kind :
-       {DisseminationKind::kCoalesced, DisseminationKind::kTree}) {
-    SCOPED_TRACE(runtime::to_cstring(kind));
-    proto::register_wire_messages();
-    runtime::EnvOptions opts;
-    opts.backend = runtime::BackendKind::kLoopback;
-    opts.delay = Duration::millis(1);
-    std::string error;
-    auto fabric = runtime::make_fabric(opts, &error);
-    ASSERT_NE(fabric, nullptr) << error;
+  proto::register_wire_messages();
+  runtime::EnvOptions opts;
+  opts.backend = runtime::BackendKind::kLoopback;
+  opts.delay = Duration::millis(1);
+  std::string error;
+  auto fabric = runtime::make_fabric(opts, &error);
+  ASSERT_NE(fabric, nullptr) << error;
 
-    const AppId app{1};
-    const UserId alice{7};
-    const std::vector<HostId> manager_ids{HostId(0), HostId(1), HostId(2)};
-    const std::vector<HostId> host_ids{HostId(100), HostId(101), HostId(102)};
-    proto::ProtocolConfig config;
-    config.check_quorum = 2;
-    config.Te = Duration::minutes(2);
-    config.dissemination.kind = kind;
-    config.dissemination.relay_width = 2;  // a real relay hop with 3 hosts
+  const AppId app{1};
+  const UserId alice{7};
+  const std::vector<HostId> manager_ids{HostId(0), HostId(1), HostId(2)};
+  const std::vector<HostId> host_ids{HostId(100), HostId(101), HostId(102)};
+  proto::ProtocolConfig config;
+  config.check_quorum = 2;
+  config.Te = Duration::minutes(2);
+  config.dissemination = DisseminationKind::kCoalesced;
 
-    ns::NameService names;
-    auth::KeyRegistry keys;
-    std::vector<std::unique_ptr<runtime::ThreadedEnv>> envs;
-    for (std::size_t i = 0; i < manager_ids.size() + host_ids.size(); ++i) {
-      envs.push_back(std::make_unique<runtime::ThreadedEnv>(*fabric));
-    }
-    std::vector<std::unique_ptr<proto::ManagerHost>> managers;
-    for (std::size_t i = 0; i < manager_ids.size(); ++i) {
-      managers.push_back(std::make_unique<proto::ManagerHost>(
-          manager_ids[i], *envs[i], clk::LocalClock::perfect(), config));
-    }
-    names.set_managers(app, manager_ids);
-    for (std::size_t i = 0; i < managers.size(); ++i) {
-      envs[i]->run_sync(
-          [&, i] { managers[i]->manager().manage_app(app, manager_ids); });
-    }
-    std::vector<std::unique_ptr<proto::AppHost>> hosts;
-    for (std::size_t i = 0; i < host_ids.size(); ++i) {
-      auto& env = *envs[manager_ids.size() + i];
-      hosts.push_back(std::make_unique<proto::AppHost>(
-          host_ids[i], env, clk::LocalClock::perfect(), names, keys, config));
-      env.run_sync([&] {
-        hosts.back()->controller().register_app(
-            app, [](UserId, const std::string& p) { return p; });
-      });
-    }
-
-    const auto eventually = [](const std::function<bool()>& pred) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (!pred()) {
-        if (std::chrono::steady_clock::now() >= deadline) return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      return true;
-    };
-    const auto barrier_update = [&](acl::Op op) {
-      auto done = std::make_shared<std::atomic<bool>>(false);
-      envs[0]->run_sync([&] {
-        managers[0]->manager().submit_update(
-            app, op, alice, acl::Right::kUse,
-            [done](const proto::UpdateOutcome&) { done->store(true); });
-      });
-      return eventually([done] { return done->load(); });
-    };
-    const auto barrier_check = [&](std::size_t h) {
-      struct Slot {
-        std::mutex mu;
-        std::optional<bool> allowed;
-      };
-      auto slot = std::make_shared<Slot>();
-      envs[manager_ids.size() + h]->run_sync([&] {
-        hosts[h]->controller().check_access(
-            app, alice, [slot](const AccessDecision& d) {
-              const std::lock_guard<std::mutex> lock(slot->mu);
-              slot->allowed = d.allowed;
-            });
-      });
-      EXPECT_TRUE(eventually([slot] {
-        const std::lock_guard<std::mutex> lock(slot->mu);
-        return slot->allowed.has_value();
-      }));
-      const std::lock_guard<std::mutex> lock(slot->mu);
-      return slot->allowed.value_or(false);
-    };
-
-    ASSERT_TRUE(barrier_update(acl::Op::kAdd));
-    for (std::size_t h = 0; h < hosts.size(); ++h) {
-      EXPECT_TRUE(barrier_check(h)) << "host " << h << " denied a granted user";
-    }
-    ASSERT_TRUE(barrier_update(acl::Op::kRevoke));
-    // Every cache flushes and every manager drains its batches (the check
-    // itself re-queries, so a deny proves the cached copy is gone).
-    for (std::size_t h = 0; h < hosts.size(); ++h) {
-      EXPECT_TRUE(eventually([&] { return !barrier_check(h); }))
-          << "host " << h << " kept allowing after the revocation";
-    }
-    for (std::size_t m = 0; m < managers.size(); ++m) {
-      EXPECT_TRUE(eventually([&] {
-        std::size_t inflight = 1;
-        envs[m]->run_sync(
-            [&] { inflight = managers[m]->manager().inflight_revocations(); });
-        return inflight == 0;
-      })) << "manager " << m << " never drained its dissemination state";
-    }
-    fabric->stop_all();
+  ns::NameService names;
+  auth::KeyRegistry keys;
+  std::vector<std::unique_ptr<runtime::ThreadedEnv>> envs;
+  for (std::size_t i = 0; i < manager_ids.size() + host_ids.size(); ++i) {
+    envs.push_back(std::make_unique<runtime::ThreadedEnv>(*fabric));
   }
+  std::vector<std::unique_ptr<proto::ManagerHost>> managers;
+  for (std::size_t i = 0; i < manager_ids.size(); ++i) {
+    managers.push_back(std::make_unique<proto::ManagerHost>(
+        manager_ids[i], *envs[i], clk::LocalClock::perfect(), config));
+  }
+  names.set_managers(app, manager_ids);
+  for (std::size_t i = 0; i < managers.size(); ++i) {
+    envs[i]->run_sync(
+        [&, i] { managers[i]->manager().manage_app(app, manager_ids); });
+  }
+  std::vector<std::unique_ptr<proto::AppHost>> hosts;
+  for (std::size_t i = 0; i < host_ids.size(); ++i) {
+    auto& env = *envs[manager_ids.size() + i];
+    hosts.push_back(std::make_unique<proto::AppHost>(
+        host_ids[i], env, clk::LocalClock::perfect(), names, keys, config));
+    env.run_sync([&] {
+      hosts.back()->controller().register_app(
+          app, [](UserId, const std::string& p) { return p; });
+    });
+  }
+
+  const auto eventually = [](const std::function<bool()>& pred) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!pred()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
+  const auto barrier_update = [&](acl::Op op) {
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    envs[0]->run_sync([&] {
+      managers[0]->manager().submit_update(
+          app, op, alice, acl::Right::kUse,
+          [done](const proto::UpdateOutcome&) { done->store(true); });
+    });
+    return eventually([done] { return done->load(); });
+  };
+  const auto barrier_check = [&](std::size_t h) {
+    struct Slot {
+      std::mutex mu;
+      std::optional<bool> allowed;
+    };
+    auto slot = std::make_shared<Slot>();
+    envs[manager_ids.size() + h]->run_sync([&] {
+      hosts[h]->controller().check_access(
+          app, alice, [slot](const AccessDecision& d) {
+            const std::lock_guard<std::mutex> lock(slot->mu);
+            slot->allowed = d.allowed;
+          });
+    });
+    EXPECT_TRUE(eventually([slot] {
+      const std::lock_guard<std::mutex> lock(slot->mu);
+      return slot->allowed.has_value();
+    }));
+    const std::lock_guard<std::mutex> lock(slot->mu);
+    return slot->allowed.value_or(false);
+  };
+
+  ASSERT_TRUE(barrier_update(acl::Op::kAdd));
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    EXPECT_TRUE(barrier_check(h)) << "host " << h << " denied a granted user";
+  }
+  ASSERT_TRUE(barrier_update(acl::Op::kRevoke));
+  // Every cache flushes and every manager drains its batches (the check
+  // itself re-queries, so a deny proves the cached copy is gone).
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    EXPECT_TRUE(eventually([&] { return !barrier_check(h); }))
+        << "host " << h << " kept allowing after the revocation";
+  }
+  for (std::size_t m = 0; m < managers.size(); ++m) {
+    EXPECT_TRUE(eventually([&] {
+      std::size_t inflight = 1;
+      envs[m]->run_sync(
+          [&] { inflight = managers[m]->manager().inflight_revocations(); });
+      return inflight == 0;
+    })) << "manager " << m << " never drained its dissemination state";
+  }
+  fabric->stop_all();
 }
 
 }  // namespace

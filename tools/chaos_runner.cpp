@@ -171,8 +171,7 @@ bool parse_args(int argc, char** argv, Options* opt) {
                 });
   cli.add_flag("--asymmetric", "inject one-way link cuts", &opt->asymmetric);
   cli.add_value("--dissemination", "KIND",
-                "revocation fanout strategy: unicast (default), coalesced,\n"
-                "or tree; tree sweeps add a Byzantine-relay fault window",
+                "revocation fanout strategy: unicast (default) or coalesced",
                 [opt](const std::string& v) {
                   return wan::runtime::parse_dissemination(
                       v, &opt->dissemination);

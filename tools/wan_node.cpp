@@ -217,7 +217,7 @@ proto::ProtocolConfig make_config(const Options& opt) {
   proto::ProtocolConfig config;
   config.check_quorum = 2;
   config.Te = sim::Duration::millis(opt.te_ms);
-  config.dissemination.kind = opt.dissemination;
+  config.dissemination = opt.dissemination;
   config.query_timeout = sim::Duration::millis(200);
   config.max_attempts = 2;
   config.cache_sweep_period = sim::Duration::millis(100);
@@ -1743,8 +1743,8 @@ int main(int argc, char** argv) {
                "heartbeats stay fire-and-forget)",
                &opt.reliable);
   cli.add_value("--dissemination", "KIND",
-                "revocation fanout strategy: unicast (default), coalesced,\n"
-                "or tree — every node of a deployment must agree",
+                "revocation fanout strategy: unicast (default) or coalesced\n"
+                "— every node of a deployment must agree",
                 [&](const std::string& v) {
                   return wan::runtime::parse_dissemination(
                       v, &opt.dissemination);
