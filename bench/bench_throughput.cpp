@@ -39,7 +39,6 @@
 #include "runtime/socket_base.hpp"
 #include "runtime/threaded_env.hpp"
 #include "shard/shard_map.hpp"
-#include "workload/scenario.hpp"
 
 namespace wan::bench {
 namespace {
@@ -363,39 +362,6 @@ void stop_update_storm(Rig& rig, const std::shared_ptr<UpdateStorm>& storm,
   if (fire != nullptr && *fire != nullptr) **fire = nullptr;  // break cycle
 }
 
-// Phase 4 helper: total dissemination frames a 3-manager deployment spends
-// revoking `users` rights cached on every one of `hosts` app hosts, under
-// one fanout strategy. Runs on the deterministic simulation (the strategies
-// sit above the fabric seam, so frame counts are backend-independent) and
-// reads the process-global wan_revoke_fanout_frames_total counter as a
-// delta around the revocation burst.
-std::uint64_t fanout_frames(runtime::DisseminationKind dk, int hosts,
-                            int users) {
-  workload::ScenarioConfig cfg;
-  cfg.managers = kManagers;
-  cfg.app_hosts = hosts;
-  cfg.users = users;
-  cfg.constant_latency = true;
-  cfg.const_latency = sim::Duration::millis(10);
-  cfg.protocol.check_quorum = 2;
-  cfg.protocol.Te = sim::Duration::seconds(30);
-  cfg.protocol.dissemination = dk;
-  cfg.seed = 7;
-  workload::Scenario s(cfg);
-  for (int u = 0; u < users; ++u) s.grant(s.user(u), 0);
-  s.run_for(sim::Duration::seconds(2));
-  for (int h = 0; h < hosts; ++h) {
-    for (int u = 0; u < users; ++u) s.check(h, s.user(u));
-  }
-  s.run_for(sim::Duration::seconds(5));
-  obs::Counter& frames =
-      obs::Registry::global().counter("wan_revoke_fanout_frames_total");
-  const std::uint64_t before = frames.value();
-  for (int u = 0; u < users; ++u) s.revoke(s.user(u), 0);
-  s.run_for(sim::Duration::seconds(10));
-  return frames.value() - before;
-}
-
 int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
   const BenchInfo info{
       "throughput",
@@ -542,35 +508,6 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
                      scaling);
         std::exit(2);
       }
-    }
-
-    // Phase 4: dissemination frame economics — frames the deployment spends
-    // per mass revocation (4 users cached on 32 hosts) under each fanout
-    // strategy. Deterministic sim, so these are exact counts, not rates;
-    // field names avoid `checks_per_sec` so the CI regression gate ignores
-    // this row beyond schema drift.
-    {
-      constexpr int kFanHosts = 32;
-      constexpr int kFanUsers = 4;
-      const std::uint64_t uni = fanout_frames(
-          runtime::DisseminationKind::kUnicast, kFanHosts, kFanUsers);
-      const std::uint64_t coal = fanout_frames(
-          runtime::DisseminationKind::kCoalesced, kFanHosts, kFanUsers);
-      const double per_rev = 1.0 / kFanUsers;
-      std::printf("  fanout frames (32 hosts, per rev): %6.1f unicast  "
-                  "%6.1f coalesced (%.1fx)\n",
-                  static_cast<double>(uni) * per_rev,
-                  static_cast<double>(coal) * per_rev,
-                  coal > 0 ? static_cast<double>(uni) / static_cast<double>(coal)
-                           : 0.0);
-      json.record(
-          "fanout_frames_per_revocation",
-          {{"cached_hosts", static_cast<double>(kFanHosts)},
-           {"unicast", static_cast<double>(uni) * per_rev},
-           {"coalesced", static_cast<double>(coal) * per_rev},
-           {"coalesced_savings_x",
-            coal > 0 ? static_cast<double>(uni) / static_cast<double>(coal)
-                     : 0.0}});
     }
   });
 }

@@ -274,10 +274,6 @@ ChaosPlan make_plan(std::uint64_t seed, sim::Duration horizon,
     add(uniform_offset(faults, window), FaultKind::kShardRebalance, leave);
   }
 
-  // Collective dissemination. Assigning the kind draws nothing, so every
-  // strategy replays historical seeds bit-identically.
-  p.dissemination = opts.dissemination;
-
   std::stable_sort(ev.begin(), ev.end(),
                    [](const FaultEvent& x, const FaultEvent& y) {
                      return x.at < y.at;

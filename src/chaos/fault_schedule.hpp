@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/env_options.hpp"
 #include "sim/time.hpp"
 #include "workload/driver.hpp"
 #include "workload/scenario.hpp"
@@ -81,11 +80,6 @@ struct PlanOptions {
   /// reconfiguration events become no-ops — under sharding, membership moves
   /// by groups entering/leaving the map, never by editing Managers(app).
   bool sharded = false;
-  /// Revocation-dissemination strategy for the deployment (the fanout path
-  /// the schedule stresses). A pure knob: selecting a strategy draws
-  /// nothing, so historical plans stay bit-identical.
-  runtime::DisseminationKind dissemination =
-      runtime::DisseminationKind::kUnicast;
 };
 
 /// Builds the plan for `seed`. Fault durations are capped well under the

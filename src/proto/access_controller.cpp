@@ -150,8 +150,6 @@ void AccessController::on_message(HostId from, const net::MessagePtr& msg) {
     handle_query_response(from, *resp);
   } else if (const auto* revoke = net::message_cast<RevokeNotify>(msg)) {
     handle_revoke(from, *revoke);
-  } else if (const auto* batch = net::message_cast<RevokeBatch>(msg)) {
-    handle_revoke_batch(from, *batch);
   } else if (const auto* announce = net::message_cast<ShardMapAnnounce>(msg)) {
     handle_shard_map(from, *announce);
   }
@@ -636,29 +634,6 @@ bool AccessController::sender_is_manager(AppId app, HostId from) {
          override_map->group_index_of(from).has_value();
 }
 
-void AccessController::flush_right(AppId app, UserId user,
-                                   acl::Version version, obs::TraceId trace) {
-  // Fig. 2: flush unconditionally. If the user was meanwhile re-granted, the
-  // flush only costs one re-check — safe for security, cheap for availability.
-  // The flush span lands on the *issuing manager's* update trace (`trace`),
-  // closing the revocation chain at each notified host.
-  obs::record(trace, obs::SpanKind::kRecv, self_, env_.now(),
-              "revoke.flush", user.value(),
-              static_cast<std::int64_t>(version.counter));
-  static obs::Counter& flushes =
-      obs::Registry::global().counter("wan_revoke_flushes_total");
-  flushes.inc();
-  if (AppState* state = app_state(app)) {
-    state->cache.remove_on_revoke(user);
-  }
-  // The notify is authoritative deny evidence at its version: remember it so
-  // a lying manager's stale grant replies at or below it are discarded.
-  if (!version.initial()) {
-    acl::Version& floor = deny_floor_[user_key(app, user)];
-    if (version > floor) floor = version;
-  }
-}
-
 void AccessController::handle_revoke(HostId from, const RevokeNotify& msg) {
   // Only genuine managers may flush the cache — otherwise any host could
   // deny service to arbitrary users with spoofed RevokeNotify datagrams.
@@ -667,25 +642,27 @@ void AccessController::handle_revoke(HostId from, const RevokeNotify& msg) {
              << to_string(from);
     return;
   }
-  flush_right(msg.app, msg.user, msg.version, msg.trace);
+  // Fig. 2: flush unconditionally. If the user was meanwhile re-granted, the
+  // flush only costs one re-check — safe for security, cheap for availability.
+  // The flush span lands on the *issuing manager's* update trace, closing the
+  // revocation chain at each notified host.
+  obs::record(msg.trace, obs::SpanKind::kRecv, self_, env_.now(),
+              "revoke.flush", msg.user.value(),
+              static_cast<std::int64_t>(msg.version.counter));
+  static obs::Counter& flushes =
+      obs::Registry::global().counter("wan_revoke_flushes_total");
+  flushes.inc();
+  if (AppState* state = app_state(msg.app)) {
+    state->cache.remove_on_revoke(msg.user);
+  }
+  // The notify is authoritative deny evidence at its version: remember it so
+  // a lying manager's stale grant replies at or below it are discarded.
+  if (!msg.version.initial()) {
+    acl::Version& floor = deny_floor_[user_key(msg.app, msg.user)];
+    if (msg.version > floor) floor = msg.version;
+  }
   net_.send(self_, from,
             net::make_message<RevokeNotifyAck>(msg.app, msg.user, msg.version));
-}
-
-void AccessController::handle_revoke_batch(HostId from,
-                                           const RevokeBatch& msg) {
-  // Same gate as handle_revoke: a batch is a vector of RevokeNotify, and
-  // only the managers send revocations (Fig. 2).
-  if (!sender_is_manager(msg.app, from)) {
-    WAN_WARN << to_string(self_) << " dropped RevokeBatch from non-manager "
-             << to_string(from);
-    return;
-  }
-  for (const RevokeItem& item : msg.items) {
-    flush_right(msg.app, item.user, item.version, msg.trace);
-  }
-  net_.send(self_, from,
-            net::make_message<RevokeBatchAck>(msg.app, msg.batch_id));
 }
 
 void AccessController::install_shard_map(AppId app, shard::ShardMap map) {

@@ -164,16 +164,10 @@ class AccessController {
   void handle_invoke(HostId from, const InvokeRequest& req);
   void handle_query_response(HostId from, const QueryResponse& resp);
   void handle_revoke(HostId from, const RevokeNotify& msg);
-  void handle_revoke_batch(HostId from, const RevokeBatch& msg);
   void handle_shard_map(HostId from, const ShardMapAnnounce& msg);
   /// Whether `from` is a manager of `app` (name-service record or installed
   /// shard map) — the trust gate every revocation message goes through.
   [[nodiscard]] bool sender_is_manager(AppId app, HostId from);
-  /// One right's local revocation treatment, called only for a sender
-  /// sender_is_manager() accepted: flush the cache entry, record the flush
-  /// span/counter on `trace`, and raise the deny floor.
-  void flush_right(AppId app, UserId user, acl::Version version,
-                   obs::TraceId trace);
   /// Periodic housekeeping: cache sweep.
   void sweep_tick();
 

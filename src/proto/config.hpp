@@ -3,14 +3,12 @@
 // and performance: M (manager-set size), C (check quorum), Te (revocation
 // bound), R (verification attempts), plus the freeze-strategy alternative.
 // Engineering values nothing varies (the quarantine backoff of a lying
-// manager, the dissemination batch cap and flush window) are constexpr in
-// the .cpp that reads them, not fields here.
+// manager) are constexpr in the .cpp that reads them, not fields here.
 #pragma once
 
 #include <cstdint>
 
 #include "clock/local_clock.hpp"
-#include "runtime/env_options.hpp"
 #include "sim/time.hpp"
 #include "util/assert.hpp"
 
@@ -65,12 +63,6 @@ struct ProtocolConfig {
   sim::Duration cache_sweep_period = sim::Duration::minutes(1);
   sim::Duration cache_idle_limit = sim::Duration::minutes(30);
   sim::Duration name_service_ttl = sim::Duration::minutes(10);
-
-  /// How managers fan revocation notices out to cached hosts
-  /// (src/proto/dissemination.hpp). The default reproduces the paper's
-  /// unicast loop.
-  runtime::DisseminationKind dissemination =
-      runtime::DisseminationKind::kUnicast;
 
   /// The local-clock expiration period managers attach to responses. Under
   /// the freeze strategy the budget Te is split between the inaccessibility

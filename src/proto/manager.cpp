@@ -54,11 +54,10 @@ ManagerModule::ManagerModule(HostId self, runtime::Env& env,
       env_(env),
       net_(env.transport()),
       clock_(env, clock),
-      config_(config) {
+      config_(config),
+      disseminator_(self_, env_, config_.Te, config_.revoke_retransmit,
+                    *this) {
   config_.validate();
-  disseminator_ =
-      make_disseminator(config_.dissemination, self_, env_, config_.Te,
-                        config_.revoke_retransmit, *this);
 }
 
 ManagerModule::~ManagerModule() = default;
@@ -126,7 +125,7 @@ void ManagerModule::reconfigure_app(AppId app, std::vector<HostId> managers) {
 }
 
 void ManagerModule::forget_app(AppId app) {
-  disseminator_->drop_app(app);
+  disseminator_.drop_app(app);
   apps_.erase(app);
 }
 
@@ -427,11 +426,11 @@ void ManagerModule::retransmit_txn(AppId app, std::uint64_t txn_id) {
 void ManagerModule::start_revoke_forwarding(AppId app, AppCtl& ctl, UserId user,
                                             acl::Version version,
                                             obs::TraceId trace) {
-  // The grant table stays the manager's: the strategy is handed the row and
-  // reports per-host delivery back through Sink::delivered.
+  // The grant table stays the manager's: the disseminator is handed the row
+  // and reports per-host delivery back through Sink::delivered.
   const auto git = ctl.grant_table.find(user);
   if (git == ctl.grant_table.end() || git->second.empty()) return;
-  disseminator_->revoke(app, user, version, git->second, trace);
+  disseminator_.revoke(app, user, version, git->second, trace);
 }
 
 // Disseminator::Sink -------------------------------------------------------
@@ -464,10 +463,10 @@ void ManagerModule::on_message(HostId from, const net::MessagePtr& msg) {
     handle_update(from, *u);
   } else if (const auto* a = net::message_cast<UpdateAck>(msg)) {
     handle_update_ack(from, *a);
-  } else if (disseminator_->on_message(from, msg)) {
-    // Revocation fan-out acks (RevokeNotifyAck / RevokeBatchAck):
-    // consumed by the dissemination strategy, which reports per-host
-    // delivery back through Sink::delivered.
+  } else if (disseminator_.on_message(from, msg)) {
+    // Revocation fan-out acks (RevokeNotifyAck): consumed by the
+    // disseminator, which reports per-host delivery back through
+    // Sink::delivered.
   } else if (const auto* vq = net::message_cast<VersionQuery>(msg)) {
     if (AppCtl* ctl = ctl_of(vq->app); ctl != nullptr && is_peer(*ctl, from)) {
       note_peer(*ctl, from);
@@ -1427,8 +1426,8 @@ void ManagerModule::crash() {
     ctl.staging.clear();
     ctl.proposed.reset();
   }
-  // Every in-flight revocation fan-out is volatile strategy state.
-  disseminator_->shutdown();
+  // Every in-flight revocation fan-out is volatile state.
+  disseminator_.shutdown();
 }
 
 void ManagerModule::recover() {

@@ -301,10 +301,10 @@ class ManagerModule : private Disseminator::Sink {
   [[nodiscard]] std::uint64_t sync_entries_sent() const noexcept {
     return sync_entries_sent_;
   }
-  /// Revocations still fanning out (all apps) — owned by the configured
-  /// dissemination strategy (proto/dissemination.hpp).
+  /// Revocations still fanning out (all apps) — owned by the disseminator
+  /// (proto/dissemination.hpp).
   [[nodiscard]] std::size_t inflight_revocations() const {
-    return disseminator_->inflight();
+    return disseminator_.inflight();
   }
 
  private:
@@ -492,7 +492,7 @@ class ManagerModule : private Disseminator::Sink {
   void start_revoke_forwarding(AppId app, AppCtl& ctl, UserId user,
                                acl::Version version, obs::TraceId trace);
   void retransmit_txn(AppId app, std::uint64_t txn_id);
-  // Disseminator::Sink — the strategy's way back into the manager.
+  // Disseminator::Sink — the disseminator's way back into the manager.
   void send(HostId to, const net::MessagePtr& msg) override;
   void delivered(AppId app, HostId host, UserId user,
                  acl::Version version) override;
@@ -535,9 +535,9 @@ class ManagerModule : private Disseminator::Sink {
   ManagerJournal* journal_ = nullptr;  ///< non-owning; nullptr == volatile
   LieMode lie_mode_ = LieMode::kSeeded;
   Rng lie_rng_{0};
-  /// Revocation fan-out strategy (built from config_.dissemination; owns all
-  /// in-flight revoke state, which crash() drops via shutdown()).
-  std::unique_ptr<Disseminator> disseminator_;
+  /// Revocation fan-out (owns all in-flight revoke state, which crash()
+  /// drops via shutdown()).
+  Disseminator disseminator_;
   std::optional<bool> debug_frozen_;
   std::function<void(const QueryAnswerEvent&)> response_observer_;
 

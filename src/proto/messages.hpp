@@ -353,50 +353,4 @@ struct ShardHandoffDone final : net::Message {
   std::size_t wire_size() const override { return 32; }
 };
 
-// --- collective revocation dissemination (src/proto/dissemination.hpp) -------
-//
-// The reference protocol unicasts one RevokeNotify per cached host per
-// revoked right. The coalesced strategy trades a small slice of the Te
-// budget (a flush window) for fewer frames: many (user, version) rights ride
-// one RevokeBatch per destination. Both strategies keep the manager's
-// retransmit-until-Te loop — a batch that goes unacked is simply resent, so
-// the paper's revocation bound is unchanged.
-
-/// One revoked right inside a batch: flush `user`'s cache entry; deny-floor
-/// evidence at `version`.
-struct RevokeItem {
-  UserId user{};
-  acl::Version version{};
-};
-
-/// Manager -> application host: flush every listed right from
-/// ACL_cache(app). Semantically a vector of RevokeNotify in one frame; a host
-/// drops one from any other sender, exactly like a RevokeNotify.
-struct RevokeBatch final : net::Message {
-  AppId app{};
-  std::uint64_t batch_id = 0;  ///< sender-local; echoed by the ack
-  std::vector<RevokeItem> items;
-  obs::TraceId trace = 0;  ///< the issuing manager's update chain
-
-  RevokeBatch(AppId a, std::uint64_t b, std::vector<RevokeItem> it,
-              obs::TraceId tr = 0)
-      : app(a), batch_id(b), items(std::move(it)), trace(tr) {}
-
-  WAN_MESSAGE_TYPE("RevokeBatch")
-  std::size_t wire_size() const override { return 40 + items.size() * 16; }
-};
-
-/// Application host -> batch sender: the whole batch was applied. The sender
-/// maps `batch_id` back to the (destination, rights) it packed into that
-/// frame; an ack for a forgotten batch (sender restarted) is a no-op.
-struct RevokeBatchAck final : net::Message {
-  AppId app{};
-  std::uint64_t batch_id = 0;
-
-  RevokeBatchAck(AppId a, std::uint64_t b) : app(a), batch_id(b) {}
-
-  WAN_MESSAGE_TYPE("RevokeBatchAck")
-  std::size_t wire_size() const override { return 24; }
-};
-
 }  // namespace wan::proto

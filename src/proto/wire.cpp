@@ -69,41 +69,6 @@ acl::AclUpdate get_update(WireReader& r) {
   return u;
 }
 
-/// One (user, version) right inside a RevokeBatch.
-void put_item(WireWriter& w, const RevokeItem& it) {
-  w.user_id(it.user);
-  put_version(w, it.version);
-}
-
-/// Serialized size of one RevokeItem — bounds item counts before alloc.
-constexpr std::size_t kItemWireSize = 4 + (8 + 4 + 8);
-
-RevokeItem get_item(WireReader& r) {
-  RevokeItem it;
-  it.user = r.user_id();
-  it.version = get_version(r);
-  return it;
-}
-
-void put_items(WireWriter& w, const std::vector<RevokeItem>& items) {
-  w.u32(static_cast<std::uint32_t>(items.size()));
-  for (const RevokeItem& it : items) put_item(w, it);
-}
-
-std::vector<RevokeItem> get_items(WireReader& r) {
-  const std::uint32_t count = r.u32();
-  if (count > r.remaining() / kItemWireSize) {
-    r.fail();
-    return {};
-  }
-  std::vector<RevokeItem> items;
-  items.reserve(count);
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    items.push_back(get_item(r));
-  }
-  return items;
-}
-
 // --- per-type codecs --------------------------------------------------------
 //
 // Encode writes fields in declaration order; decode mirrors it and validates
@@ -488,38 +453,6 @@ void do_register() {
         if (!r.ok()) return nullptr;
         return net::make_message<ShardHandoffDone>(app, epoch, shard, series);
       });
-
-  reg<RevokeBatch>(
-      "RevokeBatch", kTagRevokeBatch,
-      [](const RevokeBatch& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.batch_id);
-        put_items(w, m.items);
-        w.u64(m.trace);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t batch_id = r.u64();
-        std::vector<RevokeItem> items = get_items(r);
-        const obs::TraceId trace = r.u64();
-        if (!r.ok()) return nullptr;
-        return net::make_message<RevokeBatch>(app, batch_id, std::move(items),
-                                              trace);
-      });
-
-  reg<RevokeBatchAck>(
-      "RevokeBatchAck", kTagRevokeBatchAck,
-      [](const RevokeBatchAck& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.batch_id);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t batch_id = r.u64();
-        if (!r.ok()) return nullptr;
-        return net::make_message<RevokeBatchAck>(app, batch_id);
-      });
-
 }
 
 }  // namespace

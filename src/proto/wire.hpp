@@ -45,10 +45,9 @@ enum WireTags : net::WireTag {
   kTagShardHandoffBegin = 19,
   kTagShardHandoffChunk = 20,
   kTagShardHandoffDone = 21,
-  kTagRevokeBatch = 22,
-  kTagRevokeBatchAck = 23,
-  // 24 and 25 are retired (relay tree); 26 and 27 are retired (delta ACL
-  // sync). Never reuse them.
+  // 22 and 23 are retired (coalesced revocation batches); 24 and 25 are
+  // retired (relay tree); 26 and 27 are retired (delta ACL sync). Never
+  // reuse them.
 };
 
 /// The shared on-wire layout of an ACL slice — a `u32` entry count followed

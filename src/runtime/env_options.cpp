@@ -23,21 +23,6 @@ bool parse_backend(const std::string& text, BackendKind* out) {
   return true;
 }
 
-const char* to_cstring(DisseminationKind kind) noexcept {
-  switch (kind) {
-    case DisseminationKind::kUnicast: return "unicast";
-    case DisseminationKind::kCoalesced: return "coalesced";
-  }
-  return "?";
-}
-
-bool parse_dissemination(const std::string& text, DisseminationKind* out) {
-  if (text == "unicast") *out = DisseminationKind::kUnicast;
-  else if (text == "coalesced") *out = DisseminationKind::kCoalesced;
-  else return false;
-  return true;
-}
-
 shard::ShardMap make_shard_map(const ShardTopologyOptions& topo,
                                const std::vector<HostId>& managers) {
   if (topo.groups <= 1) return shard::ShardMap{};

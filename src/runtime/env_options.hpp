@@ -20,7 +20,6 @@
 //
 // Only values some deployment or test actually chooses are fields. Tuning
 // values nothing varies are constexpr in the one .cpp that reads them: the
-// coalescing batch cap and flush window in proto/dissemination.cpp, and the
 // retransmit backoff, jitter and receive window in reliable_channel.cpp.
 #pragma once
 
@@ -64,19 +63,6 @@ struct ReliabilityOptions {
   /// Seed of the jitter stream (deterministic tests pin it).
   std::uint64_t jitter_seed = 1;
 };
-
-/// How a manager fans revocation notices out to the hosts caching a right
-/// (src/proto/dissemination.hpp). Backend-agnostic: the strategy shapes the
-/// messages a manager sends, not how any fabric moves them.
-enum class DisseminationKind : std::uint8_t {
-  kUnicast,    ///< one RevokeNotify per cached host per right (the reference)
-  kCoalesced,  ///< one RevokeBatch per destination carrying many rights
-};
-
-/// "unicast" / "coalesced" <-> DisseminationKind (for flags).
-[[nodiscard]] const char* to_cstring(DisseminationKind kind) noexcept;
-[[nodiscard]] bool parse_dissemination(const std::string& text,
-                                       DisseminationKind* out);
 
 /// Shard topology of a deployment (src/shard/shard_map.hpp). Backend-
 /// agnostic like everything in EnvOptions: the sim scenario, the loopback

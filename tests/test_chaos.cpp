@@ -564,43 +564,6 @@ TEST(ChaosSweep, ShardedSeedsClean) {
   EXPECT_TRUE(any_flip);
 }
 
-TEST(ChaosPlan, CoalescedPlanDrawsNothingExtra) {
-  // Selecting a dissemination kind is a pure knob: a coalesced plan draws
-  // nothing, so its schedule is the base schedule event for event.
-  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    const chaos::ChaosPlan base = chaos::make_plan(seed, Duration::minutes(8));
-
-    chaos::PlanOptions coalesced_opts;
-    coalesced_opts.dissemination = runtime::DisseminationKind::kCoalesced;
-    const chaos::ChaosPlan coalesced =
-        chaos::make_plan(seed, Duration::minutes(8), coalesced_opts);
-    EXPECT_EQ(coalesced.scenario.protocol.dissemination,
-              runtime::DisseminationKind::kCoalesced);
-    ASSERT_EQ(coalesced.schedule.events.size(), base.schedule.events.size())
-        << "seed " << seed << ": coalesced drew extra fault events";
-    for (std::size_t i = 0; i < base.schedule.events.size(); ++i) {
-      const chaos::FaultEvent& e = coalesced.schedule.events[i];
-      EXPECT_EQ(e.at.count_nanos(), base.schedule.events[i].at.count_nanos());
-      EXPECT_EQ(e.kind, base.schedule.events[i].kind);
-      EXPECT_EQ(e.a, base.schedule.events[i].a);
-      EXPECT_EQ(e.b, base.schedule.events[i].b);
-    }
-  }
-}
-
-TEST(ChaosSweep, CoalescedSeedsClean) {
-  ChaosOptions opts;
-  opts.horizon = Duration::minutes(4);
-  opts.plan.dissemination = runtime::DisseminationKind::kCoalesced;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    opts.seed = seed;
-    const ChaosResult r = run_chaos(opts);
-    EXPECT_EQ(r.violation_count, 0u)
-        << "seed " << seed << ": "
-        << (r.violations.empty() ? "" : r.violations[0].detail);
-  }
-}
-
 TEST(ChaosEngine, ShrinkerMinimizesToFailingCore) {
   // Synthetic predicate: the run "fails" iff events 3 AND 7 are both
   // enabled. ddmin must land on exactly {3, 7}.

@@ -34,10 +34,10 @@ using net::CodecRegistry;
 using net::DecodeError;
 
 /// The full tag table under test: the 15 original protocol messages, the
-/// reliability envelope (tags 16/17, net/reliable.hpp), the shard
-/// rebalancing messages (tags 18-21), and the dissemination messages
-/// (tags 22-23). Tags 24-25 (relay tree) and 26-27 (delta sync) are retired
-/// and stay unregistered.
+/// reliability envelope (tags 16/17, net/reliable.hpp) and the shard
+/// rebalancing messages (tags 18-21). Tags 22-23 (coalesced revocation
+/// batches), 24-25 (relay tree) and 26-27 (delta sync) are retired and stay
+/// unregistered.
 void register_all() {
   proto::register_wire_messages();
   net::register_reliable_codecs();
@@ -85,16 +85,6 @@ UserId random_user(Rng& rng) {
   return UserId(static_cast<std::uint32_t>(rng.next_u64()));
 }
 
-std::vector<proto::RevokeItem> random_items(Rng& rng) {
-  std::vector<proto::RevokeItem> items;
-  const std::size_t n = rng.next_u64() % 5;
-  items.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    items.push_back(proto::RevokeItem{random_user(rng), random_version(rng)});
-  }
-  return items;
-}
-
 shard::ShardMap random_shard_map(Rng& rng) {
   const std::uint32_t group_count =
       1 + static_cast<std::uint32_t>(rng.next_u64() % 3);
@@ -117,7 +107,7 @@ shard::ShardMap random_shard_map(Rng& rng) {
                                    rng.next_u64(), rng.next_u64());
 }
 
-/// One seeded generator per message type, in wire-tag order 1..23 (24-27 are
+/// One seeded generator per message type, in wire-tag order 1..21 (22-27 are
 /// retired). Adding a message type without extending this list fails the
 /// coverage check below.
 std::vector<std::function<net::MessagePtr(Rng&)>> generators() {
@@ -227,15 +217,6 @@ std::vector<std::function<net::MessagePtr(Rng&)>> generators() {
             random_app(rng), rng.next_u64(),
             static_cast<std::uint32_t>(rng.next_u64()), rng.next_u64());
       },
-      [](Rng& rng) {
-        return make_message<proto::RevokeBatch>(
-            random_app(rng), rng.next_u64(), random_items(rng),
-            rng.next_u64());
-      },
-      [](Rng& rng) {
-        return make_message<proto::RevokeBatchAck>(random_app(rng),
-                                                   rng.next_u64());
-      },
   };
 }
 
@@ -251,7 +232,7 @@ TEST(Codec, RegistryCoversEveryMessageType) {
   register_all();
   EXPECT_EQ(CodecRegistry::global().registered_count(),
             generators().size());
-  // Tags are the frozen contiguous block 1..23; 24-27 are retired and never
+  // Tags are the frozen contiguous block 1..21; 22-27 are retired and never
   // reused (docs/WIRE_FORMAT.md).
   const std::vector<net::WireTag> tags = CodecRegistry::global().tags();
   ASSERT_EQ(tags.size(), generators().size());
@@ -522,8 +503,8 @@ TEST(CodecCorpus, EveryCheckedInFrameKeepsItsOutcome) {
   // The corpus shipped with 14 entries, grew to 19 with the reliability
   // envelope (tags 16/17), to 25 with the shard messages (tags 18-21), and
   // to 35 with the dissemination/delta-sync messages (tags 22-27); it only
-  // ever grows. The relay-tree and delta-sync frames (tags 24-27, since
-  // retired) stay as unknown_tag_24_* .. unknown_tag_27_* pins.
+  // ever grows. Those frames (tags 22-27, since retired) stay as
+  // unknown_tag_22_* .. unknown_tag_27_* pins.
   EXPECT_GE(seen, 35u);
 }
 

@@ -92,9 +92,7 @@ struct Deployment {
   std::size_t host_env_base = 3;
 
   explicit Deployment(BackendKind kind, bool reliable = false,
-                      std::uint32_t shard_groups = 0,
-                      DisseminationKind dissemination =
-                          DisseminationKind::kUnicast) {
+                      std::uint32_t shard_groups = 0) {
     proto::register_wire_messages();
     const int n_managers =
         shard_groups >= 2 ? static_cast<int>(2 * shard_groups) : 3;
@@ -135,8 +133,7 @@ struct Deployment {
       for (const HostId id : host_ids) EXPECT_TRUE(socket->add_peer(id, self));
     }
 
-    proto::ProtocolConfig config = conformance_config();
-    config.dissemination = dissemination;
+    const proto::ProtocolConfig config = conformance_config();
     for (std::size_t i = 0; i < manager_ids.size() + host_ids.size(); ++i) {
       envs.push_back(std::make_unique<ThreadedEnv>(*fabric));
     }
@@ -369,39 +366,6 @@ TEST(Conformance, SeedSweepShard0) { run_conformance_seeds(1, 25); }
 TEST(Conformance, SeedSweepShard1) { run_conformance_seeds(26, 25); }
 TEST(Conformance, SeedSweepShard2) { run_conformance_seeds(51, 25); }
 TEST(Conformance, SeedSweepShard3) { run_conformance_seeds(76, 25); }
-
-/// The coalesced dissemination strategy (docs/ARCHITECTURE.md) changes
-/// which frames carry a revocation, not what the protocol decides. Replays
-/// the same 100 seeded scripts with RevokeBatch coalescing: the decision log
-/// must equal the reference model entry for entry. Unicast on both fabrics
-/// is the sweep above; coalescing runs on the loopback fabric, where the
-/// strategy exercises the identical code path it uses on the socket
-/// fabric.
-void run_dissemination_seeds(DisseminationKind kind, std::uint64_t first_seed,
-                             int count) {
-  for (std::uint64_t seed = first_seed; seed < first_seed + count; ++seed) {
-    const SeedScript script = make_script(seed);
-    Deployment d(BackendKind::kLoopback, /*reliable=*/false,
-                 /*shard_groups=*/0, kind);
-    ASSERT_NE(d.fabric, nullptr);
-    EXPECT_EQ(run_script_on(d, script), script.expected)
-        << "seed " << seed << " with " << to_cstring(kind)
-        << " dissemination diverged from the reference model";
-  }
-}
-
-TEST(Conformance, CoalescedSeedSweepShard0) {
-  run_dissemination_seeds(DisseminationKind::kCoalesced, 1, 25);
-}
-TEST(Conformance, CoalescedSeedSweepShard1) {
-  run_dissemination_seeds(DisseminationKind::kCoalesced, 26, 25);
-}
-TEST(Conformance, CoalescedSeedSweepShard2) {
-  run_dissemination_seeds(DisseminationKind::kCoalesced, 51, 25);
-}
-TEST(Conformance, CoalescedSeedSweepShard3) {
-  run_dissemination_seeds(DisseminationKind::kCoalesced, 76, 25);
-}
 
 // ------------------------------------------------------- canonical script
 

@@ -1,8 +1,8 @@
-// The revocation-dissemination strategies (src/proto/dissemination.hpp):
-// frame economics of the coalesced strategy against the unicast reference,
-// the batch cap, and the Te bound for an unreachable destination. The
-// conformance sweeps prove the strategies DECIDE identically; this suite
-// proves the coalesced one is actually cheaper and fails safely.
+// Revocation dissemination (src/proto/dissemination.hpp): the paper's
+// unicast loop's frame count and effect time under a mass revocation, the Te
+// bound for an unreachable destination, ack hygiene, and a threaded smoke
+// for the TSan job. The conformance sweeps prove the loop DECIDES like the
+// reference model; this suite pins what it sends and when.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "proto/host.hpp"
+#include "proto/messages.hpp"
 #include "proto/wire.hpp"
 #include "runtime/backend.hpp"
 #include "runtime/env_options.hpp"
@@ -31,7 +32,6 @@ namespace wan {
 namespace {
 
 using proto::AccessDecision;
-using runtime::DisseminationKind;
 using sim::Duration;
 using workload::Scenario;
 using workload::ScenarioConfig;
@@ -40,7 +40,7 @@ std::uint64_t counter(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
 
-ScenarioConfig dissemination_config(DisseminationKind kind, int app_hosts) {
+ScenarioConfig dissemination_config(int app_hosts) {
   ScenarioConfig cfg;
   cfg.managers = 3;
   cfg.app_hosts = app_hosts;
@@ -54,81 +54,11 @@ ScenarioConfig dissemination_config(DisseminationKind kind, int app_hosts) {
   cfg.protocol.query_timeout = Duration::seconds(1);
   cfg.protocol.revoke_retransmit = Duration::millis(500);
   cfg.protocol.cache_sweep_period = Duration::seconds(5);
-  cfg.protocol.dissemination = kind;
   cfg.seed = 7;
   return cfg;
 }
 
-// ------------------------------------------------------- frame economics
-
-struct FanoutCost {
-  std::uint64_t frames = 0;  ///< wan_revoke_fanout_frames_total delta
-  std::uint64_t rights = 0;  ///< wan_revoke_coalesced_rights delta
-};
-
-/// Grants 4 users, caches them on every one of 32 hosts, then revokes all 4
-/// at once and measures the dissemination frames the whole deployment spent
-/// (3 managers each fan out to their full grant tables). Counters are
-/// process-global, so the cost is measured as a delta around the revocation.
-FanoutCost mass_revocation_cost(DisseminationKind kind) {
-  constexpr int kHosts = 32;
-  constexpr int kUsers = 4;
-  Scenario s(dissemination_config(kind, kHosts));
-  for (int u = 0; u < kUsers; ++u) s.grant(s.user(u), 0);
-  s.run_for(Duration::seconds(2));
-  for (int h = 0; h < kHosts; ++h) {
-    for (int u = 0; u < kUsers; ++u) s.check(h, s.user(u));
-  }
-  s.run_for(Duration::seconds(5));
-  for (int h = 0; h < kHosts; ++h) {
-    EXPECT_EQ(s.host(h).controller().cache(s.app())->size(),
-              static_cast<std::size_t>(kUsers))
-        << "host " << h << " cache not fully populated before the revocation";
-  }
-
-  FanoutCost cost;
-  cost.frames = counter("wan_revoke_fanout_frames_total");
-  cost.rights = counter("wan_revoke_coalesced_rights");
-  for (int u = 0; u < kUsers; ++u) s.revoke(s.user(u), 0);
-  s.run_for(Duration::seconds(10));
-  cost.frames = counter("wan_revoke_fanout_frames_total") - cost.frames;
-  cost.rights = counter("wan_revoke_coalesced_rights") - cost.rights;
-
-  // The revocation must actually have landed everywhere and fully drained.
-  for (int h = 0; h < kHosts; ++h) {
-    EXPECT_EQ(s.host(h).controller().cache(s.app())->size(), 0u)
-        << "host " << h << " still caches a revoked right";
-  }
-  for (int m = 0; m < 3; ++m) {
-    EXPECT_EQ(s.manager(m).manager().inflight_revocations(), 0u)
-        << "manager " << m << " did not drain its dissemination state";
-  }
-  return cost;
-}
-
-// The headline economics claim: with 32 cached hosts, coalescing revokes
-// into RevokeBatch frames spends at least 3x fewer frames per mass
-// revocation than the paper's unicast loop, while delivering the identical
-// outcome (asserted inside the helper).
-TEST(DisseminationFrames, CollectiveStrategiesCutFramesAtLeast3x) {
-  const FanoutCost unicast = mass_revocation_cost(DisseminationKind::kUnicast);
-  const FanoutCost coalesced =
-      mass_revocation_cost(DisseminationKind::kCoalesced);
-
-  ASSERT_GT(unicast.frames, 0u);
-  ASSERT_GT(coalesced.frames, 0u);
-  EXPECT_GE(unicast.frames, 3 * coalesced.frames)
-      << "coalesced dissemination is not >=3x cheaper than unicast";
-
-  // Unicast never batches, so it must not touch the coalescing counter;
-  // coalesced frames carry several rights each.
-  EXPECT_EQ(unicast.rights, 0u);
-  EXPECT_GT(coalesced.rights, coalesced.frames);
-}
-
-// ----------------------------------------------------- Te bound
-
-void cache_user_everywhere(Scenario& s, UserId user) {
+void cache_user_on_hosts(Scenario& s, UserId user) {
   ASSERT_TRUE(s.grant(user, 0));
   s.run_for(Duration::seconds(2));
   for (int h = 0; h < s.host_count(); ++h) s.check(h, user);
@@ -138,13 +68,79 @@ void cache_user_everywhere(Scenario& s, UserId user) {
   }
 }
 
+// ------------------------------------------------------- mass revocation
+
+// 4 users cached on every one of 32 hosts, all revoked at once at manager 0:
+// each of the 3 managers sends exactly one RevokeNotify per cached host per
+// right, every cache empties, and every manager drains. Under a 10 ms link
+// the first flush of each (host, user) lands no later than the issuer's
+// update quorum: the issuer's own notify takes one link latency, its quorum
+// a round trip. Effect time reads 0, so a hold of even one link latency in
+// the fan-out fails here.
+TEST(Dissemination, MassRevocationSendsOneNotifyPerManagerHostAndRight) {
+  constexpr int kHosts = 32;
+  constexpr int kUsers = 4;
+  Scenario s(dissemination_config(kHosts));
+  for (int u = 0; u < kUsers; ++u) ASSERT_TRUE(s.grant(s.user(u), 0));
+  s.run_for(Duration::seconds(2));
+  for (int h = 0; h < kHosts; ++h) {
+    for (int u = 0; u < kUsers; ++u) s.check(h, s.user(u));
+  }
+  s.run_for(Duration::seconds(5));
+  for (int h = 0; h < kHosts; ++h) {
+    ASSERT_EQ(s.host(h).controller().cache(s.app())->size(),
+              static_cast<std::size_t>(kUsers))
+        << "host " << h << " cache not fully populated before the revocation";
+  }
+
+  // Counters are process-global, so the cost is a delta around the burst.
+  const std::uint64_t before = counter("wan_revoke_fanout_frames_total");
+  obs::Tracer tracer;
+  {
+    const obs::TracerScope scope(&tracer);
+    for (int u = 0; u < kUsers; ++u) ASSERT_TRUE(s.revoke(s.user(u), 0));
+    s.run_for(Duration::seconds(10));
+  }
+  EXPECT_EQ(counter("wan_revoke_fanout_frames_total") - before,
+            static_cast<std::uint64_t>(3 * kHosts * kUsers));
+
+  for (int h = 0; h < kHosts; ++h) {
+    EXPECT_EQ(s.host(h).controller().cache(s.app())->size(), 0u)
+        << "host " << h << " still caches a revoked right";
+  }
+  for (int m = 0; m < 3; ++m) {
+    EXPECT_EQ(s.manager(m).manager().inflight_revocations(), 0u)
+        << "manager " << m << " did not drain its dissemination state";
+  }
+
+  // user -> issuer's quorum instant; (host, user) -> first flush instant.
+  const std::uint32_t issuer = s.manager_ids()[0].value();
+  std::map<std::int64_t, std::int64_t> quorum_at;
+  std::map<std::pair<std::uint32_t, std::int64_t>, std::int64_t> flush_at;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (std::strcmp(e.name, "update.quorum") == 0 && e.node == issuer) {
+      quorum_at.emplace(e.a0, e.at_nanos);
+    } else if (std::strcmp(e.name, "revoke.flush") == 0) {
+      flush_at.emplace(std::pair{e.node, e.a0}, e.at_nanos);
+    }
+  }
+  ASSERT_EQ(quorum_at.size(), static_cast<std::size_t>(kUsers));
+  ASSERT_EQ(flush_at.size(), static_cast<std::size_t>(kHosts * kUsers));
+  for (const auto& [at, flushed] : flush_at) {
+    EXPECT_LE(flushed, quorum_at.at(at.second))
+        << "host " << at.first << " flushed user " << at.second << " late";
+  }
+}
+
+// ----------------------------------------------------- Te bound
+
 // An unreachable destination must cost the bound, never more: every
 // reachable host flushes at once, the isolated host's copy expires on its
 // local clock by Te (the delivery-leak oracle's argument), and the managers
 // retire the unreachable destination instead of retrying forever.
-TEST(CoalescedDissemination, IsolatedHostExpiresByTeAndIsRetired) {
-  Scenario s(dissemination_config(DisseminationKind::kCoalesced, 4));
-  cache_user_everywhere(s, s.user(0));
+TEST(Dissemination, IsolatedHostExpiresByTeAndIsRetired) {
+  Scenario s(dissemination_config(4));
+  cache_user_on_hosts(s, s.user(0));
 
   // Cut host 0 off from the whole world, THEN revoke.
   s.scripted().isolate(s.host_ids()[0], s.all_site_ids());
@@ -170,64 +166,69 @@ TEST(CoalescedDissemination, IsolatedHostExpiresByTeAndIsRetired) {
   }
 }
 
-// ------------------------------------------------------ coalesced basics
+// ----------------------------------------------------- ack hygiene
 
-// The batch cap: 65 rights revoked inside one flush window leave every
-// manager as exactly two RevokeBatch frames per cached host, a full one of
-// 64 rights sent the moment the cap is reached and one carrying the
-// leftover right when the window closes.
-TEST(CoalescedDissemination, SixtyFiveRightsSplitIntoAFullBatchAndTheRest) {
-  constexpr int kUsers = 65;
-  ScenarioConfig cfg = dissemination_config(DisseminationKind::kCoalesced, 2);
-  cfg.users = kUsers;
-  Scenario s(cfg);
-  for (int u = 0; u < kUsers; ++u) ASSERT_TRUE(s.grant(s.user(u), 0));
-  s.run_for(Duration::seconds(2));
-  for (int h = 0; h < s.host_count(); ++h) {
-    for (int u = 0; u < kUsers; ++u) s.check(h, s.user(u));
-  }
-  s.run_for(Duration::seconds(3));
-  for (int h = 0; h < s.host_count(); ++h) {
-    ASSERT_EQ(s.host(h).controller().cache(s.app())->size(),
-              static_cast<std::size_t>(kUsers));
-  }
+// A host that already confirmed a revocation and has since re-cached the
+// user must stay in the managers' grant tables when its old ack arrives
+// again (late or duplicated) while the revocation is still in flight to
+// another host. Otherwise the next revoke skips it and it keeps allowing
+// until its cached copy expires.
+TEST(Dissemination, LateAckForEarlierRevokeKeepsReCachedHostListed) {
+  Scenario s(dissemination_config(2));
+  const UserId user = s.user(0);
+  cache_user_on_hosts(s, user);
+  // Host 1 never confirms, so the first revocation stays in flight.
+  s.scripted().isolate(s.host_ids()[1], s.all_site_ids());
 
   obs::Tracer tracer;
   {
     const obs::TracerScope scope(&tracer);
-    for (int u = 0; u < kUsers; ++u) ASSERT_TRUE(s.revoke(s.user(u), 0));
+    ASSERT_TRUE(s.revoke(user, 0));
     s.run_for(Duration::seconds(1));
   }
-  // (manager, host) -> rights carried by each frame, in send order.
-  std::map<std::pair<std::uint32_t, std::int64_t>, std::vector<std::int64_t>>
-      frames;
+  ASSERT_EQ(s.host(0).controller().cache(s.app())->size(), 0u);
+  std::uint64_t counter_of_first = 0;
   for (const obs::TraceEvent& e : tracer.events()) {
-    if (std::strcmp(e.name, "revoke_fanout") == 0) {
-      frames[{e.node, e.a0}].push_back(e.a1);
+    if (std::strcmp(e.name, "revoke.notify.send") == 0) {
+      counter_of_first = static_cast<std::uint64_t>(e.a1);
     }
   }
-  EXPECT_EQ(frames.size(), static_cast<std::size_t>(3 * s.host_count()));
-  for (const auto& [link, rights] : frames) {
-    EXPECT_EQ(rights, (std::vector<std::int64_t>{64, 1}))
-        << "manager " << link.first << " -> host " << link.second;
-  }
-  for (int h = 0; h < s.host_count(); ++h) {
-    EXPECT_EQ(s.host(h).controller().cache(s.app())->size(), 0u);
-  }
+  ASSERT_NE(counter_of_first, 0u);
+
+  // Re-grant and re-cache on host 0.
+  ASSERT_TRUE(s.grant(user, 0));
+  s.run_for(Duration::seconds(2));
+  s.check(0, user);
+  s.run_for(Duration::seconds(2));
+  ASSERT_EQ(s.host(0).controller().cache(s.app())->size(), 1u);
   for (int m = 0; m < 3; ++m) {
-    EXPECT_EQ(s.manager(m).manager().inflight_revocations(), 0u);
+    ASSERT_GT(s.manager(m).manager().inflight_revocations(), 0u);
   }
+
+  // Host 0's ack of the first revocation arrives again at every manager.
+  for (const HostId m : s.manager_ids()) {
+    s.network().send(
+        s.host_ids()[0], m,
+        net::make_message<proto::RevokeNotifyAck>(
+            s.app(), user, acl::Version{counter_of_first, s.manager_ids()[0]}));
+  }
+  s.run_for(Duration::seconds(1));
+
+  ASSERT_TRUE(s.revoke(user, 0));
+  s.run_for(Duration::seconds(1));
+  EXPECT_EQ(s.host(0).controller().cache(s.app())->size(), 0u)
+      << "host 0 was unlisted by a stale ack and kept its re-cached grant";
 }
 
 // --------------------------------------------- threaded smoke (TSan job)
 
-// The coalesced strategy owns timers and retransmission state driven from a
+// The unicast forwarder owns per-right retransmission timers driven from a
 // real event-loop thread while acks arrive from peer nodes through the
 // loopback fabric and the test thread drives them through run_sync. This
 // deployment mirrors the conformance harness in miniature so the TSan CI
 // job can race-check the dissemination path end-to-end: grant, cache on
 // every host, revoke, drain.
-TEST(DisseminationThreaded, CollectiveRevocationOverLoopbackFabric) {
+TEST(DisseminationThreaded, RevocationOverLoopbackFabric) {
   proto::register_wire_messages();
   runtime::EnvOptions opts;
   opts.backend = runtime::BackendKind::kLoopback;
@@ -243,7 +244,6 @@ TEST(DisseminationThreaded, CollectiveRevocationOverLoopbackFabric) {
   proto::ProtocolConfig config;
   config.check_quorum = 2;
   config.Te = Duration::minutes(2);
-  config.dissemination = DisseminationKind::kCoalesced;
 
   ns::NameService names;
   auth::KeyRegistry keys;
@@ -316,7 +316,7 @@ TEST(DisseminationThreaded, CollectiveRevocationOverLoopbackFabric) {
     EXPECT_TRUE(barrier_check(h)) << "host " << h << " denied a granted user";
   }
   ASSERT_TRUE(barrier_update(acl::Op::kRevoke));
-  // Every cache flushes and every manager drains its batches (the check
+  // Every cache flushes and every manager drains its fan-out (the check
   // itself re-queries, so a deny proves the cached copy is gone).
   for (std::size_t h = 0; h < hosts.size(); ++h) {
     EXPECT_TRUE(eventually([&] { return !barrier_check(h); }))

@@ -58,26 +58,6 @@ TEST(Adversarial, SpoofedRevokeNotifyDoesNotFlushCache) {
   EXPECT_EQ(s.host(0).controller().cache(s.app())->size(), 1u);
 }
 
-TEST(Adversarial, SpoofedRevokeBatchDoesNotFlushCache) {
-  Scenario s(adversary_config());
-  s.grant(s.user(0));
-  s.run_for(Duration::seconds(5));
-  s.check(0, s.user(0));
-  s.run_for(Duration::seconds(2));
-  ASSERT_EQ(s.host(0).controller().cache(s.app())->size(), 1u);
-
-  const HostId attacker = add_attacker(s);
-  s.network().send(
-      attacker, s.host_ids()[0],
-      net::make_message<proto::RevokeBatch>(
-          s.app(), /*batch_id=*/1,
-          std::vector<proto::RevokeItem>{
-              proto::RevokeItem{s.user(0), acl::Version{999, attacker}}}));
-  s.run_for(Duration::seconds(2));
-  // A batch is a vector of RevokeNotify and passes the same manager gate.
-  EXPECT_EQ(s.host(0).controller().cache(s.app())->size(), 1u);
-}
-
 TEST(Adversarial, SpoofedQueryResponseCannotGrantAccess) {
   Scenario s(adversary_config());
   // Managers unreachable: only the attacker will "answer".

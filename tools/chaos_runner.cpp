@@ -37,7 +37,6 @@
 
 #include "chaos/engine.hpp"
 #include "cli.hpp"
-#include "runtime/env_options.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -63,8 +62,6 @@ struct Options {
   std::string log_level;  // empty = logging off
   int byzantine = 0;      // liars per run (0 = adversary off)
   bool asymmetric = false;
-  wan::runtime::DisseminationKind dissemination =
-      wan::runtime::DisseminationKind::kUnicast;
   bool sharded = false;
   std::string json_path;   // empty = no machine-readable summary
   std::string trace_path;  // --trace FILE: Chrome trace_event JSON (replay)
@@ -170,12 +167,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
                   return true;
                 });
   cli.add_flag("--asymmetric", "inject one-way link cuts", &opt->asymmetric);
-  cli.add_value("--dissemination", "KIND",
-                "revocation fanout strategy: unicast (default) or coalesced",
-                [opt](const std::string& v) {
-                  return wan::runtime::parse_dissemination(
-                      v, &opt->dissemination);
-                });
   cli.add_flag("--sharded",
                "singleton-group sharded deployments with one live\n"
                "mid-run shard rebalance (incompatible with --byzantine)",
@@ -220,7 +211,6 @@ ChaosOptions to_chaos_options(const Options& opt, std::uint64_t seed) {
   c.plan.byzantine_max = opt.byzantine > 0 ? opt.byzantine : 1;
   c.plan.asymmetric = opt.asymmetric;
   c.plan.sharded = opt.sharded;
-  c.plan.dissemination = opt.dissemination;
   return c;
 }
 
@@ -230,10 +220,6 @@ std::string repro_flags(const Options& opt) {
   if (opt.byzantine > 0) s += " --byzantine " + std::to_string(opt.byzantine);
   if (opt.asymmetric) s += " --asymmetric";
   if (opt.sharded) s += " --sharded";
-  if (opt.dissemination != wan::runtime::DisseminationKind::kUnicast) {
-    s += std::string(" --dissemination ") +
-         wan::runtime::to_cstring(opt.dissemination);
-  }
   if (opt.horizon_minutes != 8)
     s += " --horizon-minutes " + std::to_string(opt.horizon_minutes);
   return s;

@@ -126,8 +126,6 @@ struct Options {
   std::string metrics_path;  ///< with --metrics: live file (empty = stdout)
   std::string state_dir;     ///< manager role: durable journal directory
   bool reliable = false;     ///< arm the ack/retransmit layer
-  runtime::DisseminationKind dissemination =
-      runtime::DisseminationKind::kUnicast;  ///< revocation fanout strategy
   double loss = 0.0;         ///< seeded inbound loss fraction (test adversity)
   std::uint64_t fault_seed = 1;
   bool resume = false;   ///< restarted node: skip the scripted one-shot duties
@@ -217,7 +215,6 @@ proto::ProtocolConfig make_config(const Options& opt) {
   proto::ProtocolConfig config;
   config.check_quorum = 2;
   config.Te = sim::Duration::millis(opt.te_ms);
-  config.dissemination = opt.dissemination;
   config.query_timeout = sim::Duration::millis(200);
   config.max_attempts = 2;
   config.cache_sweep_period = sim::Duration::millis(100);
@@ -1125,10 +1122,6 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
         "--te-ms",    std::to_string(opt.te_ms),
         "--listen",   "127.0.0.1:0"};
     if (opt.shards) args.push_back("--shards");
-    if (opt.dissemination != runtime::DisseminationKind::kUnicast) {
-      args.push_back("--dissemination");
-      args.push_back(runtime::to_cstring(opt.dissemination));
-    }
     // Sharded runs always arm the reliability layer: the map announce and
     // the handoff series must survive whatever localhost UDP drops.
     if (opt.reliable || opt.shards) args.push_back("--reliable");
@@ -1366,10 +1359,6 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
         "--listen",   listen,
         "--reliable"};
     if (opt.shards) args.push_back("--shards");
-    if (opt.dissemination != runtime::DisseminationKind::kUnicast) {
-      args.push_back("--dissemination");
-      args.push_back(runtime::to_cstring(opt.dissemination));
-    }
     if (role == "manager") {
       args.push_back("--state-dir");
       args.push_back(std::string(dir) + "/state-" + std::to_string(id));
@@ -1742,13 +1731,6 @@ int main(int argc, char** argv) {
                "messages get per-flow sequencing, retransmission, and dedup;\n"
                "heartbeats stay fire-and-forget)",
                &opt.reliable);
-  cli.add_value("--dissemination", "KIND",
-                "revocation fanout strategy: unicast (default) or coalesced\n"
-                "— every node of a deployment must agree",
-                [&](const std::string& v) {
-                  return wan::runtime::parse_dissemination(
-                      v, &opt.dissemination);
-                });
   cli.add_value("--loss", "P",
                 "drop fraction P (0..1) of inbound frames, deterministically\n"
                 "seeded — only converges with --reliable",
