@@ -420,7 +420,7 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
     std::size_t off = 0;
     do {
       const std::size_t n = net::frame_extent(d.data + off, d.size - off);
-      const net::CodecRegistry::Decoded decoded = codec.decode(d.data + off, n);
+      net::CodecRegistry::Decoded decoded = codec.decode(d.data + off, n);
       off += n;
       if (!decoded.ok()) {
         count_socket_drop(decoded.error);
@@ -428,7 +428,7 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
       }
       ++frames;
       stage(decoded.frame->from.value(), decoded.frame->to.value(),
-            decoded.frame->msg);
+            std::move(decoded.frame->msg));
     } while (off < d.size);
   }
   socket_frames_received().inc(frames);
@@ -462,13 +462,11 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
       // on_data delivers the unwrapped message through collect(), so it
       // joins the same handoff list in arrival order. The envelope's inner
       // destination equals the outer one, so its endpoint was looked up.
-      if (const auto* data =
-              dynamic_cast<const net::ReliableData*>(f.msg.get())) {
+      if (const auto* data = net::message_cast<net::ReliableData>(f.msg)) {
         reliable_->on_data(f.from, f.to, *data);
         continue;
       }
-      if (const auto* ack =
-              dynamic_cast<const net::ReliableAck*>(f.msg.get())) {
+      if (const auto* ack = net::message_cast<net::ReliableAck>(f.msg)) {
         reliable_->on_ack(f.from, f.to, *ack);
         continue;
       }
