@@ -9,6 +9,9 @@
 #include "auth/authenticator.hpp"
 #include "auth/credentials.hpp"
 #include "metrics/histogram.hpp"
+#include "net/codec.hpp"
+#include "proto/messages.hpp"
+#include "proto/wire.hpp"
 #include "quorum/quorum.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
@@ -154,6 +157,69 @@ void BM_RngNextDouble(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngNextDouble);
+
+// The wire codec on the three frames of a check (Fig. 3): the host's
+// InvokeRequest, a manager's QueryRequest and its QueryResponse. Arg 0
+// picks the message in that order.
+net::MessagePtr check_frame(std::int64_t which) {
+  proto::register_wire_messages();
+  switch (which) {
+    case 0:
+      return net::make_message<proto::QueryRequest>(AppId(1), UserId(42), 7,
+                                                    99);
+    case 1:
+      return net::make_message<proto::QueryResponse>(
+          AppId(1), UserId(42), 7, acl::RightSet(acl::Right::kUse),
+          acl::Version{12, HostId(2), 3}, sim::Duration::seconds(30), 99);
+    default:
+      return net::make_message<proto::InvokeRequest>(
+          AppId(1), UserId(42), 7, 1234, auth::Signature{0xfeedULL}, "x", 99);
+  }
+}
+
+// Arg 1 = 0: encode_into() a reused vector, the per-frame API. Arg 1 = 1:
+// encode_append() into a datagram bundle, cleared whenever the next frame
+// would take it past net::kBundleBytes, as the socket fabric's send path
+// encodes.
+void BM_EncodeFrame(benchmark::State& state) {
+  const net::MessagePtr msg = check_frame(state.range(0));
+  const net::CodecRegistry& codec = net::CodecRegistry::global();
+  if (state.range(1) == 0) {
+    std::vector<std::uint8_t> frame;
+    for (auto _ : state) {
+      codec.encode_into(HostId(1), HostId(2), *msg, &frame);
+      benchmark::DoNotOptimize(frame.data());
+    }
+  } else {
+    net::WireWriter bundle;
+    const std::size_t frame_size =
+        codec.encode(HostId(1), HostId(2), *msg).value().size();
+    for (auto _ : state) {
+      if (bundle.size() + frame_size > net::kBundleBytes) bundle.clear();
+      codec.encode_append(HostId(1), HostId(2), *msg, &bundle);
+      benchmark::DoNotOptimize(bundle.data());
+    }
+  }
+}
+BENCHMARK(BM_EncodeFrame)
+    ->ArgNames({"msg", "append"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true);
+
+void BM_DecodeFrame(benchmark::State& state) {
+  const net::CodecRegistry& codec = net::CodecRegistry::global();
+  const std::vector<std::uint8_t> frame =
+      codec.encode(HostId(1), HostId(2), *check_frame(state.range(0))).value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec.decode(frame.data(), frame.size()));
+  }
+}
+BENCHMARK(BM_DecodeFrame)
+    ->ArgName("msg")
+    ->DenseRange(0, 2)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true);
 
 }  // namespace
 }  // namespace wan

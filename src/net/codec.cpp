@@ -6,6 +6,14 @@
 
 namespace wan::net {
 
+void WireWriter::grow(std::size_t n) {
+  const std::size_t cap = std::max({cap_ * 2, size_ + n, std::size_t{64}});
+  auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+  if (size_ != 0) std::memcpy(bigger.get(), data_.get(), size_);
+  data_ = std::move(bigger);
+  cap_ = cap;
+}
+
 const char* to_cstring(DecodeError e) noexcept {
   switch (e) {
     case DecodeError::kTruncated: return "truncated";
@@ -54,38 +62,49 @@ std::optional<std::vector<std::uint8_t>> CodecRegistry::encode(
   return frame;
 }
 
-bool CodecRegistry::encode_into(HostId from, HostId to, const Message& msg,
-                                std::vector<std::uint8_t>* out,
-                                EncodeError* error) const {
+bool CodecRegistry::encode_append(HostId from, HostId to, const Message& msg,
+                                  WireWriter* out, EncodeError* error) const {
   WAN_REQUIRE(out != nullptr);
   const std::uint32_t type = msg.type_id().value();
   const Entry* entry =
       type < kMaxTypes ? by_type_[type].load(std::memory_order_acquire)
                        : nullptr;
   if (entry == nullptr) {
-    out->clear();
     if (error != nullptr) *error = EncodeError::kUnregistered;
     return false;
   }
-  WireWriter w(std::move(*out));
-  w.u16(kWireMagic);
-  w.u8(kWireVersion);
-  w.u8(0);  // flags
-  w.u16(entry->tag);
-  w.host_id(from);
-  w.host_id(to);
-  w.u32(0);  // payload length, patched below
-  entry->encode(msg, w);
-  *out = w.take();
-  if (out->size() > kMaxFrameSize) {
-    out->clear();
+  const std::size_t start = out->size();
+  out->u16(kWireMagic);
+  out->u8(kWireVersion);
+  out->u8(0);  // flags
+  out->u16(entry->tag);
+  out->host_id(from);
+  out->host_id(to);
+  out->u32(0);  // payload length, patched below
+  entry->encode(msg, *out);
+  const std::size_t frame = out->size() - start;
+  if (frame > kMaxFrameSize) {
+    out->truncate(start);
     if (error != nullptr) *error = EncodeError::kOversize;
     return false;
   }
-  const auto payload_len =
-      static_cast<std::uint32_t>(out->size() - kWireHeaderSize);
-  std::memcpy(out->data() + kWireHeaderSize - sizeof payload_len, &payload_len,
-              sizeof payload_len);
+  const auto payload_len = static_cast<std::uint32_t>(frame - kWireHeaderSize);
+  std::memcpy(out->data() + start + kWireHeaderSize - sizeof payload_len,
+              &payload_len, sizeof payload_len);
+  return true;
+}
+
+bool CodecRegistry::encode_into(HostId from, HostId to, const Message& msg,
+                                std::vector<std::uint8_t>* out,
+                                EncodeError* error) const {
+  WAN_REQUIRE(out != nullptr);
+  thread_local WireWriter scratch;
+  scratch.clear();
+  if (!encode_append(from, to, msg, &scratch, error)) {
+    out->clear();
+    return false;
+  }
+  out->assign(scratch.data(), scratch.data() + scratch.size());
   return true;
 }
 

@@ -47,6 +47,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/message.hpp"
@@ -71,50 +72,71 @@ inline constexpr std::size_t kMaxFrameSize = 65507;
 /// fragmentation on a WAN path. A frame bigger than this travels alone.
 inline constexpr std::size_t kBundleBytes = 1472;
 
-/// Append-only little-endian serializer.
+/// Append-only little-endian serializer over its own contiguous buffer.
+/// A fixed-width field is one capacity check and one constant-size memcpy;
+/// growth, out of line, never zero-fills. clear() and truncate() keep the
+/// capacity, so a writer that is reused (a socket's outbound bundle) stops
+/// allocating once it has grown to its working size.
 class WireWriter {
  public:
   WireWriter() = default;
-  /// Adopts `reuse`'s allocation (cleared, capacity kept) so hot encode paths
-  /// can recycle buffers instead of allocating one per frame.
-  explicit WireWriter(std::vector<std::uint8_t>&& reuse)
-      : buf_(std::move(reuse)) {
-    buf_.clear();
+  WireWriter(WireWriter&& other) noexcept
+      : data_(std::move(other.data_)),
+        size_(std::exchange(other.size_, 0)),
+        cap_(std::exchange(other.cap_, 0)) {}
+  WireWriter& operator=(WireWriter&& other) noexcept {
+    data_ = std::move(other.data_);
+    size_ = std::exchange(other.size_, 0);
+    cap_ = std::exchange(other.cap_, 0);
+    return *this;
   }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { append(&v, sizeof v); }
-  void u32(std::uint32_t v) { append(&v, sizeof v); }
-  void u64(std::uint64_t v) { append(&v, sizeof v); }
-  void i64(std::int64_t v) { append(&v, sizeof v); }
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i64(std::int64_t v) { put(v); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void duration(sim::Duration d) { i64(d.count_nanos()); }
   /// Length-prefixed byte string (u32 length + raw bytes).
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    append(s.data(), s.size());
+    raw(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
   /// Raw byte run, no length prefix — the caller's layout carries the length
   /// (the reliability envelope embeds whole frames this way).
-  void raw(const std::uint8_t* p, std::size_t n) { append(p, n); }
+  void raw(const std::uint8_t* p, std::size_t n) {
+    if (n == 0) return;
+    if (cap_ - size_ < n) grow(n);
+    std::memcpy(data_.get() + size_, p, n);
+    size_ += n;
+  }
   void host_id(HostId id) { u32(id.value()); }
   void user_id(UserId id) { u32(id.value()); }
   void app_id(AppId id) { u32(id.value()); }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
-    return buf_;
+  [[nodiscard]] std::uint8_t* data() noexcept { return data_.get(); }
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return data_.get();
   }
-  [[nodiscard]] std::vector<std::uint8_t> take() noexcept {
-    return std::move(buf_);
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  void clear() noexcept { size_ = 0; }
+  /// Keeps the first `n` bytes (n <= size()) and drops the rest.
+  void truncate(std::size_t n) noexcept { size_ = n; }
 
  private:
-  void append(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+  template <typename T>
+  void put(T v) {
+    if (cap_ - size_ < sizeof(T)) grow(sizeof(T));
+    std::memcpy(data_.get() + size_, &v, sizeof(T));
+    size_ += sizeof(T);
   }
-  std::vector<std::uint8_t> buf_;
+  /// Reallocates so that `n` more bytes fit.
+  void grow(std::size_t n);
+
+  std::unique_ptr<std::uint8_t[]> data_;
+  std::size_t size_ = 0;
+  std::size_t cap_ = 0;
 };
 
 /// Bounds-checked little-endian deserializer. Reading past the end latches
@@ -250,19 +272,24 @@ class CodecRegistry {
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> encode(
       HostId from, HostId to, const Message& msg) const;
 
-  /// Why encode_into() refused a message.
+  /// Why encode_append() or encode_into() refused a message.
   enum class EncodeError : std::uint8_t {
     kUnregistered,  ///< the message's type has no codec
     kOversize,      ///< the frame would exceed kMaxFrameSize
   };
 
-  /// Same as encode(), but recycles `out`'s allocation (cleared then filled),
-  /// so steady-state hot paths — the reactor's send side — stop allocating
-  /// once buffers have grown to their working size. Returns false (leaving
-  /// *out cleared or partially written, contents unspecified) when the type
-  /// is unregistered or the frame would exceed kMaxFrameSize, and says which
-  /// in *error when it is non-null: one registry lookup classifies and
-  /// encodes.
+  /// Appends one whole frame (header + payload) at the end of `*out`: how
+  /// the socket fabric encodes straight into a datagram bundle. Returns
+  /// false when the type is unregistered or the frame would exceed
+  /// kMaxFrameSize, restoring *out to its previous size, so the frames
+  /// already in it stay intact; says which in *error when it is non-null:
+  /// one registry lookup classifies and encodes.
+  bool encode_append(HostId from, HostId to, const Message& msg,
+                     WireWriter* out, EncodeError* error = nullptr) const;
+
+  /// Same as encode(), but recycles `out`'s allocation (cleared then filled
+  /// from this thread's encode scratch). Returns false, leaving *out
+  /// cleared, on the refusals of encode_append().
   bool encode_into(HostId from, HostId to, const Message& msg,
                    std::vector<std::uint8_t>* out,
                    EncodeError* error = nullptr) const;

@@ -4,8 +4,8 @@
 #include <sys/epoll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -64,15 +64,57 @@ void ReactorTransport::shutdown() {
   }
 }
 
-bool ReactorTransport::enqueue_frame(std::vector<std::uint8_t> frame,
+bool ReactorTransport::enqueue_message(HostId from, HostId to,
+                                       const net::Message& msg,
+                                       const ResolvedAddr& dest) {
+  return enqueue(dest, [&](net::WireWriter* out) {
+    net::CodecRegistry::EncodeError error{};
+    if (net::CodecRegistry::global().encode_append(from, to, msg, out,
+                                                   &error)) {
+      return true;
+    }
+    count_socket_drop(error);
+    return false;
+  });
+}
+
+bool ReactorTransport::enqueue_frame(std::span<const std::uint8_t> frame,
                                      const ResolvedAddr& dest) {
-  if (out_.size() >= send_queue_limit_) {
+  return enqueue(dest, [frame](net::WireWriter* out) {
+    out->raw(frame.data(), frame.size());
+    return true;
+  });
+}
+
+template <typename Write>
+bool ReactorTransport::enqueue(const ResolvedAddr& dest, Write write) {
+  if (queued_frames_ >= send_queue_limit_) {
     count_socket_drop(SocketDrop::kQueueFull);
-    recycle_send_buffer(std::move(frame));
     return false;
   }
-  out_.push_back(Outbound{std::move(frame), dest});
+  if (live_ == 0 || out_[live_ - 1].dest != dest) open_bundle(dest);
+  std::size_t tail = live_ - 1;
+  const std::size_t before = out_[tail].bytes.size();
+  if (!write(&out_[tail].bytes)) {
+    if (before == 0) --live_;  // an empty datagram reads as truncated
+    return false;
+  }
+  if (before != 0 && out_[tail].bytes.size() > net::kBundleBytes) {
+    // The frame does not fit this datagram: it moves to the next one.
+    open_bundle(dest);
+    net::WireWriter& full = out_[tail].bytes;
+    out_[live_ - 1].bytes.raw(full.data() + before, full.size() - before);
+    full.truncate(before);
+    tail = live_ - 1;
+  }
+  ++out_[tail].frames;
+  ++queued_frames_;
   return true;
+}
+
+void ReactorTransport::open_bundle(const ResolvedAddr& dest) {
+  if (live_ == out_.size()) out_.emplace_back();
+  out_[live_++].dest = dest;
 }
 
 void ReactorTransport::on_ready(std::uint32_t events) {
@@ -94,47 +136,25 @@ void ReactorTransport::on_ready(std::uint32_t events) {
 void ReactorTransport::end_turn() { flush_outbound(); }
 
 void ReactorTransport::flush_outbound() {
-  // A bundle of the smallest frames (header only) must fit one msghdr.
-  static_assert(net::kBundleBytes / net::kWireHeaderSize <= IOV_MAX);
-  while (!out_.empty()) {
-    // Up to kBatch datagrams from the head of the batch. Consecutive frames
-    // for one peer join the open bundle while it stays within
-    // kBundleBytes; bundle b is out_[first[b], first[b + 1]).
-    std::array<std::size_t, kBatch + 1> first{};
-    unsigned bundles = 0;
-    std::size_t bytes = 0;
-    std::size_t frames = 0;
-    for (; frames < out_.size(); ++frames) {
-      const Outbound& next = out_[frames];
-      const bool joins = bundles > 0 && next.dest == out_[frames - 1].dest &&
-                         bytes + next.frame.size() <= net::kBundleBytes;
-      if (!joins) {
-        if (bundles == kBatch) break;
-        first[bundles++] = frames;
-        bytes = 0;
-      }
-      bytes += next.frame.size();
-    }
-    first[bundles] = frames;
-
-    flush_iov_.resize(frames);
-    for (std::size_t i = 0; i < frames; ++i) {
-      flush_iov_[i].iov_base = out_[i].frame.data();
-      flush_iov_[i].iov_len = out_[i].frame.size();
-    }
+  while (live_ != 0) {
+    // Up to kBatch bundles from the head of the batch, one iovec each.
+    const auto bundles =
+        static_cast<unsigned>(std::min<std::size_t>(live_, kBatch));
+    std::array<iovec, kBatch> iov;
     std::array<sockaddr_in, kBatch> dests;
     std::array<mmsghdr, kBatch> headers;
     for (unsigned b = 0; b < bundles; ++b) {
-      const ResolvedAddr& dest = out_[first[b]].dest;
+      Bundle& bundle = out_[b];
+      iov[b] = iovec{bundle.bytes.data(), bundle.bytes.size()};
       dests[b] = sockaddr_in{};
       dests[b].sin_family = AF_INET;
-      dests[b].sin_port = dest.port_be;
-      dests[b].sin_addr.s_addr = dest.ip_be;
+      dests[b].sin_port = bundle.dest.port_be;
+      dests[b].sin_addr.s_addr = bundle.dest.ip_be;
       headers[b].msg_hdr = msghdr{};
       headers[b].msg_hdr.msg_name = &dests[b];
       headers[b].msg_hdr.msg_namelen = sizeof dests[b];
-      headers[b].msg_hdr.msg_iov = &flush_iov_[first[b]];
-      headers[b].msg_hdr.msg_iovlen = first[b + 1] - first[b];
+      headers[b].msg_hdr.msg_iov = &iov[b];
+      headers[b].msg_hdr.msg_iovlen = 1;
     }
 
     unsigned sent = 0;
@@ -144,24 +164,32 @@ void ReactorTransport::flush_outbound() {
           ::sendmmsg(fd_, headers.data() + sent, bundles - sent, MSG_DONTWAIT);
       if (n > 0) {
         const unsigned done = sent + static_cast<unsigned>(n);
+        std::size_t carried = 0;
+        for (unsigned b = sent; b < done; ++b) carried += out_[b].frames;
         socket_datagrams_sent().inc(static_cast<std::uint64_t>(n));
-        socket_frames_sent().inc(first[done] - first[sent]);
+        socket_frames_sent().inc(carried);
         sent = done;
       } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
         blocked = true;  // kernel buffer full: EPOLLOUT resumes us
       } else if (errno != EINTR) {
         // Hard error on the head datagram: drop its frames, keep going
         // with the rest.
-        for (std::size_t i = first[sent]; i < first[sent + 1]; ++i) {
+        for (std::size_t i = 0; i < out_[sent].frames; ++i) {
           count_socket_drop(SocketDrop::kSendtoError);
         }
         ++sent;
       }
     }
-    for (std::size_t i = 0; i < first[sent]; ++i) {
-      recycle_send_buffer(std::move(out_[i].frame));
+    for (unsigned b = 0; b < sent; ++b) {
+      queued_frames_ -= out_[b].frames;
+      out_[b].bytes.clear();
+      out_[b].frames = 0;
     }
-    out_.erase(out_.begin(), out_.begin() + static_cast<std::ptrdiff_t>(first[sent]));
+    // The unsent bundles move to the head in order; the sent ones, with
+    // their buffers, become spares.
+    std::rotate(out_.begin(), out_.begin() + sent,
+                out_.begin() + static_cast<std::ptrdiff_t>(live_));
+    live_ -= sent;
     if (blocked) {
       worker().want_write(true);
       return;

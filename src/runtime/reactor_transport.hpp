@@ -4,8 +4,8 @@
 // One ReactorTransport per OS process, owning one UDP socket. Local nodes
 // attach exactly as they do to a LoopbackFabric; remote nodes are reached
 // through a static topology mapping HostId -> host:port, loaded from a file
-// or patched in with add_peer(). Addressing, encode, decode and delivery
-// live in runtime/socket_base.hpp; callers must register the protocol codecs
+// or patched in with add_peer(). Addressing, decode and delivery live in
+// runtime/socket_base.hpp; callers must register the protocol codecs
 // (proto::register_wire_messages()) before the first send — the runtime
 // layer itself never includes proto/ headers.
 //
@@ -18,15 +18,19 @@
 //     Sends made on the worker append to that batch with no lock and no
 //     wakeup; a send made on another thread is posted to the worker whole
 //     (SocketTransport::send).
-//   * Bundled datagrams: consecutive batched frames for the same peer share
-//     one datagram, gathered by scatter iovecs (no copy), up to
-//     net::kBundleBytes; a frame over the cap travels alone. Per
-//     destination, frames keep their FIFO order across bundles.
-//   * The batch is bounded by EnvOptions::send_queue_limit; overflow drops
-//     with wan_udp_drops_total{reason="queue_full"} — UDP never
-//     backpressures into protocol code. A full kernel buffer (sendmmsg
-//     EAGAIN) keeps the rest batched and arms EPOLLOUT: it delays, never
-//     drops.
+//   * Bundled datagrams: the outbound batch is a FIFO of bundles, each the
+//     contiguous bytes of one datagram for one peer. A send for the peer of
+//     the tail bundle encodes its frame in place at that bundle's end
+//     (net::CodecRegistry::encode_append); a frame that would push a
+//     non-empty bundle past net::kBundleBytes starts the next one, so a
+//     frame over the cap travels alone. Each bundle leaves as one iovec of
+//     one sendmmsg entry, and per destination frames keep their FIFO order
+//     across bundles. Sent bundles keep their buffers for the next ones.
+//   * The batch is bounded by EnvOptions::send_queue_limit frames; each
+//     frame past it is shed with wan_udp_drops_total{reason="queue_full"} —
+//     UDP never backpressures into protocol code. A full kernel buffer
+//     (sendmmsg EAGAIN) keeps the unsent bundles at the head of the batch,
+//     in order, and arms EPOLLOUT: it delays, never drops.
 //
 // Counters (wan_udp_*) are listed in socket_base.hpp. Build it with
 // ReactorTransport::create() or, from EnvOptions::backend =
@@ -39,6 +43,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,17 +69,29 @@ class ReactorTransport final : public SocketTransport, private Worker::Io {
   static constexpr unsigned kBatch = 64;
 
  private:
-  struct Outbound {
-    std::vector<std::uint8_t> frame;
+  /// One outbound datagram: whole frames for one peer, back to back.
+  struct Bundle {
     ResolvedAddr dest;
+    net::WireWriter bytes;
+    std::size_t frames = 0;
   };
 
   ReactorTransport() = default;
 
-  /// Appends to the outbound batch (queue_full past the limit). Worker
-  /// thread only.
-  bool enqueue_frame(std::vector<std::uint8_t> frame,
+  // SocketTransport; worker thread only.
+  bool enqueue_message(HostId from, HostId to, const net::Message& msg,
+                       const ResolvedAddr& dest) override;
+  bool enqueue_frame(std::span<const std::uint8_t> frame,
                      const ResolvedAddr& dest) override;
+
+  /// The one enqueue path: sheds past send_queue_limit_, else lets
+  /// `write(net::WireWriter*)` append one frame to the bundle for `dest`
+  /// and applies the kBundleBytes cut. A false `write` leaves the bundle
+  /// as it was (and no empty bundle behind).
+  template <typename Write>
+  bool enqueue(const ResolvedAddr& dest, Write write);
+  /// Makes out_[live_] the tail bundle, for `dest`.
+  void open_bundle(const ResolvedAddr& dest);
 
   // Worker::Io
   void on_ready(std::uint32_t events) override;
@@ -85,15 +102,17 @@ class ReactorTransport final : public SocketTransport, private Worker::Io {
   void flush_outbound();
 
   // Worker thread only.
-  /// The outbound batch, FIFO. A vector, not a deque: sent frames are
-  /// erased from the front and the capacity stays, so queueing allocates
+  /// The outbound batch is out_[0, live_), FIFO; every one of those bundles
+  /// holds at least one frame. Bundles past live_ are empty spares: sent
+  /// bundles are rotated there with their buffers, so queueing allocates
   /// nothing in steady state.
-  std::vector<Outbound> out_;
+  std::vector<Bundle> out_;
+  std::size_t live_ = 0;
+  std::size_t queued_frames_ = 0;  ///< frames in out_[0, live_)
   /// kBatch full-size datagram buffers, left untouched until used.
   std::unique_ptr<std::uint8_t[]> recv_storage_;
   std::array<iovec, kBatch> recv_iov_{};
   std::array<mmsghdr, kBatch> recv_headers_{};
-  std::vector<iovec> flush_iov_;  ///< one per frame of one sendmmsg call
 };
 
 }  // namespace wan::runtime

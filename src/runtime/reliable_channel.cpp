@@ -110,19 +110,18 @@ void ReliableChannel::send_reliable(HostId from, HostId to,
   std::optional<std::vector<std::uint8_t>> outer = codec.encode(from, to, data);
   WAN_ASSERT(outer.has_value());  // size pre-checked above
   const auto now = SteadyClock::now();
-  Pending p;
-  p.frame = *outer;
+  Pending& p = flow.pending[seq];
+  p.frame = std::move(*outer);
   p.dest = dest;
   p.first_sent = now;
   p.rto = to_chrono(opts_.initial_rto);
   p.next_due = now + jittered(p.rto);
   schedule(p.next_due);
-  flow.pending.emplace(seq, std::move(p));
   trace_flow("rel.send", obs::SpanKind::kSend, from.value(), to.value(),
              static_cast<std::int64_t>(seq));
   // A false return is a queue-full shed: the pending entry above already
   // guarantees a retransmit picks it up, so the drop only delays.
-  (void)transport_.enqueue_frame(std::move(*outer), dest);
+  (void)transport_.enqueue_frame(p.frame, dest);
 }
 
 void ReliableChannel::absorb_ack(std::uint64_t key, std::uint64_t cum,
@@ -171,7 +170,7 @@ void ReliableChannel::send_ack(std::uint32_t data_from,
       net::CodecRegistry::global().encode(HostId(data_to), HostId(data_from),
                                           ack);
   WAN_ASSERT(frame.has_value());
-  if (transport_.enqueue_frame(std::move(*frame), dest)) {
+  if (transport_.enqueue_frame(*frame, dest)) {
     acks_sent_.inc();
     trace_flow("rel.ack", obs::SpanKind::kSend, data_to, data_from,
                static_cast<std::int64_t>(cum));

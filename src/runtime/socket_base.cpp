@@ -136,6 +136,12 @@ void count_socket_drop(net::DecodeError error) {
   count_drop_at(kDecodeDropBase + static_cast<std::size_t>(error));
 }
 
+void count_socket_drop(net::CodecRegistry::EncodeError error) {
+  count_socket_drop(error == net::CodecRegistry::EncodeError::kUnregistered
+                        ? SocketDrop::kUnregisteredType
+                        : SocketDrop::kOversize);
+}
+
 // ---------------------------------------------------------------------------
 // NodeAddress / Topology
 
@@ -303,34 +309,18 @@ void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
   sends.inc();
   const std::optional<ResolvedAddr> dest = route_for_send(from, to);
   if (!dest) return;
-  std::vector<std::uint8_t> frame = take_send_buffer();
-  net::CodecRegistry::EncodeError error{};
-  if (!net::CodecRegistry::global().encode_into(from, to, *msg, &frame,
-                                                &error)) {
-    count_socket_drop(error == net::CodecRegistry::EncodeError::kUnregistered
-                          ? SocketDrop::kUnregisteredType
-                          : SocketDrop::kOversize);
-    recycle_send_buffer(std::move(frame));
-    return;
-  }
   if (reliable_ != nullptr && msg->reliable()) {
+    std::vector<std::uint8_t> frame;
+    net::CodecRegistry::EncodeError error{};
+    if (!net::CodecRegistry::global().encode_into(from, to, *msg, &frame,
+                                                  &error)) {
+      count_socket_drop(error);
+      return;
+    }
     reliable_->send_reliable(from, to, std::move(frame), *dest);
     return;
   }
-  enqueue_frame(std::move(frame), *dest);
-}
-
-std::vector<std::uint8_t> SocketTransport::take_send_buffer() {
-  if (pool_.empty()) return {};
-  std::vector<std::uint8_t> buf = std::move(pool_.back());
-  pool_.pop_back();
-  return buf;
-}
-
-void SocketTransport::recycle_send_buffer(std::vector<std::uint8_t>&& buf) {
-  if (pool_.size() < send_queue_limit_) {
-    pool_.push_back(std::move(buf));
-  }
+  enqueue_message(from, to, *msg, *dest);
 }
 
 void SocketTransport::set_peer_unreachable(UnreachableFn fn) {

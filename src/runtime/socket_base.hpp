@@ -2,17 +2,18 @@
 //
 // Everything a socket fabric needs apart from moving bytes lives here:
 // address parsing, the static topology, peer resolution, endpoint
-// bookkeeping, the encode-buffer pool, the inbound decode/deliver path, the
-// optional reliability layer and the labelled drop counters. The one
-// backend, ReactorTransport (runtime/reactor_transport.hpp), adds the socket
-// to the fabric's worker and the batched recvmmsg/sendmmsg syscalls; tests
+// bookkeeping, the inbound decode/deliver path, the optional reliability
+// layer and the labelled drop counters. The one backend, ReactorTransport
+// (runtime/reactor_transport.hpp), owns the outbound batch (frames are
+// encoded straight into its per-peer datagram bundles), adds the socket to
+// the fabric's worker and makes the batched recvmmsg/sendmmsg syscalls; tests
 // subclass this base with a socketless fake that feeds on_datagrams() on its
 // worker.
 //
 // Threading: everything here is worker state and takes no lock. The
 // receive path, the handlers it runs and sends made by those handlers all
 // run on the fabric's one worker thread (runtime/worker.hpp), and so do the
-// endpoint, peer and blocked-source tables, the encode-buffer pool and the
+// endpoint, peer and blocked-source tables, the outbound batch and the
 // fault plan. Called off the worker, the control calls (attach, add_peer,
 // set_endpoint_down, block_inbound_from, set_fault_plan) hop onto it with
 // Worker::run_sync and return once applied, and send() posts the whole send
@@ -117,10 +118,10 @@ struct ResolvedAddr {
 class ReliableChannel;
 
 /// Common machinery of the real-socket fabric. The subclass owns the I/O
-/// (threads, syscall batching) and implements enqueue_frame() and
-/// shutdown(); everything else — bind, routing, endpoints, the send path,
-/// encode buffers, decode, delivery, the optional reliability layer,
-/// counters — is here.
+/// (the outbound batch, syscall batching) and implements enqueue_message(),
+/// enqueue_frame() and shutdown(); everything else — bind, routing,
+/// endpoints, the send path, decode, delivery, the optional reliability
+/// layer, counters — is here.
 class SocketTransport : public Fabric {
   friend class ReliableChannel;  // its outbound frames, acks and deliveries
 
@@ -200,18 +201,17 @@ class SocketTransport : public Fabric {
   /// (endpoint_down drop otherwise). Worker thread only.
   std::optional<ResolvedAddr> route_for_send(HostId from, HostId to);
 
-  /// Hands one encoded frame to the bounded outbound batch. Returns false
-  /// on a queue-full shed (counted as queue_full by the implementation).
-  /// Worker thread only.
-  virtual bool enqueue_frame(std::vector<std::uint8_t> frame,
-                             const ResolvedAddr& dest) = 0;
+  /// Encodes `msg` as one frame straight into the bounded outbound batch
+  /// for `dest`. A refused encode counts unregistered_type or oversize, a
+  /// full batch queue_full; either returns false. Worker thread only.
+  virtual bool enqueue_message(HostId from, HostId to, const net::Message& msg,
+                               const ResolvedAddr& dest) = 0;
 
-  /// The encode-buffer pool: send() encodes into a buffer taken here, and
-  /// the subclass returns it once the frame is on the wire, so the
-  /// steady-state send path allocates nothing. Capped at the queue limit.
-  /// Worker thread only.
-  std::vector<std::uint8_t> take_send_buffer();
-  void recycle_send_buffer(std::vector<std::uint8_t>&& buf);
+  /// Copies one already-encoded frame (a reliability envelope, ack or
+  /// retransmit) into the bounded outbound batch. Returns false on a
+  /// queue_full shed. Worker thread only.
+  virtual bool enqueue_frame(std::span<const std::uint8_t> frame,
+                             const ResolvedAddr& dest) = 0;
 
   /// The receive path. Splits every datagram of one receive call into its
   /// frames (net::frame_extent), decodes each with the strict codec (a tail
@@ -276,8 +276,6 @@ class SocketTransport : public Fabric {
   std::vector<Staged> staged_;
   std::vector<Handoff> handoffs_;  ///< [0, live_handoffs_) in this batch
   std::size_t live_handoffs_ = 0;
-
-  std::vector<std::vector<std::uint8_t>> pool_;  ///< free encode buffers
 };
 
 /// Why the socket fabric dropped a frame; counted in
@@ -305,6 +303,8 @@ enum class SocketDrop : std::uint8_t {
 /// sender chooses.
 void count_socket_drop(SocketDrop reason);
 void count_socket_drop(net::DecodeError error);
+/// unregistered_type or oversize, for a refused encode.
+void count_socket_drop(net::CodecRegistry::EncodeError error);
 
 /// Hot counters of the socket fabric. Frames count decoded (or
 /// sent) protocol frames, datagrams count kernel datagrams, so frames /

@@ -3,14 +3,18 @@
 // the original bytes), and every class of hostile input — truncation, bad
 // magic/version/flags, unknown tags, trailing bytes, non-canonical payloads,
 // adversarial length fields, plain garbage — is rejected without crashing or
-// allocating unboundedly. The frame layout and tag table under test are
-// documented in docs/WIRE_FORMAT.md; tags are frozen there.
+// allocating unboundedly. Appending frames to a buffer (encode_append, the
+// socket fabric's in-place encode) yields exactly the concatenation of
+// encode(), and a refused append leaves the buffer as it was. The frame
+// layout and tag table under test are documented in docs/WIRE_FORMAT.md;
+// tags are frozen there.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -652,6 +656,77 @@ TEST(CodecReject, OversizePayloadFailsEncode) {
   EXPECT_FALSE(CodecRegistry::global().encode_into(HostId(1), HostId(2),
                                                    Unwired{}, &out, &error));
   EXPECT_EQ(error, CodecRegistry::EncodeError::kUnregistered);
+}
+
+std::vector<std::uint8_t> bytes_of(const net::WireWriter& w) {
+  return {w.data(), w.data() + w.size()};
+}
+
+// encode_append() is how the socket fabric encodes into a datagram bundle:
+// for every registered type, frames appended one after another to a buffer
+// that already holds bytes are exactly the concatenation of encode() of
+// each, after the bytes that were there.
+TEST(CodecAppend, AppendedFramesAreTheConcatenationOfEncode) {
+  register_all();
+  Rng rng{20261018};
+  for (const auto& gen : generators()) {
+    net::WireWriter bundle;
+    const std::uint8_t prefix[] = {0xde, 0xad, 0xbe, 0xef, 0x01};
+    bundle.raw(prefix, sizeof prefix);
+    std::vector<std::uint8_t> want(std::begin(prefix), std::end(prefix));
+    for (int n = 0; n < 8; ++n) {
+      const net::MessagePtr msg = gen(rng);
+      const HostId from(static_cast<std::uint32_t>(rng.next_u64()));
+      const HostId to(static_cast<std::uint32_t>(rng.next_u64()));
+      const auto frame = CodecRegistry::global().encode(from, to, *msg);
+      ASSERT_TRUE(frame.has_value()) << msg->type_name();
+      ASSERT_TRUE(
+          CodecRegistry::global().encode_append(from, to, *msg, &bundle))
+          << msg->type_name();
+      want.insert(want.end(), frame->begin(), frame->end());
+      ASSERT_EQ(bytes_of(bundle), want) << msg->type_name() << " frame " << n;
+    }
+  }
+}
+
+// A refused append leaves the frames already in the buffer intact: its
+// size and bytes are restored, and the error names the refusal.
+TEST(CodecAppend, RefusalRestoresTheBuffer) {
+  register_all();
+  const auto good = net::make_message<proto::HeartbeatPing>(AppId(3), 9);
+  const auto oversize = net::make_message<proto::InvokeRequest>(
+      AppId(1), UserId(2), 3, 4, auth::Signature{5},
+      std::string(net::kMaxFrameSize, 'x'), 6);
+  const struct {
+    const net::Message* msg;
+    CodecRegistry::EncodeError error;
+  } refusals[] = {{nullptr, CodecRegistry::EncodeError::kUnregistered},
+                  {oversize.get(), CodecRegistry::EncodeError::kOversize}};
+  const Unwired unwired;
+  for (const auto& refusal : refusals) {
+    const net::Message& msg = refusal.msg != nullptr ? *refusal.msg : unwired;
+    net::WireWriter bundle;
+    ASSERT_TRUE(CodecRegistry::global().encode_append(HostId(1), HostId(2),
+                                                      *good, &bundle));
+    ASSERT_TRUE(CodecRegistry::global().encode_append(HostId(1), HostId(3),
+                                                      *good, &bundle));
+    const std::vector<std::uint8_t> before = bytes_of(bundle);
+    auto error = refusal.error == CodecRegistry::EncodeError::kOversize
+                     ? CodecRegistry::EncodeError::kUnregistered
+                     : CodecRegistry::EncodeError::kOversize;
+    EXPECT_FALSE(CodecRegistry::global().encode_append(HostId(1), HostId(2),
+                                                       msg, &bundle, &error));
+    EXPECT_EQ(error, refusal.error);
+    EXPECT_EQ(bundle.size(), before.size());
+    EXPECT_EQ(bytes_of(bundle), before);
+    // The buffer still takes frames after the refusal.
+    EXPECT_TRUE(CodecRegistry::global().encode_append(HostId(1), HostId(2),
+                                                      *good, &bundle));
+    std::vector<std::uint8_t> want = before;
+    const auto third = encode_or_die(*good, HostId(1), HostId(2));
+    want.insert(want.end(), third.begin(), third.end());
+    EXPECT_EQ(bytes_of(bundle), want);
+  }
 }
 
 /// A message whose type is chosen at run time, so one class can stand for

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -197,7 +198,11 @@ class Probe final : public runtime::SocketTransport {
   }
 
  private:
-  bool enqueue_frame(std::vector<std::uint8_t>,
+  bool enqueue_message(HostId, HostId, const net::Message&,
+                       const runtime::ResolvedAddr&) override {
+    return true;
+  }
+  bool enqueue_frame(std::span<const std::uint8_t>,
                      const runtime::ResolvedAddr&) override {
     return true;
   }

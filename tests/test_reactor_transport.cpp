@@ -14,7 +14,9 @@
 // Bundling is pinned on both sides: hand-built datagrams of several frames
 // split by payload_len (per-frame filtering and drops, a seeded fuzz of the
 // splitter), and a live reactor sender observed through raw sockets (fewer
-// datagrams than frames, none over net::kBundleBytes, per-peer FIFO order).
+// datagrams than frames, none over net::kBundleBytes, per-peer FIFO order,
+// every datagram byte-identical to the encoded frames cut at the cap, and
+// send_queue_limit shedding one frame per queue_full drop).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -30,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -62,8 +65,7 @@ std::uint64_t drop_count(const char* reason) {
       .value();
 }
 
-std::unique_ptr<ReactorTransport> make_transport() {
-  EnvOptions opts;
+std::unique_ptr<ReactorTransport> make_transport(EnvOptions opts = {}) {
   opts.listen = "127.0.0.1:0";
   std::string error;
   auto t = ReactorTransport::create(opts, &error);
@@ -478,7 +480,12 @@ class BatchProbe final : public SocketTransport {
   }
 
  private:
-  bool enqueue_frame(std::vector<std::uint8_t>, const ResolvedAddr&) override {
+  bool enqueue_message(HostId, HostId, const net::Message&,
+                       const ResolvedAddr&) override {
+    return true;
+  }
+  bool enqueue_frame(std::span<const std::uint8_t>,
+                     const ResolvedAddr&) override {
     return true;
   }
 };
@@ -897,9 +904,9 @@ struct RawReceiver {
 
 /// A reactor transport sending as host 1.
 struct SenderRig {
-  SenderRig() {
+  explicit SenderRig(EnvOptions opts = {}) {
     proto::register_wire_messages();
-    transport = make_transport();
+    transport = make_transport(std::move(opts));
     env = std::make_unique<ThreadedEnv>(*transport);
     env->transport().register_endpoint(HostId(1),
                                        [](HostId, const net::MessagePtr&) {});
@@ -1083,6 +1090,123 @@ TEST(ReactorBundling, InterleavedPeersKeepPerPeerOrder) {
     }
     EXPECT_EQ(got, want[host]) << "host " << host;
   }
+}
+
+/// The datagrams today's bundling rule makes of `frames`, sent in order:
+/// consecutive frames for one peer share a datagram while it stays within
+/// kBundleBytes. Keyed by peer, in send order.
+std::map<std::uint32_t, std::vector<std::vector<std::uint8_t>>> bundled(
+    const std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>&
+        frames) {
+  std::map<std::uint32_t, std::vector<std::vector<std::uint8_t>>> out;
+  std::uint32_t open = 0;  // peer of the open datagram, 0 for none
+  for (const auto& [to, frame] : frames) {
+    auto& list = out[to];
+    if (open != to || list.back().size() + frame.size() > net::kBundleBytes) {
+      list.emplace_back();
+      open = to;
+    }
+    list.back().insert(list.back().end(), frame.begin(), frame.end());
+  }
+  return out;
+}
+
+// Frames encoded in place leave exactly as today's bundling cut them: over
+// interleaved runs to two peers, a frame over the cap, and oversize
+// refusals both as the first frame of a fresh bundle and in mid-bundle,
+// every datagram each peer receives is the concatenation of encode() of
+// consecutive frames for it, cut at kBundleBytes. No empty datagram leaves,
+// and the frame, datagram and oversize counters move by exactly what was
+// sent and refused.
+TEST(ReactorBundling, DatagramsAreTheEncodedFramesCutAtTheCap) {
+  RawReceiver peer_a, peer_b;
+  SenderRig rig;
+  rig.route(2, peer_a.port);
+  rig.route(3, peer_b.port);
+  const auto big = net::make_message<proto::InvokeRequest>(
+      AppId(1), UserId(2), 3, 4, auth::Signature{5},
+      std::string(2 * net::kBundleBytes, 'x'), 6);
+  const auto oversize = net::make_message<proto::InvokeRequest>(
+      AppId(1), UserId(2), 3, 4, auth::Signature{5},
+      std::string(net::kMaxFrameSize, 'x'), 6);
+
+  std::vector<std::pair<std::uint32_t, net::MessagePtr>> msgs;
+  std::uint64_t seq = 0;
+  const auto run = [&](std::uint32_t to, int count) {
+    for (int i = 0; i < count; ++i) msgs.emplace_back(to, heartbeat(seq++));
+  };
+  run(2, 70);  // more than one datagram's worth
+  run(3, 5);
+  msgs.emplace_back(2, oversize);  // refused as a fresh bundle's first frame
+  run(3, 4);                       // so these join the open bundle for 3
+  run(2, 3);
+  msgs.emplace_back(2, big);  // over the cap: travels alone
+  run(2, 2);
+  msgs.emplace_back(2, oversize);  // refused in mid-bundle
+  run(2, 3);
+  run(3, 60);
+
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> accepted;
+  for (const auto& [to, msg] : msgs) {
+    if (msg == oversize) continue;
+    const auto frame =
+        net::CodecRegistry::global().encode(HostId(1), HostId(to), *msg);
+    ASSERT_TRUE(frame.has_value());
+    accepted.emplace_back(to, *frame);
+  }
+  auto want = bundled(accepted);
+  std::size_t want_datagrams = 0;
+  std::map<std::uint32_t, std::size_t> want_frames;
+  for (const auto& [to, frame] : accepted) ++want_frames[to];
+  for (const auto& [to, list] : want) want_datagrams += list.size();
+
+  const std::uint64_t frames_before = socket_frames_sent().value();
+  const std::uint64_t datagrams_before = socket_datagrams_sent().value();
+  const std::uint64_t oversize_before = drop_count("oversize");
+  rig.send_all(msgs);
+  EXPECT_EQ(drop_count("oversize"), oversize_before + 2);
+
+  const std::map<std::uint32_t, RawReceiver*> peers{{2, &peer_a},
+                                                    {3, &peer_b}};
+  for (const auto& [host, peer] : peers) {
+    const auto got = peer->datagrams_holding(want_frames[host]);
+    for (const auto& d : got) EXPECT_FALSE(d.empty()) << "host " << host;
+    EXPECT_EQ(got, want[host]) << "host " << host;
+  }
+  ASSERT_TRUE(eventually([&] {
+    return socket_frames_sent().value() - frames_before == accepted.size() &&
+           socket_datagrams_sent().value() - datagrams_before ==
+               want_datagrams;
+  })) << socket_frames_sent().value() - frames_before << " frames, "
+      << socket_datagrams_sent().value() - datagrams_before << " datagrams";
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(socket_datagrams_sent().value() - datagrams_before,
+            want_datagrams);
+}
+
+// send_queue_limit bounds the frames queued in one turn: of N + k sends
+// made on the worker before a flush, the last k are shed, one queue_full
+// drop each, and the first N reach the peer in order.
+TEST(ReactorBundling, QueueLimitShedsEachFramePastIt) {
+  constexpr std::size_t kLimit = 100;
+  constexpr std::size_t kOver = 7;
+  RawReceiver peer;
+  EnvOptions opts;
+  opts.send_queue_limit = kLimit;
+  SenderRig rig(opts);
+  rig.route(2, peer.port);
+  const std::uint64_t full_before = drop_count("queue_full");
+
+  rig.send_all(pings_to(2, kLimit + kOver));
+  EXPECT_EQ(drop_count("queue_full"), full_before + kOver);
+
+  std::vector<std::uint64_t> seqs;
+  for (const auto& d : peer.datagrams_holding(kLimit)) {
+    for (const auto& f : RawReceiver::frames_of(d)) seqs.push_back(seq_of(f));
+  }
+  std::vector<std::uint64_t> want(kLimit);
+  for (std::size_t i = 0; i < kLimit; ++i) want[i] = i;
+  EXPECT_EQ(seqs, want);
 }
 
 // ------------------------------------------------ deterministic fault plan
