@@ -38,7 +38,6 @@
 #include "runtime/env_options.hpp"
 #include "runtime/socket_base.hpp"
 #include "runtime/threaded_env.hpp"
-#include "shard/shard_map.hpp"
 
 namespace wan::bench {
 namespace {
@@ -50,16 +49,6 @@ constexpr AppId kApp{1};
 constexpr std::uint32_t kDriverId = 999;
 constexpr int kManagers = 3;
 constexpr int kHosts = 4;
-
-// --shards phase: the sharded rigs run 4 managers either as ONE group (every
-// uncached check quorum fans out to all four) or as four singleton groups
-// (the owner group is one manager). The flood flies distinct NON-granted
-// users — only grants are cached (access_controller.cpp), so every check is
-// a full authenticate + quorum round trip, which is the manager-tier load
-// sharding exists to divide.
-constexpr int kShardManagers = 4;
-constexpr int kFloodUsersPerHost = 64;
-constexpr std::uint32_t kFloodUserBase = 1000;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -100,13 +89,9 @@ struct Rig {
         .count();
   }
 
-  /// shard_groups == 0: the legacy 3-manager flat rig (C = 2).
-  /// shard_groups >= 1: 4 managers, C = 1; 1 = one group owning everything,
-  /// 4 = singleton groups behind a consistent-hash map, flood users keyed in.
-  explicit Rig(BackendKind kind, int shard_groups = 0) {
+  explicit Rig(BackendKind kind) {
     proto::register_wire_messages();
-    const int nm = shard_groups > 0 ? kShardManagers : kManagers;
-    for (int i = 0; i < nm; ++i) manager_ids.push_back(HostId(static_cast<std::uint32_t>(i)));
+    for (int i = 0; i < kManagers; ++i) manager_ids.push_back(HostId(static_cast<std::uint32_t>(i)));
     for (int i = 0; i < kHosts; ++i) host_ids.push_back(HostId(static_cast<std::uint32_t>(100 + i)));
 
     runtime::EnvOptions opts;
@@ -127,40 +112,23 @@ struct Rig {
     }
 
     proto::ProtocolConfig config;
-    config.check_quorum = shard_groups > 0 ? 1 : 2;
+    config.check_quorum = 2;
     config.Te = sim::Duration::minutes(2);
 
-    for (int i = 0; i < nm + kHosts + 1; ++i) {
+    for (int i = 0; i < kManagers + kHosts + 1; ++i) {
       envs.push_back(std::make_unique<runtime::ThreadedEnv>(*fabric));
     }
-    for (int i = 0; i < nm; ++i) {
+    for (int i = 0; i < kManagers; ++i) {
       managers.push_back(std::make_unique<proto::ManagerHost>(
           manager_ids[static_cast<std::size_t>(i)],
           *envs[static_cast<std::size_t>(i)], clk::LocalClock::perfect(),
           config));
     }
     names.set_managers(kApp, manager_ids);
-    shard::ShardMap map;
-    if (shard_groups > 1) {
-      std::vector<std::vector<HostId>> groups;
-      for (const HostId id : manager_ids) groups.push_back({id});
-      map = shard::ShardMap::ring(std::move(groups),
-                                  static_cast<std::uint32_t>(4 * shard_groups),
-                                  /*epoch=*/1);
-      names.set_shard_map(kApp, map);
-    }
-    for (int i = 0; i < nm; ++i) {
-      // A sharded manager's Managers(A) is its own group (singleton here).
-      const std::vector<HostId> quorum_set =
-          shard_groups > 1 ? std::vector<HostId>{manager_ids[static_cast<std::size_t>(i)]}
-                           : manager_ids;
-      envs[static_cast<std::size_t>(i)]->run_sync([this, i, &quorum_set, &map] {
+    for (int i = 0; i < kManagers; ++i) {
+      envs[static_cast<std::size_t>(i)]->run_sync([this, i] {
         managers[static_cast<std::size_t>(i)]->manager().manage_app(
-            kApp, quorum_set);
-        if (!map.empty()) {
-          managers[static_cast<std::size_t>(i)]->manager().set_shard_map(kApp,
-                                                                         map);
-        }
+            kApp, manager_ids);
       });
     }
 
@@ -169,14 +137,6 @@ struct Rig {
     Rng rng{12345};
     kp = auth::generate_keypair(rng);
     for (int h = 0; h < kHosts; ++h) keys.register_user(user_of(h), kp.public_key);
-    if (shard_groups > 0) {
-      // Flood users authenticate but hold no grant, so their checks never
-      // cache — each one is a live quorum round at the owning group.
-      for (int u = 0; u < kHosts * kFloodUsersPerHost; ++u) {
-        keys.register_user(UserId(kFloodUserBase + static_cast<std::uint32_t>(u)),
-                           kp.public_key);
-      }
-    }
 
     for (int i = 0; i < kHosts; ++i) {
       auto& env = *envs[static_cast<std::size_t>(kManagers + i)];
@@ -238,15 +198,7 @@ struct Rig {
 /// the replies it implies) stays under the transport's 1024-frame queue
 /// limit, so saturation shows up as throughput, not queue_full shedding.
 struct CheckDriver {
-  /// flood = cycle kFloodUsersPerHost distinct non-granted users per host
-  /// (every check misses the cache) instead of the four granted hot users.
-  explicit CheckDriver(Rig& rig, bool flood = false)
-      : rig_(rig), flood_(flood) {
-    nonces_.assign(flood ? static_cast<std::size_t>(kHosts) * kFloodUsersPerHost
-                         : kHosts,
-                   1);
-    cursors_.assign(kHosts, 0);
-  }
+  explicit CheckDriver(Rig& rig) : rig_(rig) { nonces_.assign(kHosts, 1); }
 
   /// Sends signed InvokeRequests round-robin for `seconds`, then drains.
   /// Returns replies observed between start and drain end.
@@ -290,15 +242,8 @@ struct CheckDriver {
 
  private:
   void send_one(int h) {
-    std::size_t slot = static_cast<std::size_t>(h);
-    UserId user = Rig::user_of(h);
-    if (flood_) {
-      const int k = cursors_[static_cast<std::size_t>(h)]++ % kFloodUsersPerHost;
-      slot = static_cast<std::size_t>(h) * kFloodUsersPerHost +
-             static_cast<std::size_t>(k);
-      user = UserId(kFloodUserBase + static_cast<std::uint32_t>(slot));
-    }
-    const std::uint64_t nonce = nonces_[slot]++;
+    const UserId user = Rig::user_of(h);
+    const std::uint64_t nonce = nonces_[static_cast<std::size_t>(h)]++;
     const auth::Signature sig = auth::sign(
         user, auth::Authenticator::signed_bytes("x", nonce), rig_.kp.secret);
     const std::uint64_t id = ++request_id_;
@@ -312,9 +257,7 @@ struct CheckDriver {
   }
 
   Rig& rig_;
-  bool flood_;
   std::vector<std::uint64_t> nonces_;
-  std::vector<int> cursors_;
   std::uint64_t request_id_ = 0;
 };
 
@@ -362,7 +305,7 @@ void stop_update_storm(Rig& rig, const std::shared_ptr<UpdateStorm>& storm,
   if (fire != nullptr && *fire != nullptr) **fire = nullptr;  // break cycle
 }
 
-int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
+int throughput_main(int argc, char** argv, BackendKind kind) {
   const BenchInfo info{
       "throughput",
       "SATURATION THROUGHPUT — batched socket I/O under check + revocation "
@@ -376,7 +319,7 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
       "3=reactor (select with --backend). The reactor run is the "
       "checked-in BENCH_throughput.json baseline; regressions >20% fail the "
       "CI bench-smoke diff."};
-  return bench_main(argc, argv, info, [kind, shards](JsonEmitter& json) {
+  return bench_main(argc, argv, info, [kind](JsonEmitter& json) {
     const double storm_secs = fast_mode() ? 0.8 : 3.0;
     const std::uint64_t window = 256;
     // Code 2 was the retired thread-per-direction udp backend; the codes
@@ -464,51 +407,6 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
                  {"revokes", static_cast<double>(update_storm->revokes.load())},
                  {"checks_per_sec", bg_checks_per_sec},
                  {"seconds", bg.elapsed}});
-
-    // Phase 3 (--shards): aggregate UNCACHED checks/sec with the same four
-    // managers deployed as one group vs four singleton shard groups. With
-    // one group every check quorum fans out to all four managers (fanout
-    // kAll); with singleton groups the shard map routes each check to the
-    // one owning manager, so the manager tier does a quarter of the datagram
-    // work per check. Field names deliberately avoid bare `checks_per_sec`
-    // so the CI regression gate keeps keying on the flat-path rows only.
-    if (shards) {
-      const double shard_secs = fast_mode() ? 0.6 : 2.0;
-      double rate[2] = {0.0, 0.0};
-      double last_elapsed = 0.0;
-      for (int cfg = 0; cfg < 2; ++cfg) {
-        const int groups = cfg == 0 ? 1 : 4;
-        Rig srig(kind, groups);
-        CheckDriver sdriver(srig, /*flood=*/true);
-        const auto warm = sdriver.run(0.2, 16);
-        if (warm.replies == 0) {
-          std::fprintf(stderr, "shard warm-up checks never answered\n");
-          std::exit(2);
-        }
-        // Window 64, not 256: an uncached check is up to 10 datagrams
-        // through the shared socket (invoke + 4 queries + 4 responses +
-        // reply), so the wide window would overrun the transport's
-        // 1024-frame queue and shed.
-        const auto res = sdriver.run(shard_secs, 64);
-        rate[cfg] = static_cast<double>(res.replies) / res.elapsed;
-        last_elapsed = res.elapsed;
-      }
-      const double scaling = rate[0] > 0.0 ? rate[1] / rate[0] : 0.0;
-      std::printf("  shard scaling (%4.1fs uncached):   %9.0f -> %.0f "
-                  "checks/sec  (4 shards / 1 = %.2fx)\n",
-                  last_elapsed, rate[0], rate[1], scaling);
-      json.record("shard_scaling", {{"checks_per_sec_s1", rate[0]},
-                                    {"checks_per_sec_s4", rate[1]},
-                                    {"scaling_x", scaling},
-                                    {"seconds", last_elapsed}});
-      if (!fast_mode() && scaling < 1.5) {
-        std::fprintf(stderr,
-                     "shard scaling %.2fx is below the 1.5x floor — sharding "
-                     "is not dividing the manager-tier load\n",
-                     scaling);
-        std::exit(2);
-      }
-    }
   });
 }
 
@@ -516,18 +414,12 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
 }  // namespace wan::bench
 
 int main(int argc, char** argv) {
-  // --backend / --shards are bench-specific; strip them before the shared
-  // flag parser.
+  // --backend is bench-specific; strip it before the shared flag parser.
   std::string backend = "reactor";
-  bool shards = false;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     if (std::string(argv[i]) == "--backend" && i + 1 < argc) {
       backend = argv[++i];
-      continue;
-    }
-    if (std::string(argv[i]) == "--shards") {
-      shards = true;
       continue;
     }
     args.push_back(argv[i]);
@@ -541,5 +433,5 @@ int main(int argc, char** argv) {
     return 2;
   }
   return wan::bench::throughput_main(static_cast<int>(args.size()),
-                                     args.data(), kind, shards);
+                                     args.data(), kind);
 }

@@ -54,38 +54,6 @@ std::vector<AclUpdate> AclStore::snapshot() const {
   return out;
 }
 
-std::vector<AclUpdate> AclStore::snapshot_if(
-    const std::function<bool(UserId)>& keep) const {
-  std::vector<AclUpdate> out;
-  for (const auto& [user, regs] : users_) {
-    if (!keep(user)) continue;
-    for (const Right r : {Right::kUse, Right::kManage}) {
-      const RegisterState& reg = reg_of(regs, r);
-      if (reg.version.initial()) continue;
-      out.push_back(AclUpdate{user, r, reg.granted ? Op::kAdd : Op::kRevoke,
-                              reg.version});
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const AclUpdate& a, const AclUpdate& b) {
-    if (a.user != b.user) return a.user < b.user;
-    return static_cast<int>(a.right) < static_cast<int>(b.right);
-  });
-  return out;
-}
-
-std::size_t AclStore::erase_users_if(const std::function<bool(UserId)>& drop) {
-  std::size_t erased = 0;
-  for (auto it = users_.begin(); it != users_.end();) {
-    if (drop(it->first)) {
-      it = users_.erase(it);
-      ++erased;
-    } else {
-      ++it;
-    }
-  }
-  return erased;
-}
-
 std::size_t AclStore::merge(const std::vector<AclUpdate>& updates) {
   std::size_t changed = 0;
   for (const AclUpdate& u : updates) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -69,19 +68,6 @@ class AclStore {
 
   /// Merges a snapshot; returns the number of registers that changed.
   std::size_t merge(const std::vector<AclUpdate>& updates);
-
-  /// snapshot() restricted to users for which `keep` returns true — the
-  /// shard-slice extraction used by scoped recovery sync and ownership
-  /// handoff. Same deterministic order as snapshot().
-  [[nodiscard]] std::vector<AclUpdate> snapshot_if(
-      const std::function<bool(UserId)>& keep) const;
-
-  /// Drops every register of users for which `drop` returns true (an old
-  /// owner shedding a moved shard slice). Returns users erased. max_version()
-  /// is deliberately left standing: version counters only ever need to
-  /// dominate what this store has seen, and forgetting the floor could let a
-  /// later local issue mint a version that loses to a transferred one.
-  std::size_t erase_users_if(const std::function<bool(UserId)>& drop);
 
   /// Users with at least one granted right.
   [[nodiscard]] std::vector<UserId> granted_users() const;

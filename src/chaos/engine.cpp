@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -87,8 +86,6 @@ ChaosResult run_chaos(const ChaosOptions& opts) {
   std::vector<int> members;
   for (int m = 0; m < M; ++m) members.push_back(m);
 
-  const bool sharded = plan.scenario.shard_groups > 1;
-
   const auto site_id = [&](int s) -> HostId {
     WAN_REQUIRE(s >= 0 && s < M + H);
     return s < M ? scenario.manager_ids()[static_cast<std::size_t>(s)]
@@ -149,11 +146,6 @@ ChaosResult run_chaos(const ChaosOptions& opts) {
         return true;
       }
       case FaultKind::kReconfigure: {
-        // Under sharding, membership moves by groups entering or leaving the
-        // shard map (kShardRebalance), never by editing Managers(app): each
-        // manager's quorum set IS its group, and rewriting it here would
-        // cross-wire groups mid-handoff.
-        if (sharded) return false;
         // §3.2: the set changes through the trusted name service. The
         // operator moving Managers(app) would not pick a dead newcomer, so a
         // reconfiguration naming a down manager is skipped, not forced.
@@ -208,89 +200,6 @@ ChaosResult run_chaos(const ChaosOptions& opts) {
         // Remediation keeps the stale store; anti-entropy brings the manager
         // back to the current update set (and completes its parked submits).
         mgr.manager().resync(scenario.app());
-        return true;
-      }
-      case FaultKind::kShardRebalance: {
-        // Group e.a leaves the shard map: catch-up-then-flip (ARCHITECTURE
-        // sharding section) runs live under whatever partitions, crashes, and
-        // ambient loss the rest of the schedule has in flight. The map must
-        // keep >= 2 groups afterwards — a trivial (single-group) map turns
-        // off ownership gating, and the departed members still hold
-        // group-scoped membership, so they would answer from stale slices.
-        const shard::ShardMap cur = scenario.shard_map();
-        const auto gi = static_cast<std::uint32_t>(e.a);
-        if (cur.empty() || cur.groups().size() <= 2 ||
-            gi >= cur.groups().size()) {
-          return false;
-        }
-        const auto index_of = [&](HostId id) -> int {
-          const auto& ids = scenario.manager_ids();
-          for (std::size_t m = 0; m < ids.size(); ++m) {
-            if (ids[m] == id) return static_cast<int>(m);
-          }
-          return -1;
-        };
-        // The operator draining a group would not pick one that is down; a
-        // crashed leaving member also could not stream its slices out.
-        std::vector<int> leaving;
-        for (const HostId id : cur.group(gi)) {
-          const int m = index_of(id);
-          if (m < 0 || !scenario.manager(m).up()) return false;
-          leaving.push_back(m);
-        }
-        std::vector<std::vector<HostId>> remaining;
-        for (std::uint32_t g = 0;
-             g < static_cast<std::uint32_t>(cur.groups().size()); ++g) {
-          if (g != gi) remaining.push_back(cur.group(g));
-        }
-        const shard::ShardMap next = shard::ShardMap::ring(
-            std::move(remaining), cur.shard_count(), cur.epoch() + 1,
-            cur.ring_seed());
-        for (int m = 0; m < M; ++m) {
-          if (scenario.manager(m).up()) {
-            scenario.manager(m).manager().begin_shard_handoff(scenario.app(),
-                                                              next);
-          }
-        }
-        // Poll until every leaving member has drained its outbound slices
-        // (volatile handoff state makes a crashed sender trivially drained),
-        // then commit the flip on ALL managers — up or down — in that same
-        // event. The map survives crashes; a down gainer stays pending until
-        // the frozen handoff retransmits reach it after recovery.
-        // Only the pending scheduler event owns the closure; the closure
-        // itself holds it weakly, or the two would keep each other alive.
-        auto poll = std::make_shared<std::function<void()>>();
-        *poll = [&, weak = std::weak_ptr<std::function<void()>>(poll), leaving,
-                 next] {
-          if (scenario.shard_map().epoch() >= next.epoch()) return;
-          bool drained = true;
-          for (const int m : leaving) {
-            if (!scenario.manager(m).manager().handoff_drained(
-                    scenario.app())) {
-              drained = false;
-              break;
-            }
-          }
-          if (!drained) {
-            scenario.scheduler().schedule_at(
-                scenario.scheduler().now() + sim::Duration::millis(250),
-                [self = weak.lock()] { (*self)(); });
-            return;
-          }
-          for (int m = 0; m < M; ++m) {
-            scenario.manager(m).manager().commit_shard_map(scenario.app(),
-                                                           next);
-          }
-          scenario.publish_shard_map(next);
-          hasher.mix(0xFA02u);
-          hasher.mix(next.epoch());
-          trace("t=" + sim::to_string(scenario.scheduler().now()) +
-                "  shard map flipped to epoch " +
-                std::to_string(next.epoch()));
-        };
-        scenario.scheduler().schedule_at(
-            scenario.scheduler().now() + sim::Duration::millis(250),
-            [poll] { (*poll)(); });
         return true;
       }
     }

@@ -42,7 +42,6 @@ const char* to_cstring(FaultKind k) noexcept {
     case FaultKind::kHealLinkOneWay: return "heal-link-oneway";
     case FaultKind::kByzantineManager: return "byzantine-manager";
     case FaultKind::kRestoreManager: return "restore-manager";
-    case FaultKind::kShardRebalance: return "shard-rebalance";
   }
   return "?";
 }
@@ -253,25 +252,6 @@ ChaosPlan make_plan(std::uint64_t seed, sim::Duration horizon,
       flip.aux = faults.next_u64();
       add(at + dur, FaultKind::kRestoreManager, m);
     }
-  }
-
-  // Sharded topology: singleton manager groups (G = M, so every shape the
-  // seed can draw divides evenly; the quorum machinery inside larger groups
-  // is exercised by the integration and conformance suites). C is clamped to
-  // the group size and freeze stays off — §3.3's silence computation is
-  // defined over group peers, and a singleton group has none. One mid-run
-  // rebalance removes a random group from the map; ring monotonicity means
-  // only that group's shards move, streamed live while the schedule's
-  // partitions, crashes, and ambient loss do their worst.
-  if (opts.sharded) {
-    WAN_REQUIRE(!opts.byzantine);
-    plan.scenario.shard_groups = M;
-    plan.scenario.shard_count = static_cast<std::uint32_t>(4 * M);
-    p.freeze_enabled = false;
-    p.check_quorum = 1;
-    const int leave =
-        static_cast<int>(faults.next_below(static_cast<std::uint64_t>(M)));
-    add(uniform_offset(faults, window), FaultKind::kShardRebalance, leave);
   }
 
   std::stable_sort(ev.begin(), ev.end(),

@@ -36,7 +36,6 @@ enum class FaultKind : std::uint8_t {
   kHealLinkOneWay,  ///< restore the a -> b direction
   kByzantineManager,  ///< manager index a starts lying (aux seeds its lies)
   kRestoreManager,    ///< manager index a is remediated back to honesty
-  kShardRebalance,    ///< sharded runs: group index a leaves the shard map
 };
 
 [[nodiscard]] const char* to_cstring(FaultKind k) noexcept;
@@ -72,14 +71,6 @@ struct PlanOptions {
   bool byzantine = false;   ///< inject lying managers (kByzantineManager)
   int byzantine_max = 1;    ///< at most this many concurrent liars (f)
   bool asymmetric = false;  ///< inject one-way link cuts
-  /// Shard the deployment into singleton manager groups (G = M, so every
-  /// shape the seed draws divides evenly) and inject one mid-run
-  /// kShardRebalance in which a random group leaves the map and hands its
-  /// shards off live. Incompatible with `byzantine` (the liar model predates
-  /// group-scoped quorums; the runner rejects the combination). Manager-set
-  /// reconfiguration events become no-ops — under sharding, membership moves
-  /// by groups entering/leaving the map, never by editing Managers(app).
-  bool sharded = false;
 };
 
 /// Builds the plan for `seed`. Fault durations are capped well under the

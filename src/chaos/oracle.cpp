@@ -1,8 +1,6 @@
 #include "chaos/oracle.hpp"
 
 #include <algorithm>
-#include <map>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -314,47 +312,24 @@ void InvariantOracle::final_checks(const std::vector<int>& members) {
   const auto& protocol = scenario_->config().protocol;
   const sim::TimePoint now = scenario_->scheduler().now();
 
-  // Sharded runs converge per owner group of the *published* map: a manager
-  // whose group left the map has (correctly) dropped its slices, and two
-  // managers in different groups hold disjoint key ranges by design. Flat
-  // runs degenerate to one logical group covering every member.
-  const shard::ShardMap& map = scenario_->shard_map();
-  const bool sharded = !map.empty() && !map.trivial();
-  const auto group_of = [&](int m) -> std::optional<std::uint32_t> {
-    if (!sharded) return 0;
-    return map.group_index_of(
-        scenario_->manager_ids()[static_cast<std::size_t>(m)]);
-  };
-
-  // Store convergence: at quiescence every up, synced member of a group
-  // holds the same register state (LWW merge over a common update set is
-  // order-free), and under sharding holds ONLY keys its group owns — a
-  // leaked entry means a commit failed to drop a lost slice.
-  std::map<std::uint32_t, std::pair<const acl::AclStore*, int>> references;
+  // Store convergence: at quiescence every up, synced member holds the same
+  // register state (LWW merge over a common update set is order-free).
+  const acl::AclStore* reference = nullptr;
+  int reference_m = -1;
   for (const int m : members) {
     auto& mgr = scenario_->manager(m).manager();
     if (!mgr.up() || !mgr.synced(app)) continue;
-    const auto g = group_of(m);
-    if (!g) continue;  // departed the map; its store was dropped on purpose
     const acl::AclStore* store = mgr.store(app);
     if (store == nullptr) continue;
-    if (sharded) {
-      const HostId id = scenario_->manager_ids()[static_cast<std::size_t>(m)];
-      for (const acl::AclUpdate& u : store->snapshot()) {
-        if (!map.owns(id, app, u.user)) {
-          record(ViolationKind::kStoreDivergence,
-                 "manager " + std::to_string(m) + " holds user " +
-                     std::to_string(u.user.value()) +
-                     " outside its owned shards at quiescence");
-        }
-      }
+    if (reference == nullptr) {
+      reference = store;
+      reference_m = m;
+      continue;
     }
-    const auto [it, inserted] = references.try_emplace(*g, store, m);
-    if (inserted) continue;
-    if (store->snapshot() != it->second.first->snapshot()) {
+    if (store->snapshot() != reference->snapshot()) {
       record(ViolationKind::kStoreDivergence,
              "manager " + std::to_string(m) + " store differs from manager " +
-                 std::to_string(it->second.second) + " at quiescence");
+                 std::to_string(reference_m) + " at quiescence");
     }
   }
 
@@ -362,8 +337,7 @@ void InvariantOracle::final_checks(const std::vector<int>& members) {
   // more than Te must not be granted in any member store. (The grant
   // direction is deliberately not checked: ground truth records grants at
   // issue time, and a grant whose issuing manager crashed pre-dissemination
-  // is legitimately absent everywhere.) Under sharding only the owner group
-  // is audited — non-owners holding the key at all is flagged above.
+  // is legitimately absent everywhere.)
   for (int u = 0; u < scenario_->user_count(); ++u) {
     const UserId uid = scenario_->user(u);
     const auto since =
@@ -372,11 +346,6 @@ void InvariantOracle::final_checks(const std::vector<int>& members) {
     for (const int m : members) {
       auto& mgr = scenario_->manager(m).manager();
       if (!mgr.up() || !mgr.synced(app)) continue;
-      if (sharded &&
-          !map.owns(scenario_->manager_ids()[static_cast<std::size_t>(m)], app,
-                    uid)) {
-        continue;
-      }
       const acl::AclStore* store = mgr.store(app);
       if (store != nullptr && store->check(uid, acl::Right::kUse)) {
         record(ViolationKind::kGroundTruthMismatch,

@@ -13,14 +13,6 @@ void NameService::set_managers(AppId app, std::vector<HostId> managers) {
   ++rec.version;
 }
 
-void NameService::set_shard_map(AppId app, shard::ShardMap map) {
-  WAN_REQUIRE(map.valid() && !map.empty());
-  auto& rec = records_[app];
-  rec.managers = map.all_managers();
-  rec.map = std::move(map);
-  ++rec.version;
-}
-
 std::optional<ManagerSet> NameService::resolve(AppId app) const {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   const auto it = records_.find(app);

@@ -21,19 +21,15 @@
 #include <vector>
 
 #include "clock/local_clock.hpp"
-#include "shard/shard_map.hpp"
 #include "sim/time.hpp"
 #include "util/ids.hpp"
 
 namespace wan::ns {
 
-/// A versioned manager-set record. When the deployment is sharded, `map`
-/// additionally partitions the key space over manager groups; `managers`
-/// stays the flat union so unsharded consumers keep working unchanged.
+/// A versioned manager-set record: Managers(A) for one application.
 struct ManagerSet {
   std::vector<HostId> managers;
   std::uint64_t version = 0;
-  shard::ShardMap map;  ///< empty (epoch 0) for unsharded apps
 };
 
 /// Authoritative directory. One instance per simulation.
@@ -42,10 +38,6 @@ class NameService {
   /// Registers or replaces the manager set for an application; bumps the
   /// record version.
   void set_managers(AppId app, std::vector<HostId> managers);
-
-  /// Registers or replaces the shard map for an application; the flat
-  /// manager set becomes the map's group union. Bumps the record version.
-  void set_shard_map(AppId app, shard::ShardMap map);
 
   /// Current record, or nullopt for unknown applications.
   [[nodiscard]] std::optional<ManagerSet> resolve(AppId app) const;

@@ -74,9 +74,9 @@ struct TraceEvent {
 };
 
 /// Collects trace events (and, when routed, log lines). Thread-safe: the
-/// worker threads of several fabrics, the reliability layer's timer thread
-/// and the driver may record concurrently. Capacity-bounded — past `max_events` new events are counted
-/// as dropped rather than grown without bound.
+/// worker threads of several fabrics and the driver may record concurrently.
+/// Capacity-bounded — past `max_events` new events are counted as dropped
+/// rather than grown without bound.
 class Tracer {
  public:
   explicit Tracer(std::size_t max_events = 1u << 22);

@@ -165,8 +165,6 @@ void AccessController::on_message(HostId from, const net::MessagePtr& msg) {
     handle_query_response(from, *resp);
   } else if (const auto* revoke = net::message_cast<RevokeNotify>(msg)) {
     handle_revoke(from, *revoke);
-  } else if (const auto* announce = net::message_cast<ShardMapAnnounce>(msg)) {
-    handle_shard_map(from, *announce);
   }
   // Other message types are not addressed to an application host; a real
   // deployment would log and drop, which is exactly what happens here.
@@ -330,18 +328,8 @@ void AccessController::start_session(AppId app, UserId user, Waiter waiter,
                                      sim::TimePoint requested) {
   const ns::ManagerSet* record = resolver_.resolve(app, local_now());
 
-  // Sharded routing: the check quorum assembles inside the manager group
-  // that owns (app, user) — the shard map shrinks the protocol's world, it
-  // never changes the protocol. An installed override (rebalance commit,
-  // ShardMapAnnounce) wins over the name-service record so the flip is
-  // atomic per host even when the directory lags.
-  const std::vector<HostId>* managers = nullptr;
-  if (record != nullptr) {
-    const shard::ShardMap* map = shard_map(app);
-    if (map == nullptr && !record->map.empty()) map = &record->map;
-    managers = map != nullptr && !map->trivial() ? &map->group_for(app, user)
-                                                 : &record->managers;
-  }
+  const std::vector<HostId>* managers =
+      record != nullptr ? &record->managers : nullptr;
 
   if (managers == nullptr || managers->empty()) {
     AccessDecision d;
@@ -674,18 +662,10 @@ void AccessController::release_session(CheckSession& s) {
 }
 
 bool AccessController::sender_is_manager(AppId app, HostId from) {
-  // Under sharding "manager" means any member of any group (the union):
-  // during a rebalance either owner of the moving shard may legitimately
-  // act, and traffic from the wrong group only costs one re-check.
   const auto managers = resolver_.resolve(app, local_now());
-  if (managers && std::find(managers->managers.begin(),
-                            managers->managers.end(),
-                            from) != managers->managers.end()) {
-    return true;
-  }
-  const shard::ShardMap* override_map = shard_map(app);
-  return override_map != nullptr &&
-         override_map->group_index_of(from).has_value();
+  return managers && std::find(managers->managers.begin(),
+                               managers->managers.end(),
+                               from) != managers->managers.end();
 }
 
 void AccessController::handle_revoke(HostId from, const RevokeNotify& msg) {
@@ -717,38 +697,6 @@ void AccessController::handle_revoke(HostId from, const RevokeNotify& msg) {
   }
   net_.send(self_, from,
             net::make_message<RevokeNotifyAck>(msg.app, msg.user, msg.version));
-}
-
-void AccessController::install_shard_map(AppId app, shard::ShardMap map) {
-  WAN_REQUIRE(map.valid() && !map.empty());
-  shard_maps_[app] = std::move(map);
-}
-
-const shard::ShardMap* AccessController::shard_map(AppId app) const {
-  const auto it = shard_maps_.find(app);
-  return it == shard_maps_.end() ? nullptr : &it->second;
-}
-
-void AccessController::handle_shard_map(HostId from, const ShardMapAnnounce& msg) {
-  // Epoch discipline: only strictly newer maps install, so replays and
-  // reordered announces are no-ops. Trust: the sender must already be a
-  // manager of the app — in the current map or the name-service record —
-  // mirroring the RevokeNotify rule above.
-  const shard::ShardMap* current = shard_map(msg.app);
-  if (current != nullptr && msg.map.epoch() <= current->epoch()) return;
-  const auto managers = resolver_.resolve(msg.app, local_now());
-  const bool known_via_record =
-      managers && std::find(managers->managers.begin(),
-                            managers->managers.end(),
-                            from) != managers->managers.end();
-  const bool known_via_map =
-      current != nullptr && current->group_index_of(from).has_value();
-  if (!known_via_record && !known_via_map) {
-    WAN_WARN << to_string(self_) << " dropped ShardMapAnnounce from "
-             << to_string(from);
-    return;
-  }
-  shard_maps_[msg.app] = msg.map;
 }
 
 void AccessController::crash() {

@@ -109,19 +109,6 @@ class AccessController {
   /// quarantine (test/diag hook).
   [[nodiscard]] bool manager_quarantined(HostId manager) const;
 
-  /// Installs (or replaces) the shard map this host routes `app`'s checks
-  /// through; overrides whatever map the name service carries. The
-  /// coordinator of a rebalance calls this at commit; over the wire the
-  /// same installation happens via ShardMapAnnounce. Survives crash() like
-  /// the name-service record it mirrors — a stale epoch only ever routes to
-  /// the OLD owner group, which after commit refuses and times the check out
-  /// into a deny (safe direction) until a fresher map arrives.
-  void install_shard_map(AppId app, shard::ShardMap map);
-
-  /// The installed shard-map override for `app`, or nullptr when none is
-  /// installed (routing then falls back to the name-service record's map).
-  [[nodiscard]] const shard::ShardMap* shard_map(AppId app) const;
-
   /// Local clock reading (the paper's Time()).
   [[nodiscard]] clk::LocalTime local_now() const {
     return clock_.local_now();
@@ -186,9 +173,8 @@ class AccessController {
                      const InvokeRequest& req);
   void handle_query_response(HostId from, const QueryResponse& resp);
   void handle_revoke(HostId from, const RevokeNotify& msg);
-  void handle_shard_map(HostId from, const ShardMapAnnounce& msg);
-  /// Whether `from` is a manager of `app` (name-service record or installed
-  /// shard map) — the trust gate every revocation message goes through.
+  /// Whether `from` is a manager of `app` (name-service record) — the trust
+  /// gate every revocation message goes through.
   [[nodiscard]] bool sender_is_manager(AppId app, HostId from);
   /// Periodic housekeeping: cache sweep.
   void sweep_tick();
@@ -267,10 +253,6 @@ class AccessController {
   bool up_ = true;
 
   std::map<AppId, AppState> apps_;
-  /// Installed shard-map overrides by app (empty when routing flat). Kept
-  /// across crash(): distribution state, not protocol state — see
-  /// install_shard_map.
-  std::map<AppId, shard::ShardMap> shard_maps_;
   /// Every session slot ever made (owner); the slab only grows.
   std::vector<std::unique_ptr<CheckSession>> session_slots_;
   std::vector<CheckSession*> free_sessions_;  ///< idle slots, reused LIFO

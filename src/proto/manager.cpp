@@ -7,7 +7,6 @@
 #include "obs/trace.hpp"
 #include "proto/journal.hpp"
 #include "util/assert.hpp"
-#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace wan::proto {
@@ -22,28 +21,6 @@ obs::Counter& update_quorum_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("wan_update_quorums_total");
   return c;
-}
-
-// Seed of the handoff series hash — a content hash over a slice snapshot in
-// its deterministic snapshot() order, so two managers holding identical
-// slices advertise identical series without exchanging a byte.
-constexpr std::uint64_t kSeriesSeed = 0x5348414e444f4646ULL;  // "SHANDOFF"
-
-// Updates per ShardHandoffChunk: 512 × 30-byte updates + the 48-byte chunk
-// header stays far under kMaxFrameSize, so chunks survive the UDP backends.
-constexpr std::size_t kHandoffChunkUpdates = 512;
-
-std::uint64_t slice_series(const std::vector<acl::AclUpdate>& slice) {
-  std::uint64_t h = stable_hash64(kSeriesSeed, slice.size());
-  for (const acl::AclUpdate& u : slice) {
-    h = stable_hash64(h, u.user.value());
-    h = stable_hash64(h, (static_cast<std::uint64_t>(u.right) << 8) |
-                             static_cast<std::uint64_t>(u.op));
-    h = stable_hash64(h, u.version.counter);
-    h = stable_hash64(h, u.version.origin.value());
-    h = stable_hash64(h, static_cast<std::uint64_t>(u.version.stamp));
-  }
-  return h;
 }
 
 }  // namespace
@@ -222,29 +199,6 @@ void ManagerModule::submit_update(AppId app, acl::Op op, UserId user,
   WAN_REQUIRE(up_);
   AppCtl* ctl = ctl_of(app);
   WAN_REQUIRE(ctl != nullptr);
-
-  // A submit for a key whose shard this group does not own is a routing
-  // error (stale map at the caller, or a deferred submit that outlived a
-  // rebalance). Refusing — rather than minting an update the owner group
-  // would never see — keeps the single-owner invariant; the caller
-  // re-resolves and retries against the owner group. A shard gained at a
-  // flip but still short of its handoff quorum is refused for the same
-  // reason a query is: the pre-activation store is not a valid version
-  // floor, and an update minted against it could lose to the staged slice
-  // when activation merges it.
-  const bool acquiring =
-      !ctl->shard_map.trivial() &&
-      ctl->pending_acquire.count(ctl->shard_map.shard_of(app, user)) != 0;
-  if (!owns_key(*ctl, app, user) || acquiring) {
-    ++submits_refused_unowned_;
-    static obs::Counter& refused =
-        obs::Registry::global().counter("wan_submits_refused_unowned_total");
-    refused.inc();
-    WAN_DEBUG << to_string(self_) << " refuses unowned submit "
-              << acl::to_cstring(op) << "(" << to_string(app) << ","
-              << to_string(user) << ")";
-    return;
-  }
 
   // While recovering, this manager's store is not a valid version floor: a
   // C == 1 read would complete against the empty store and mint a version
@@ -485,14 +439,6 @@ void ManagerModule::on_message(HostId from, const net::MessagePtr& msg) {
     handle_sync_response(from, *sr);
   } else if (const auto* sp = net::message_cast<SyncPush>(msg)) {
     handle_sync_push(from, *sp);
-  } else if (const auto* sa = net::message_cast<ShardMapAnnounce>(msg)) {
-    handle_shard_map_announce(from, *sa);
-  } else if (const auto* hb = net::message_cast<ShardHandoffBegin>(msg)) {
-    handle_handoff_begin(from, *hb);
-  } else if (const auto* hc = net::message_cast<ShardHandoffChunk>(msg)) {
-    handle_handoff_chunk(from, *hc);
-  } else if (const auto* hd = net::message_cast<ShardHandoffDone>(msg)) {
-    handle_handoff_done(from, *hd);
   } else if (const auto* ping = net::message_cast<HeartbeatPing>(msg)) {
     if (AppCtl* ctl = ctl_of(ping->app); ctl != nullptr && is_peer(*ctl, from)) {
       note_peer(*ctl, from);
@@ -509,26 +455,6 @@ void ManagerModule::on_message(HostId from, const net::MessagePtr& msg) {
 void ManagerModule::handle_query(HostId from, const QueryRequest& q) {
   AppCtl* ctl = ctl_of(q.app);
   if (ctl == nullptr) return;
-  // Ownership gate: a key outside this group's shards — or inside a shard
-  // gained at a flip that is still waiting for its quorum of handoff series —
-  // gets no answer. The host times out and denies, which is the safe
-  // direction: an unowned store could only vouch for a stale slice, and a
-  // grant from it could outlive a revocation the true owner completed.
-  if (!ctl->shard_map.trivial()) {
-    const bool owned = owns_key(*ctl, q.app, q.user);
-    const bool acquiring =
-        owned && ctl->pending_acquire.count(
-                     ctl->shard_map.shard_of(q.app, q.user)) != 0;
-    if (!owned || acquiring) {
-      ++queries_refused_unowned_;
-      static obs::Counter& refused = obs::Registry::global().counter(
-          "wan_queries_refused_unowned_total");
-      refused.inc();
-      obs::record(q.trace, obs::SpanKind::kInstant, self_, env_.now(),
-                  "query.refuse.unowned", from.value(), owned ? 1 : 0);
-      return;
-    }
-  }
   // A recovering manager answers nothing until synced (§3.4); a frozen one
   // answers nothing until all peers are reachable again (§3.3).
   if (!ctl->synced || frozen(q.app)) {
@@ -692,12 +618,7 @@ void ManagerModule::handle_update(HostId from, const UpdateMsg& m) {
   obs::record(m.trace, obs::SpanKind::kRecv, self_, env_.now(), "update.recv",
               from.value(),
               static_cast<std::int64_t>(m.update.version.counter));
-  // Ack-without-apply for unowned keys: a retransmit that lands after a
-  // shard flipped away must still retire the issuer's transaction (the
-  // drained handoff already carried the update to the new owner group), but
-  // applying it would resurrect a dropped slice.
-  const bool applied = owns_key(*ctl, m.app, m.update.user) &&
-                       apply_update(m.app, *ctl, m.update);
+  const bool applied = apply_update(m.app, *ctl, m.update);
   net_.send(self_, from, net::make_message<UpdateAck>(m.app, m.txn_id));
   if (applied && m.update.op == acl::Op::kRevoke) {
     // Each manager forwards the revocation to the hosts *it* granted (§3.1);
@@ -740,26 +661,9 @@ void ManagerModule::handle_sync_request(HostId from, const SyncRequest& m) {
   if (ctl == nullptr || !is_peer(*ctl, from)) return;
   note_peer(*ctl, from);
   if (!ctl->synced) return;  // cannot vouch for state we have not recovered
-  // Scope the snapshot to the shards the REQUESTER's group owns. Before
-  // sharding this sent the whole store, which under a shard map leaks
-  // unowned residual slices back into a freshly-recovered peer (and costs
-  // bandwidth proportional to the deployment, not the shard). The regression
-  // tests pin the transferred entry count through sync_entries_sent().
-  std::vector<acl::AclUpdate> snap;
-  if (const shard::ShardMap& map = ctl->shard_map; !map.trivial()) {
-    if (const auto req_group = map.group_index_of(from)) {
-      snap = ctl->store.snapshot_if([&](UserId u) {
-        return map.group_of_shard(map.shard_of(m.app, u)) == *req_group;
-      });
-    }
-    // A requester outside the map owns nothing; the empty response still
-    // lets its recovery quorum complete.
-  } else {
-    snap = ctl->store.snapshot();
-  }
-  sync_entries_sent_ += snap.size();
   net_.send(self_, from,
-            net::make_message<SyncResponse>(m.app, m.sync_id, std::move(snap)));
+            net::make_message<SyncResponse>(m.app, m.sync_id,
+                                            ctl->store.snapshot()));
 }
 
 void ManagerModule::handle_sync_response(HostId from, const SyncResponse& m) {
@@ -787,7 +691,6 @@ void ManagerModule::record_sync_vote(AppId app, AppCtl& ctl, HostId from) {
   ctl.sync_timer.reset();
   WAN_DEBUG << to_string(self_) << " recovery sync complete for "
             << to_string(app);
-  if (ctl.sync_adopts_pending) adopt_pending_shards(app, ctl);
   // Push the merged state back: peers that missed a partially-disseminated
   // update (whose issuer crashed and lost its retransmission duty) pick it
   // up here, restoring store convergence that pull-only sync cannot.
@@ -807,29 +710,13 @@ void ManagerModule::handle_sync_push(HostId from, const SyncPush& m) {
 
 void ManagerModule::push_snapshot(AppId app, AppCtl& ctl) {
   if (ctl.peers.empty()) return;
-  // Same scoping as handle_sync_request: peers are this group, so only the
-  // group's owned slice travels.
-  std::vector<acl::AclUpdate> snap;
-  if (const shard::ShardMap& map = ctl.shard_map; !map.trivial()) {
-    if (const auto my_group = map.group_index_of(self_)) {
-      snap = ctl.store.snapshot_if([&](UserId u) {
-        return map.group_of_shard(map.shard_of(app, u)) == *my_group;
-      });
-    }
-    if (snap.empty()) return;
-  } else {
-    snap = ctl.store.snapshot();
-  }
-  const auto msg = net::make_message<SyncPush>(app, std::move(snap));
+  const auto msg = net::make_message<SyncPush>(app, ctl.store.snapshot());
   for (const HostId p : ctl.peers) net_.send(self_, p, msg);
 }
 
 void ManagerModule::begin_sync(AppId app, AppCtl& ctl) {
   if (ctl.peers.empty()) {
     ctl.synced = true;  // single-manager degenerate case (see header)
-    // No group peer can vouch for a stuck acquisition, so pending shards
-    // stay refused; the old owners' retransmissions remain the only exit.
-    ctl.sync_adopts_pending = false;
     return;
   }
   ctl.synced = false;
@@ -890,11 +777,8 @@ std::size_t ManagerModule::merge_snapshot(
     AppId app, AppCtl& ctl, const std::vector<acl::AclUpdate>& snapshot) {
   // AclStore::merge is a loop of applies; doing the loop here keeps the
   // journal exact (only registers that actually changed are appended).
-  // Unowned entries are skipped — a sync peer that still carries a residual
-  // slice from before a flip must not re-seed it here.
   std::size_t changed = 0;
   for (const acl::AclUpdate& u : snapshot) {
-    if (!owns_key(ctl, app, u.user)) continue;
     if (apply_update(app, ctl, u)) ++changed;
   }
   return changed;
@@ -910,488 +794,6 @@ void ManagerModule::maybe_compact(AppId app, AppCtl& ctl) {
     journal_->compact(app, snapshot);
     obs::record(/*trace=*/0, obs::SpanKind::kInstant, self_, env_.now(),
                 "journal.compact", static_cast<std::int64_t>(snapshot.size()));
-  }
-}
-
-// ------------------------------------------------------------- sharding
-
-bool ManagerModule::owns_key(const AppCtl& ctl, AppId app, UserId user) const {
-  return ctl.shard_map.trivial() || ctl.shard_map.owns(self_, app, user);
-}
-
-bool ManagerModule::shard_sender_ok(const AppCtl& ctl, HostId from) const {
-  // Handoff traffic crosses group boundaries, so is_peer alone cannot vet
-  // it; any member of the current map is a trusted manager (joining groups
-  // get the pre-rebalance map installed before the handoff starts).
-  if (!ctl.shard_map.empty()) {
-    return ctl.shard_map.group_index_of(from).has_value();
-  }
-  return is_peer(ctl, from);
-}
-
-void ManagerModule::set_shard_map(AppId app, shard::ShardMap map) {
-  AppCtl* ctl = ctl_of(app);
-  WAN_REQUIRE(ctl != nullptr);
-  WAN_REQUIRE(map.valid());
-  ctl->shard_map = std::move(map);
-}
-
-const shard::ShardMap* ManagerModule::shard_map(AppId app) const {
-  const AppCtl* ctl = ctl_of(app);
-  return ctl == nullptr ? nullptr : &ctl->shard_map;
-}
-
-std::size_t ManagerModule::pending_shards(AppId app) const {
-  const AppCtl* ctl = ctl_of(app);
-  return ctl == nullptr ? 0 : ctl->pending_acquire.size();
-}
-
-std::size_t ManagerModule::staged_shards(AppId app) const {
-  const AppCtl* ctl = ctl_of(app);
-  return ctl == nullptr ? 0 : ctl->staging.size();
-}
-
-std::size_t ManagerModule::tracked_handoff_series(AppId app) const {
-  const AppCtl* ctl = ctl_of(app);
-  return ctl == nullptr ? 0 : ctl->handoffs_in.size();
-}
-
-std::vector<acl::AclUpdate> ManagerModule::slice_snapshot(
-    const AppCtl& ctl, AppId app, const shard::ShardMap& map,
-    std::uint32_t shard) const {
-  return ctl.store.snapshot_if(
-      [&](UserId u) { return map.shard_of(app, u) == shard; });
-}
-
-std::size_t ManagerModule::complete_senders(const AppCtl& ctl,
-                                            std::uint32_t shard) {
-  const auto pit = ctl.pending_acquire.find(shard);
-  if (pit == ctl.pending_acquire.end()) return 0;
-  const PendingAcquire& pa = pit->second;
-  std::size_t n = 0;
-  for (const auto& [key, hi] : ctl.handoffs_in) {
-    if (key.first != shard || !hi.complete) continue;
-    // Only a series carrying the committed rebalance's epoch, streamed by a
-    // member of the shard's old owner group, is quorum evidence. Anything
-    // else is a leftover from an earlier epoch — a shard that bounced away
-    // and back — and proves nothing about the slice in flight now.
-    if (hi.epoch != pa.epoch || pa.senders.count(key.second) == 0) continue;
-    ++n;
-  }
-  return n;
-}
-
-void ManagerModule::drop_handoff_in(AppCtl& ctl, std::uint32_t shard) {
-  for (auto it = ctl.handoffs_in.begin(); it != ctl.handoffs_in.end();) {
-    it = it->first.first == shard ? ctl.handoffs_in.erase(it) : std::next(it);
-  }
-  ctl.staging.erase(shard);
-}
-
-void ManagerModule::begin_shard_handoff(AppId app,
-                                        const shard::ShardMap& next) {
-  AppCtl* ctl = ctl_of(app);
-  WAN_REQUIRE(ctl != nullptr);
-  WAN_REQUIRE(next.valid() && !next.empty());
-  // shard_count is fixed for a deployment's lifetime — only ownership moves.
-  WAN_REQUIRE(ctl->shard_map.trivial() ||
-              ctl->shard_map.shard_count() == next.shard_count());
-  if (!up_) return;
-  ctl->proposed = next;
-  const shard::ShardMap& cur = ctl->shard_map;
-  const auto my_next = next.group_index_of(self_);
-  for (std::uint32_t s = 0; s < next.shard_count(); ++s) {
-    // A trivial current map means this manager holds the whole key space.
-    if (!(cur.trivial() || cur.owns_shard(self_, s))) continue;
-    const std::uint32_t next_group = next.group_of_shard(s);
-    if (my_next.has_value() && *my_next == next_group) continue;  // stays
-    auto h = std::make_unique<HandoffOut>(env_);
-    h->shard = s;
-    h->epoch = next.epoch();
-    h->slice = slice_snapshot(*ctl, app, next, s);
-    h->series = slice_series(h->slice);
-    for (const HostId d : next.group(next_group)) h->dests.insert(d);
-    WAN_DEBUG << to_string(self_) << " hands off shard " << s << " of "
-              << to_string(app) << " (" << h->slice.size() << " entries, "
-              << h->dests.size() << " dests)";
-    static obs::Counter& handoffs =
-        obs::Registry::global().counter("wan_shard_handoffs_total");
-    handoffs.inc();
-    obs::record(/*trace=*/0, obs::SpanKind::kInstant, self_, env_.now(),
-                "shard.handoff.begin", s,
-                static_cast<std::int64_t>(h->epoch));
-    ctl->handoffs_out[s] = std::move(h);
-    handoff_round(app, s);
-  }
-}
-
-void ManagerModule::handoff_round(AppId app, std::uint32_t shard) {
-  AppCtl* ctl = ctl_of(app);
-  if (ctl == nullptr || !up_) return;
-  const auto it = ctl->handoffs_out.find(shard);
-  if (it == ctl->handoffs_out.end()) return;
-  HandoffOut& h = *it->second;
-  if (!h.frozen && ctl->proposed.has_value()) {
-    // Re-snapshot: a write that raced the previous series starts a fresh one
-    // (new content hash), invalidating every ack collected so far.
-    auto slice = slice_snapshot(*ctl, app, *ctl->proposed, h.shard);
-    if (const std::uint64_t series = slice_series(slice);
-        series != h.series) {
-      h.series = series;
-      h.slice = std::move(slice);
-      h.acked.clear();
-    }
-  }
-  if (h.acked.size() == h.dests.size()) {
-    if (h.frozen) {  // post-commit drain finished; nothing left to watch
-      h.retry.cancel();
-      ctl->handoffs_out.erase(it);
-      return;
-    }
-  } else {
-    send_handoff_series(app, *ctl, h);
-  }
-  h.retry.arm(config_.sync_retransmit,
-              [this, app, shard] { handoff_round(app, shard); });
-}
-
-void ManagerModule::send_handoff_series(AppId app, const AppCtl& ctl,
-                                        const HandoffOut& h) {
-  (void)ctl;
-  const auto total = static_cast<std::uint32_t>(
-      (h.slice.size() + kHandoffChunkUpdates - 1) / kHandoffChunkUpdates);
-  const auto begin = net::make_message<ShardHandoffBegin>(app, h.epoch,
-                                                          h.shard, h.series,
-                                                          total);
-  std::vector<net::MessagePtr> chunks;
-  chunks.reserve(total);
-  for (std::uint32_t q = 0; q < total; ++q) {
-    const std::size_t lo = static_cast<std::size_t>(q) * kHandoffChunkUpdates;
-    const std::size_t hi =
-        std::min(h.slice.size(), lo + kHandoffChunkUpdates);
-    chunks.push_back(net::make_message<ShardHandoffChunk>(
-        app, h.epoch, h.shard, h.series, q,
-        std::vector<acl::AclUpdate>(h.slice.begin() + lo,
-                                    h.slice.begin() + hi)));
-  }
-  static obs::Counter& chunks_sent =
-      obs::Registry::global().counter("wan_shard_chunks_sent_total");
-  for (const HostId d : h.dests) {
-    if (h.acked.count(d) != 0) continue;
-    net_.send(self_, d, begin);
-    for (const auto& c : chunks) net_.send(self_, d, c);
-    chunks_sent.inc(chunks.size());
-    obs::record(/*trace=*/0, obs::SpanKind::kSend, self_, env_.now(),
-                "shard.handoff.chunks", h.shard,
-                static_cast<std::int64_t>(total));
-  }
-}
-
-bool ManagerModule::handoff_drained(AppId app) const {
-  const AppCtl* ctl = ctl_of(app);
-  if (ctl == nullptr) return false;
-  for (const auto& [shard, hptr] : ctl->handoffs_out) {
-    const HandoffOut& h = *hptr;
-    if (h.acked.size() != h.dests.size()) return false;
-    if (!h.frozen && ctl->proposed.has_value()) {
-      // The acks are only evidence if the slice has not moved on since.
-      if (slice_series(slice_snapshot(*ctl, app, *ctl->proposed, h.shard)) !=
-          h.series) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void ManagerModule::commit_shard_map(AppId app, shard::ShardMap next) {
-  AppCtl* ctl = ctl_of(app);
-  WAN_REQUIRE(ctl != nullptr);
-  WAN_REQUIRE(next.valid() && !next.empty());
-  const shard::ShardMap old = ctl->shard_map;
-  WAN_REQUIRE(old.trivial() || old.shard_count() == next.shard_count());
-
-  // Freeze outgoing handoffs at their final slice. On the drained-commit
-  // path every series is already acked and the record retires; a scripted
-  // commit that raced a write keeps retransmitting the frozen final slice
-  // until its destinations ack it.
-  for (auto it = ctl->handoffs_out.begin(); it != ctl->handoffs_out.end();) {
-    HandoffOut& h = *it->second;
-    if (!h.frozen && ctl->proposed.has_value()) {
-      auto slice = slice_snapshot(*ctl, app, *ctl->proposed, h.shard);
-      if (const std::uint64_t series = slice_series(slice);
-          series != h.series) {
-        h.series = series;
-        h.slice = std::move(slice);
-        h.acked.clear();
-      }
-    }
-    h.frozen = true;
-    if (h.acked.size() == h.dests.size()) {
-      h.retry.cancel();
-      it = ctl->handoffs_out.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  ctl->shard_map = std::move(next);
-  ctl->proposed.reset();
-  const shard::ShardMap& map = ctl->shard_map;
-
-  const auto owned_under = [this](const shard::ShardMap& m, std::uint32_t s) {
-    return m.trivial() || m.owns_shard(self_, s);
-  };
-  std::vector<std::uint32_t> gained;
-  std::vector<char> lost(map.shard_count(), 0);
-  bool any_lost = false;
-  for (std::uint32_t s = 0; s < map.shard_count(); ++s) {
-    const bool was = owned_under(old, s);
-    const bool now = owned_under(map, s);
-    if (was && !now) {
-      lost[s] = 1;
-      any_lost = true;
-    } else if (!was && now) {
-      gained.push_back(s);
-    }
-  }
-
-  if (any_lost) {
-    // Shed the moved slices and their grant-table rows, then force-compact
-    // the journal: replay must never resurrect a register the new owner now
-    // speaks for. Grant tables are not transferred — every grant the old
-    // owner issued dies of cache expiry within te, so the Te bound holds
-    // across the flip without them.
-    const auto in_lost = [&](UserId u) {
-      return lost[map.shard_of(app, u)] != 0;
-    };
-    ctl->store.erase_users_if(in_lost);
-    for (auto it = ctl->grant_table.begin(); it != ctl->grant_table.end();) {
-      it = in_lost(it->first) ? ctl->grant_table.erase(it) : std::next(it);
-    }
-    if (journal_ != nullptr) journal_->compact(app, ctl->store.snapshot());
-    // A lost shard's acquisition state dies with it: a pending entry is
-    // moot (this group no longer answers for the shard), and any tracked or
-    // staged inbound series must not linger to masquerade as evidence if a
-    // later rebalance brings the shard back.
-    for (std::uint32_t s = 0; s < map.shard_count(); ++s) {
-      if (lost[s] == 0) continue;
-      ctl->pending_acquire.erase(s);
-      drop_handoff_in(*ctl, s);
-    }
-  }
-
-  for (const std::uint32_t s : gained) {
-    // Quorum intersection (§3.4 applied to the old group): complete series
-    // from min(C, |old group|) distinct old members are guaranteed to carry
-    // every update that completed its quorum there. `old` is non-trivial
-    // whenever `gained` is non-empty (a trivial map owned everything).
-    const std::vector<HostId>& old_members = old.group(old.group_of_shard(s));
-    PendingAcquire pa;
-    pa.need = std::min(ctl->check_quorum, static_cast<int>(old_members.size()));
-    pa.epoch = map.epoch();
-    pa.senders.insert(old_members.begin(), old_members.end());
-    pa.begun = env_.now();
-    ctl->pending_acquire[s] = std::move(pa);
-    maybe_activate_shard(app, *ctl, s);
-  }
-  static obs::Counter& rebalances =
-      obs::Registry::global().counter("wan_shard_rebalances_total");
-  rebalances.inc();
-  obs::record(/*trace=*/0, obs::SpanKind::kInstant, self_, env_.now(),
-              "shard.map.commit", static_cast<std::int64_t>(map.epoch()),
-              static_cast<std::int64_t>(gained.size()));
-  WAN_DEBUG << to_string(self_) << " committed shard map epoch "
-            << map.epoch() << " for " << to_string(app) << " (+"
-            << gained.size() << " shards, pending "
-            << ctl->pending_acquire.size() << ")";
-}
-
-void ManagerModule::announce_shard_map(AppId app,
-                                       const std::vector<HostId>& recipients) {
-  AppCtl* ctl = ctl_of(app);
-  WAN_REQUIRE(ctl != nullptr);
-  if (!up_ || ctl->shard_map.empty()) return;
-  const auto msg = net::make_message<ShardMapAnnounce>(app, ctl->shard_map);
-  for (const HostId r : recipients) {
-    if (r != self_) net_.send(self_, r, msg);
-  }
-}
-
-void ManagerModule::maybe_activate_shard(AppId app, AppCtl& ctl,
-                                         std::uint32_t shard) {
-  const auto it = ctl.pending_acquire.find(shard);
-  if (it == ctl.pending_acquire.end()) return;
-  if (static_cast<int>(complete_senders(ctl, shard)) < it->second.need) {
-    return;
-  }
-  if (const auto sit = ctl.staging.find(shard); sit != ctl.staging.end()) {
-    merge_snapshot(app, ctl, sit->second.snapshot());
-    ctl.staging.erase(sit);
-  }
-  const std::uint64_t epoch = it->second.epoch;
-  const sim::TimePoint begun = it->second.begun;
-  ctl.pending_acquire.erase(it);
-  static obs::Counter& activations =
-      obs::Registry::global().counter("wan_shard_activations_total");
-  activations.inc();
-  static obs::Histo& handoff_latency =
-      obs::Registry::global().histogram("wan_shard_handoff_seconds");
-  handoff_latency.observe(env_.now() - begun);
-  obs::record(/*trace=*/0, obs::SpanKind::kInstant, self_, env_.now(),
-              "shard.activate", shard, static_cast<std::int64_t>(epoch));
-  // The series did their job; drop them so they can never be mistaken for
-  // evidence by a later rebalance. A sender whose Done was lost retransmits
-  // its Begin and gets re-acked through the active-shard path.
-  drop_handoff_in(ctl, shard);
-  WAN_DEBUG << to_string(self_) << " activated shard " << shard << " of "
-            << to_string(app);
-}
-
-void ManagerModule::adopt_pending_shards(AppId app, AppCtl& ctl) {
-  ctl.sync_adopts_pending = false;
-  if (ctl.pending_acquire.empty()) return;
-  // A quorum of group peers just vouched for their stores, and a store (or
-  // a sync response) only ever carries activation-complete slices — staging
-  // never leaks into either. Adopting that state is the only exit when the
-  // old owners retired their handoffs against acks this manager lost in
-  // the crash: without it the shard is refused forever, even though the
-  // group answers for it. Sub-quorum staging is dropped, not merged — short
-  // of the transfer quorum it may hold a grant whose completed revoke only
-  // the missing senders carry, which is exactly what pending_acquire
-  // guards the Te bound against.
-  static obs::Counter& adoptions =
-      obs::Registry::global().counter("wan_shard_adoptions_total");
-  for (auto it = ctl.pending_acquire.begin();
-       it != ctl.pending_acquire.end();) {
-    const std::uint32_t s = it->first;
-    const std::uint64_t epoch = it->second.epoch;
-    it = ctl.pending_acquire.erase(it);
-    drop_handoff_in(ctl, s);
-    adoptions.inc();
-    obs::record(/*trace=*/0, obs::SpanKind::kInstant, self_, env_.now(),
-                "shard.adopt", s, static_cast<std::int64_t>(epoch));
-    WAN_DEBUG << to_string(self_) << " adopted shard " << s << " of "
-              << to_string(app) << " from its recovery sync";
-  }
-}
-
-void ManagerModule::handle_shard_map_announce(HostId from,
-                                              const ShardMapAnnounce& m) {
-  AppCtl* ctl = ctl_of(m.app);
-  if (ctl == nullptr || !shard_sender_ok(*ctl, from)) return;
-  // Epoch discipline: only strictly newer maps are adopted, so replayed or
-  // reordered announces cannot roll ownership back.
-  if (m.map.epoch() <= ctl->shard_map.epoch()) return;
-  // shard_count is fixed for a deployment's lifetime; an announce that
-  // disagrees with the installed map is a misconfigured (or lying)
-  // coordinator. A bad frame is a drop, never an abort — funnelling it into
-  // commit_shard_map's WAN_REQUIRE would let one such announce crash every
-  // manager that hears it.
-  if (!ctl->shard_map.trivial() &&
-      m.map.shard_count() != ctl->shard_map.shard_count()) {
-    WAN_DEBUG << to_string(self_) << " drops shard map announce from "
-              << to_string(from) << " (shard_count " << m.map.shard_count()
-              << " != " << ctl->shard_map.shard_count() << ")";
-    return;
-  }
-  commit_shard_map(m.app, m.map);
-}
-
-void ManagerModule::handle_handoff_begin(HostId from,
-                                         const ShardHandoffBegin& m) {
-  AppCtl* ctl = ctl_of(m.app);
-  if (ctl == nullptr || !shard_sender_ok(*ctl, from)) return;
-  // Equal epoch stays accepted: post-commit straggler series must still be
-  // able to complete a pending shard.
-  if (m.epoch < ctl->shard_map.epoch()) return;
-  if (!ctl->shard_map.empty() && m.shard >= ctl->shard_map.shard_count()) {
-    return;
-  }
-  // A current-epoch series for a shard that is not pending is a straggler:
-  // either this manager already activated the shard (its quorum is met and
-  // the series carries nothing the merge did not) or the shard was never
-  // gained here. Ack the former so the sender can retire — repairing a lost
-  // Done — but do not track or stage it: recreating staging for an active
-  // shard would leak it for the process lifetime, since nothing drains
-  // staging after activation. Higher-epoch series (pre-commit transfers)
-  // fall through to normal tracking.
-  if (m.epoch == ctl->shard_map.epoch() &&
-      ctl->pending_acquire.count(m.shard) == 0) {
-    if (ctl->shard_map.trivial() || ctl->shard_map.owns_shard(self_, m.shard)) {
-      net_.send(self_, from,
-                net::make_message<ShardHandoffDone>(m.app, m.epoch, m.shard,
-                                                    m.series));
-    }
-    return;
-  }
-  HandoffIn& hi = ctl->handoffs_in[{m.shard, from}];
-  if (hi.series != m.series) {
-    hi = HandoffIn{};  // a new series from this sender restarts its tracking
-    hi.epoch = m.epoch;
-    hi.series = m.series;
-    hi.total = m.total;
-  }
-  if (!hi.complete && hi.received.size() >= hi.total) {
-    hi.complete = true;  // covers the empty-slice series (total == 0)
-  }
-  if (hi.complete) {
-    // Re-acking on a retransmitted Begin repairs a lost Done.
-    net_.send(self_, from,
-              net::make_message<ShardHandoffDone>(m.app, hi.epoch, m.shard,
-                                                  hi.series));
-    maybe_activate_shard(m.app, *ctl, m.shard);
-  }
-}
-
-void ManagerModule::handle_handoff_chunk(HostId from,
-                                         const ShardHandoffChunk& m) {
-  AppCtl* ctl = ctl_of(m.app);
-  if (ctl == nullptr || !shard_sender_ok(*ctl, from)) return;
-  if (m.epoch < ctl->shard_map.epoch()) return;
-  // Same straggler discipline as handle_handoff_begin: once the shard is no
-  // longer pending at the current epoch, inbound series are finished
-  // business — drop any leftover tracking instead of staging data nothing
-  // will ever drain.
-  if (m.epoch == ctl->shard_map.epoch() &&
-      ctl->pending_acquire.count(m.shard) == 0) {
-    drop_handoff_in(*ctl, m.shard);
-    return;
-  }
-  const auto it = ctl->handoffs_in.find({m.shard, from});
-  if (it == ctl->handoffs_in.end() || it->second.series != m.series) return;
-  HandoffIn& hi = it->second;
-  if (m.seq >= hi.total) return;
-  if (!hi.received.insert(m.seq).second) return;  // duplicate chunk
-  static obs::Counter& chunks_received =
-      obs::Registry::global().counter("wan_shard_chunks_received_total");
-  chunks_received.inc();
-  // Chunks merge into the staging store, never the live one: queries must
-  // not see a half-transferred slice, and a crash simply discards staging.
-  // LWW merging makes chunks from different senders and restarted series
-  // all land correctly regardless of order.
-  ctl->staging[m.shard].merge(m.updates);
-  if (!hi.complete && hi.received.size() >= hi.total) {
-    hi.complete = true;
-    net_.send(self_, from,
-              net::make_message<ShardHandoffDone>(m.app, hi.epoch, m.shard,
-                                                  hi.series));
-    maybe_activate_shard(m.app, *ctl, m.shard);
-  }
-}
-
-void ManagerModule::handle_handoff_done(HostId from,
-                                        const ShardHandoffDone& m) {
-  AppCtl* ctl = ctl_of(m.app);
-  if (ctl == nullptr) return;
-  const auto it = ctl->handoffs_out.find(m.shard);
-  if (it == ctl->handoffs_out.end()) return;
-  HandoffOut& h = *it->second;
-  if (m.series != h.series || h.dests.count(from) == 0) return;
-  h.acked.insert(from);
-  if (h.frozen && h.acked.size() == h.dests.size()) {
-    h.retry.cancel();
-    ctl->handoffs_out.erase(it);
   }
 }
 
@@ -1412,19 +814,6 @@ void ManagerModule::crash() {
     ctl.heartbeat.reset();
     ctl.synced = false;
     ctl.deferred_submits.clear();  // ops die with the crash; callers time out
-    // Handoff machinery is volatile. The shard map itself survives (like the
-    // name-service record it mirrors), and so does pending_acquire: a gained
-    // shard whose transfer quorum never completed has no activation in the
-    // journal, so a restarted manager must keep refusing it — answering from
-    // a partial slice could outlive a revocation the old owner completed.
-    // The refusal ends when old owners re-stream enough series, or when the
-    // recovery sync completes and adopts the group's activated state
-    // (adopt_pending_shards).
-    for (auto& [shard, h] : ctl.handoffs_out) h->retry.cancel();
-    ctl.handoffs_out.clear();
-    ctl.handoffs_in.clear();
-    ctl.staging.clear();
-    ctl.proposed.reset();
   }
   // Every in-flight revocation fan-out is volatile state.
   disseminator_.shutdown();
@@ -1436,9 +825,6 @@ void ManagerModule::recover() {
   for (auto& [app, ctl] : apps_) {
     for (const HostId p : ctl.peers) ctl.last_heard[p] = now;
     if (config_.freeze_enabled) start_heartbeats(app, ctl);
-    // Crash-recovery syncs (and only those) may adopt group state for
-    // shards stuck in pending_acquire — see adopt_pending_shards().
-    ctl.sync_adopts_pending = true;
     begin_sync(app, ctl);
   }
 }

@@ -46,7 +46,6 @@
 #include "proto/messages.hpp"
 #include "quorum/quorum.hpp"
 #include "runtime/env.hpp"
-#include "shard/shard_map.hpp"
 #include "util/rng.hpp"
 
 namespace wan::proto {
@@ -100,10 +99,7 @@ class ManagerModule : private Disseminator::Sink {
   /// dissemination to remaining managers continues in the background. Under
   /// a partition that denies even the read quorum, the operation simply
   /// blocks (retrying) until connectivity returns — the paper's blocking
-  /// semantics. Under a non-trivial shard map the submit must be routed to a
-  /// member of the key's owner group; a mis-routed submit is refused
-  /// (counted in submits_refused_unowned(), callback dropped) exactly like a
-  /// mis-routed query — the caller re-resolves and retries.
+  /// semantics.
   void submit_update(AppId app, acl::Op op, UserId user, acl::Right right,
                      UpdateCallback done = nullptr);
 
@@ -224,83 +220,6 @@ class ManagerModule : private Disseminator::Sink {
   /// Count of in-flight originated updates (diagnostics).
   [[nodiscard]] std::size_t inflight_updates(AppId app) const;
 
-  // --- sharding (shard/shard_map.hpp) --------------------------------------
-  // A sharded manager runs the unmodified protocol inside its own group (its
-  // AppCtl.managers IS the group), and the map adds exactly two things on
-  // top: ownership gating — queries, submits, and peer updates for keys
-  // outside the shards this group owns are refused or ack'd-without-apply,
-  // so a stale router times out into a deny (the safe direction) — and the
-  // catch-up-then-flip handoff below, which moves a shard's ACL slice to its
-  // next owner group while reads and writes stay on the old owner until
-  // commit.
-
-  /// Installs `map` as the app's current shard map (deployment setup, or the
-  /// receive side of a committed rebalance). Does not touch group
-  /// membership: groups are fixed, they only enter or leave the map. The map
-  /// survives crash() like the name-service record it mirrors — it is
-  /// distribution state, not protocol state.
-  void set_shard_map(AppId app, shard::ShardMap map);
-
-  /// The current map (empty map if none installed / app unknown).
-  [[nodiscard]] const shard::ShardMap* shard_map(AppId app) const;
-
-  /// Old-owner side of a rebalance: for every shard this manager holds today
-  /// that `next` assigns to a different group, start streaming the slice
-  /// (Begin + Chunk series keyed by a content hash) to every member of the
-  /// next owner group, re-snapshotting and re-sending on each retransmit
-  /// period until each destination acks the series it currently advertises.
-  /// Reads and writes keep landing here until commit_shard_map().
-  void begin_shard_handoff(AppId app, const shard::ShardMap& next);
-
-  /// True when every outgoing handoff series has been acked by every
-  /// destination AND still matches the live slice (no write raced the last
-  /// snapshot). The rebalance coordinator polls this and must call
-  /// commit_shard_map() in the same scheduler event that observed true —
-  /// that atomicity is what makes the flip race-free in the simulator.
-  [[nodiscard]] bool handoff_drained(AppId app) const;
-
-  /// Flips to `next`: adopts the map, merges staged slices for shards this
-  /// group gained (gated on complete series from a quorum of old-owner
-  /// members — quorum intersection carries every completed update), drops
-  /// slices and grant-table entries for shards it lost, and force-compacts
-  /// the journal so dropped registers cannot resurrect on replay. Grant
-  /// tables are deliberately NOT transferred: cache expiry (te) bounds every
-  /// grant the old owner issued, so the Te revocation bound holds across the
-  /// flip without them.
-  void commit_shard_map(AppId app, shard::ShardMap next);
-
-  /// Sends the CURRENT map as a ShardMapAnnounce to `recipients` (the
-  /// coordinator's post-commit distribution step; receivers apply epoch
-  /// discipline).
-  void announce_shard_map(AppId app, const std::vector<HostId>& recipients);
-
-  /// Shards this group owns under the current map but cannot answer for yet
-  /// (flipped before enough complete handoff series arrived). Queries for
-  /// them are refused — deny by timeout — until the series count is met.
-  [[nodiscard]] std::size_t pending_shards(AppId app) const;
-
-  /// Shards with a staged (received but not yet activated) inbound slice.
-  /// Test observability: after a shard activates or is adopted, stragglers
-  /// must not recreate staging — a non-zero count at quiescence is a leak.
-  [[nodiscard]] std::size_t staged_shards(AppId app) const;
-  /// Inbound handoff series still tracked, across all shards and senders
-  /// (same quiescence expectation as staged_shards()).
-  [[nodiscard]] std::size_t tracked_handoff_series(AppId app) const;
-
-  /// Host queries refused because the key's shard is not owned here.
-  [[nodiscard]] std::uint64_t queries_refused_unowned() const noexcept {
-    return queries_refused_unowned_;
-  }
-  /// Submits refused for the same reason (caller routed with a stale map).
-  [[nodiscard]] std::uint64_t submits_refused_unowned() const noexcept {
-    return submits_refused_unowned_;
-  }
-  /// ACL entries this manager has sent in SyncResponse messages — the
-  /// resync-scoping regression tests pin this (a sync must transfer the
-  /// requester's owned slice, not the whole store).
-  [[nodiscard]] std::uint64_t sync_entries_sent() const noexcept {
-    return sync_entries_sent_;
-  }
   /// Revocations still fanning out (all apps) — owned by the disseminator
   /// (proto/dissemination.hpp).
   [[nodiscard]] std::size_t inflight_revocations() const {
@@ -344,60 +263,6 @@ class ManagerModule : private Disseminator::Sink {
     UpdateCallback done;
   };
 
-  /// One outgoing handoff: this manager streaming one shard's slice to the
-  /// members of its next owner group. `series` is the content hash of
-  /// `slice`; a write racing the handoff changes the hash, which resets the
-  /// ack set and resends — so an acked series always names exactly the bytes
-  /// the destination holds. After commit the slice leaves the store and the
-  /// snapshot freezes; retransmission continues until every destination
-  /// acks, then the record retires.
-  struct HandoffOut {
-    std::uint32_t shard = 0;
-    std::uint64_t epoch = 0;  ///< the PROPOSED map's epoch
-    std::uint64_t series = 0;
-    std::vector<acl::AclUpdate> slice;
-    std::set<HostId> dests;
-    std::set<HostId> acked;  ///< dests that acked the current series
-    bool frozen = false;     ///< post-commit: stop re-snapshotting
-    runtime::Timer retry;
-
-    explicit HandoffOut(runtime::Env& env) : retry(env.make_timer()) {}
-  };
-
-  /// One incoming handoff series from one old-owner member. Chunks merge
-  /// into the per-shard staging store as they land (idempotent LWW, so
-  /// redelivery and series restarts are harmless); completeness is tracked
-  /// per sender because the flip requires complete series from a QUORUM of
-  /// distinct old-owner members before the staged slice may answer queries.
-  struct HandoffIn {
-    std::uint64_t epoch = 0;
-    std::uint64_t series = 0;
-    std::uint32_t total = 0;
-    std::set<std::uint32_t> received;  ///< chunk seqs of the current series
-    bool complete = false;
-  };
-
-  /// A gained shard awaiting its transfer quorum: how many complete series
-  /// are still required, the epoch of the rebalance that moved the shard
-  /// here, and the members of its OLD owner group — the only hosts whose
-  /// series count toward `need`. Without the epoch/sender filter, a
-  /// complete series left over from an earlier rebalance (a shard that
-  /// bounced away and back) would satisfy the quorum instantly and activate
-  /// the shard around the real transfer, voiding the quorum-intersection
-  /// guarantee the flip rests on.
-  struct PendingAcquire {
-    int need = 0;
-    std::uint64_t epoch = 0;
-    std::set<HostId> senders;
-    sim::TimePoint begun{};  ///< commit time; activation latency is measured
-                             ///< from here into wan_shard_handoff_seconds
-  };
-
-  struct AppCtl;
-
-  [[nodiscard]] bool owns_key(const AppCtl& ctl, AppId app,
-                              UserId user) const;
-
   struct AppCtl {
     std::vector<HostId> managers;  ///< full set, incl. self
     std::vector<HostId> peers;     ///< managers minus self
@@ -417,27 +282,6 @@ class ManagerModule : private Disseminator::Sink {
     std::unique_ptr<runtime::Timer> sync_timer;
     std::unique_ptr<runtime::PeriodicTimer> heartbeat;
     std::uint64_t heartbeat_seq = 0;
-    /// Current shard map (empty = flat). Survives crash() — see
-    /// set_shard_map().
-    shard::ShardMap shard_map;
-    /// The map a begin_shard_handoff() is migrating toward; defines shard
-    /// numbering for slice re-snapshots. Cleared at commit and on crash().
-    std::optional<shard::ShardMap> proposed;
-    /// Outgoing handoffs by shard (this manager is an old owner).
-    std::map<std::uint32_t, std::unique_ptr<HandoffOut>> handoffs_out;
-    /// Incoming handoff series by (shard, sender).
-    std::map<std::pair<std::uint32_t, HostId>, HandoffIn> handoffs_in;
-    /// Staged slices by shard — merged into the store only at activation,
-    /// never consulted by queries, discarded on crash().
-    std::map<std::uint32_t, acl::AclStore> staging;
-    /// Gained shards awaiting enough complete series. Queries for these
-    /// shards are refused.
-    std::map<std::uint32_t, PendingAcquire> pending_acquire;
-    /// Set by recover(): the in-flight sync is a crash recovery, so its
-    /// completion (a quorum of group peers vouching for their stores) may
-    /// adopt the group's state for shards stuck in pending_acquire whose
-    /// senders retired against acks the crash erased.
-    bool sync_adopts_pending = false;
   };
 
   void handle_query(HostId from, const QueryRequest& q);
@@ -455,39 +299,6 @@ class ManagerModule : private Disseminator::Sink {
   /// Records a sync vote from `from`; on quorum, completes the recovery.
   void record_sync_vote(AppId app, AppCtl& ctl, HostId from);
   void push_snapshot(AppId app, AppCtl& ctl);
-
-  void handle_shard_map_announce(HostId from, const ShardMapAnnounce& m);
-  void handle_handoff_begin(HostId from, const ShardHandoffBegin& m);
-  void handle_handoff_chunk(HostId from, const ShardHandoffChunk& m);
-  void handle_handoff_done(HostId from, const ShardHandoffDone& m);
-  /// One retransmit round of an outgoing handoff: re-snapshot the slice
-  /// (unless frozen), restart the series if it changed, send Begin + all
-  /// chunks to every destination that has not acked the current series.
-  void handoff_round(AppId app, std::uint32_t shard);
-  void send_handoff_series(AppId app, const AppCtl& ctl, const HandoffOut& h);
-  /// Slice predicate under `map` for shard `s` (which users belong to it).
-  [[nodiscard]] std::vector<acl::AclUpdate> slice_snapshot(
-      const AppCtl& ctl, AppId app, const shard::ShardMap& map,
-      std::uint32_t shard) const;
-  /// Count of distinct ELIGIBLE senders — old-owner-group members whose
-  /// complete series carries the committed rebalance's epoch — for `shard`.
-  [[nodiscard]] static std::size_t complete_senders(const AppCtl& ctl,
-                                                    std::uint32_t shard);
-  /// If `shard` is pending and enough complete series arrived, merge the
-  /// staged slice into the live store and open the shard for queries.
-  void maybe_activate_shard(AppId app, AppCtl& ctl, std::uint32_t shard);
-  /// Drops every inbound-handoff record and the staged slice for `shard` —
-  /// at activation, when the shard is lost, or when recovery adopts it.
-  static void drop_handoff_in(AppCtl& ctl, std::uint32_t shard);
-  /// Crash-recovery exit for stuck acquisitions: once a quorum of group
-  /// peers vouched for their stores, adopt that state for every shard still
-  /// in pending_acquire (see handle_sync_response).
-  void adopt_pending_shards(AppId app, AppCtl& ctl);
-  /// Whether cross-group shard traffic from `from` is trustworthy: a member
-  /// of the current map (old and new owners both are — joining groups get
-  /// the pre-rebalance map installed before handoff), falling back to
-  /// is_peer when no map is installed.
-  [[nodiscard]] bool shard_sender_ok(const AppCtl& ctl, HostId from) const;
 
   void start_revoke_forwarding(AppId app, AppCtl& ctl, UserId user,
                                acl::Version version, obs::TraceId trace);
@@ -551,9 +362,6 @@ class ManagerModule : private Disseminator::Sink {
   std::uint64_t next_txn_id_ = 1;
   std::uint64_t next_sync_id_ = 1;
   std::uint64_t next_read_id_ = 1;
-  std::uint64_t queries_refused_unowned_ = 0;
-  std::uint64_t submits_refused_unowned_ = 0;
-  std::uint64_t sync_entries_sent_ = 0;
   // Minted unconditionally so message-borne trace ids never depend on whether
   // a tracer is installed (traced/untraced runs stay bit-identical).
   std::uint32_t next_trace_seq_ = 1;

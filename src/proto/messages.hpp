@@ -31,7 +31,6 @@
 #include "net/message.hpp"
 #include "obs/trace.hpp"
 #include "proto/wire.hpp"
-#include "shard/shard_map.hpp"
 #include "sim/time.hpp"
 #include "util/ids.hpp"
 
@@ -265,92 +264,6 @@ struct HeartbeatPong final : net::Message {
   WAN_MESSAGE_TYPE("HeartbeatPong")
   std::size_t wire_size() const override { return 24; }
   bool reliable() const override { return false; }
-};
-
-// --- shard rebalancing (src/shard/shard_map.hpp) -----------------------------
-//
-// A rebalance moves shard ownership between manager groups in two phases:
-// catch-up (the old owner streams its slice to every member of the new
-// group, re-snapshotting until drained) and flip (the coordinator commits
-// the new epoch everywhere at once). The four messages below carry both
-// phases. Handoff chunks are AclUpdate snapshots — idempotent last-writer-
-// wins merges, so redelivery, reordering, and whole-series resends are all
-// harmless by construction.
-
-/// Coordinator -> everyone: adopt this shard map. Receivers install it only
-/// if `map.epoch()` exceeds their current epoch and the sender is a manager
-/// they already trust; a replayed or stale announce is a no-op.
-struct ShardMapAnnounce final : net::Message {
-  AppId app{};
-  shard::ShardMap map;
-
-  ShardMapAnnounce(AppId a, shard::ShardMap m) : app(a), map(std::move(m)) {}
-
-  WAN_MESSAGE_TYPE("ShardMapAnnounce")
-  std::size_t wire_size() const override {
-    std::size_t members = 0;
-    for (const auto& g : map.groups()) members += g.size();
-    return 44 + members * 8 + map.shard_count() * 4;
-  }
-};
-
-/// Old owner -> each new-group member: a handoff series for one shard is
-/// coming, `total` chunks long. `series` is a content hash of the snapshot;
-/// the old owner re-snapshots every retransmit period, so a slice that
-/// changed mid-handoff (a racing revoke) shows up as a fresh series and the
-/// receiver simply keeps merging — completeness is judged per series.
-struct ShardHandoffBegin final : net::Message {
-  AppId app{};
-  std::uint64_t epoch = 0;   ///< the PROPOSED map's epoch, not the current one
-  std::uint32_t shard = 0;
-  std::uint64_t series = 0;  ///< content hash of this snapshot of the slice
-  std::uint32_t total = 0;   ///< chunk count of the series
-
-  ShardHandoffBegin(AppId a, std::uint64_t e, std::uint32_t s,
-                    std::uint64_t ser, std::uint32_t n)
-      : app(a), epoch(e), shard(s), series(ser), total(n) {}
-
-  WAN_MESSAGE_TYPE("ShardHandoffBegin")
-  std::size_t wire_size() const override { return 40; }
-};
-
-/// One chunk of a handoff series. Chunks of a known series merge into the
-/// receiver's staging store immediately (idempotent LWW); the series is
-/// complete when all `total` seqs arrived.
-struct ShardHandoffChunk final : net::Message {
-  AppId app{};
-  std::uint64_t epoch = 0;
-  std::uint32_t shard = 0;
-  std::uint64_t series = 0;
-  std::uint32_t seq = 0;  ///< 0-based chunk index within the series
-  std::vector<acl::AclUpdate> updates;
-
-  ShardHandoffChunk(AppId a, std::uint64_t e, std::uint32_t s,
-                    std::uint64_t ser, std::uint32_t q,
-                    std::vector<acl::AclUpdate> u)
-      : app(a), epoch(e), shard(s), series(ser), seq(q), updates(std::move(u)) {}
-
-  WAN_MESSAGE_TYPE("ShardHandoffChunk")
-  std::size_t wire_size() const override {
-    return 48 + AclSlicePayload::estimate(updates.size());
-  }
-};
-
-/// New-group member -> old owner: series received in full. The old owner is
-/// drained for the shard once every destination member has acked a series
-/// equal to the content hash of its CURRENT slice — only then may the
-/// coordinator flip the epoch.
-struct ShardHandoffDone final : net::Message {
-  AppId app{};
-  std::uint64_t epoch = 0;
-  std::uint32_t shard = 0;
-  std::uint64_t series = 0;
-
-  ShardHandoffDone(AppId a, std::uint64_t e, std::uint32_t s, std::uint64_t ser)
-      : app(a), epoch(e), shard(s), series(ser) {}
-
-  WAN_MESSAGE_TYPE("ShardHandoffDone")
-  std::size_t wire_size() const override { return 32; }
 };
 
 }  // namespace wan::proto

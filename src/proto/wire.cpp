@@ -331,128 +331,6 @@ void do_register() {
         if (!r.ok()) return nullptr;
         return net::make_message<HeartbeatPong>(app, seq);
       });
-
-  reg<ShardMapAnnounce>(
-      "ShardMapAnnounce", kTagShardMapAnnounce,
-      [](const ShardMapAnnounce& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.map.epoch());
-        w.u32(m.map.shard_count());
-        w.u64(m.map.ring_seed());
-        w.u32(static_cast<std::uint32_t>(m.map.groups().size()));
-        for (const auto& g : m.map.groups()) {
-          w.u32(static_cast<std::uint32_t>(g.size()));
-          for (const HostId member : g) w.host_id(member);
-        }
-        for (const std::uint32_t owner : m.map.owners()) w.u32(owner);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t epoch = r.u64();
-        const std::uint32_t shard_count = r.u32();
-        const std::uint64_t ring_seed = r.u64();
-        const std::uint32_t group_count = r.u32();
-        // Every claimed group costs at least a count word plus one member;
-        // every owner entry costs 4 bytes. Bounds first, allocations after.
-        if (!r.ok() || group_count > r.remaining() / 8) {
-          r.fail();
-          return nullptr;
-        }
-        std::vector<std::vector<HostId>> groups;
-        groups.reserve(group_count);
-        for (std::uint32_t g = 0; g < group_count && r.ok(); ++g) {
-          const std::uint32_t members = r.u32();
-          if (!r.ok() || members > r.remaining() / 4) {
-            r.fail();
-            return nullptr;
-          }
-          std::vector<HostId> group;
-          group.reserve(members);
-          for (std::uint32_t m = 0; m < members && r.ok(); ++m) {
-            group.push_back(r.host_id());
-          }
-          groups.push_back(std::move(group));
-        }
-        if (!r.ok() || shard_count > r.remaining() / 4) {
-          r.fail();
-          return nullptr;
-        }
-        std::vector<std::uint32_t> owner;
-        owner.reserve(shard_count);
-        for (std::uint32_t s = 0; s < shard_count && r.ok(); ++s) {
-          owner.push_back(r.u32());
-        }
-        if (!r.ok()) return nullptr;
-        // Structural validation (disjoint non-empty groups, owners in range)
-        // happens here so a hostile frame is a decode failure, not an abort
-        // inside ShardMap's invariant checks.
-        std::optional<shard::ShardMap> map = shard::ShardMap::checked(
-            std::move(groups), std::move(owner), epoch, ring_seed);
-        if (!map) {
-          r.fail();
-          return nullptr;
-        }
-        return net::make_message<ShardMapAnnounce>(app, std::move(*map));
-      });
-
-  reg<ShardHandoffBegin>(
-      "ShardHandoffBegin", kTagShardHandoffBegin,
-      [](const ShardHandoffBegin& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.epoch);
-        w.u32(m.shard);
-        w.u64(m.series);
-        w.u32(m.total);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t epoch = r.u64();
-        const std::uint32_t shard = r.u32();
-        const std::uint64_t series = r.u64();
-        const std::uint32_t total = r.u32();
-        if (!r.ok()) return nullptr;
-        return net::make_message<ShardHandoffBegin>(app, epoch, shard, series,
-                                                    total);
-      });
-
-  reg<ShardHandoffChunk>(
-      "ShardHandoffChunk", kTagShardHandoffChunk,
-      [](const ShardHandoffChunk& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.epoch);
-        w.u32(m.shard);
-        w.u64(m.series);
-        w.u32(m.seq);
-        AclSlicePayload::encode(w, m.updates);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t epoch = r.u64();
-        const std::uint32_t shard = r.u32();
-        const std::uint64_t series = r.u64();
-        const std::uint32_t seq = r.u32();
-        std::vector<acl::AclUpdate> updates = AclSlicePayload::decode(r);
-        if (!r.ok()) return nullptr;
-        return net::make_message<ShardHandoffChunk>(app, epoch, shard, series,
-                                                    seq, std::move(updates));
-      });
-
-  reg<ShardHandoffDone>(
-      "ShardHandoffDone", kTagShardHandoffDone,
-      [](const ShardHandoffDone& m, WireWriter& w) {
-        w.app_id(m.app);
-        w.u64(m.epoch);
-        w.u32(m.shard);
-        w.u64(m.series);
-      },
-      [](WireReader& r) -> net::MessagePtr {
-        const AppId app = r.app_id();
-        const std::uint64_t epoch = r.u64();
-        const std::uint32_t shard = r.u32();
-        const std::uint64_t series = r.u64();
-        if (!r.ok()) return nullptr;
-        return net::make_message<ShardHandoffDone>(app, epoch, shard, series);
-      });
 }
 
 }  // namespace

@@ -41,19 +41,14 @@ enum WireTags : net::WireTag {
   kTagHeartbeatPing = 14,
   kTagHeartbeatPong = 15,
   // 16 and 17 belong to the reliability envelope (net/reliable.hpp).
-  kTagShardMapAnnounce = 18,
-  kTagShardHandoffBegin = 19,
-  kTagShardHandoffChunk = 20,
-  kTagShardHandoffDone = 21,
-  // 22 and 23 are retired (coalesced revocation batches); 24 and 25 are
-  // retired (relay tree); 26 and 27 are retired (delta ACL sync). Never
-  // reuse them.
+  // 18 to 21 are retired (sharding); 22 and 23 are retired (coalesced
+  // revocation batches); 24 and 25 are retired (relay tree); 26 and 27 are
+  // retired (delta ACL sync). Never reuse them.
 };
 
 /// The shared on-wire layout of an ACL slice — a `u32` entry count followed
-/// by that many fixed-size AclUpdate records. Three messages carry one
-/// (SyncResponse, SyncPush, ShardHandoffChunk); they all encode through this
-/// helper so the layout, the hostile-count bound check, and the
+/// by that many fixed-size AclUpdate records. Two messages carry one
+/// (SyncResponse, SyncPush); both encode through this helper so the layout, the hostile-count bound check, and the
 /// simulated-bandwidth estimate exist exactly once.
 struct AclSlicePayload {
   /// Real codec bytes per entry (bounds a claimed count before allocation).

@@ -26,9 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "shard/shard_map.hpp"
 #include "sim/time.hpp"
 
 namespace wan::runtime {
@@ -64,20 +62,6 @@ struct ReliabilityOptions {
   std::uint64_t jitter_seed = 1;
 };
 
-/// Shard topology of a deployment (src/shard/shard_map.hpp). Backend-
-/// agnostic like everything in EnvOptions: the sim scenario, the loopback
-/// conformance rigs, and wan_node's socket deployments all derive their
-/// initial ShardMap from these knobs via make_shard_map().
-struct ShardTopologyOptions {
-  /// Manager groups the deployment partitions into; 0 or 1 = unsharded.
-  std::uint32_t groups = 0;
-  /// Logical shards placed over the groups; 0 = one shard per group.
-  /// Fixed for the deployment's lifetime — rebalances move ownership only.
-  std::uint32_t shards = 0;
-  /// Placement-ring seed (pinned; see shard::kDefaultRingSeed).
-  std::uint64_t ring_seed = shard::kDefaultRingSeed;
-};
-
 struct EnvOptions {
   /// Which backend to construct (tools route on this; see make_fabric()).
   BackendKind backend = BackendKind::kLoopback;
@@ -93,14 +77,6 @@ struct EnvOptions {
   std::string topology_path;  ///< HostId -> host:port map file (docs/WIRE_FORMAT.md)
   std::size_t send_queue_limit = 1024;  ///< outbound frames queued before drop
   ReliabilityOptions reliability;       ///< ack/retransmit layer (socket fabric)
-  ShardTopologyOptions sharding;        ///< manager-group partition (all backends)
 };
-
-/// Builds the epoch-1 shard map the topology knobs describe: `managers` is
-/// split into `groups` equal contiguous groups and the shards are placed by
-/// the consistent-hash ring. Returns an empty map when the topology is flat
-/// (groups <= 1). Requires managers to divide evenly into the groups.
-[[nodiscard]] shard::ShardMap make_shard_map(const ShardTopologyOptions& topo,
-                                             const std::vector<HostId>& managers);
 
 }  // namespace wan::runtime

@@ -40,26 +40,17 @@ constexpr std::size_t hash_combine(std::size_t a, std::size_t b) noexcept {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
 }
 
-/// Seeded, stable 64-bit hash (splitmix64 finalizer over seed + key). Stable
-/// means the value is pinned forever: the shard ring (src/shard) persists
-/// placements derived from it and the wire carries ring seeds, so changing
-/// these constants is a breaking change on par with renumbering wire tags.
-/// Every bit of the input avalanches, which the shard balance property test
-/// depends on; the reliable-channel dedup window uses it to bucket flow keys
-/// so peer-chosen host ids cannot cluster.
+/// Seeded 64-bit hash (splitmix64 finalizer over seed + key), identical on
+/// every platform and run. Every bit of the input avalanches; the
+/// reliable-channel dedup window uses it to bucket flow keys so peer-chosen
+/// host ids cannot cluster (StableHash tests pin the values and the
+/// balance).
 constexpr std::uint64_t stable_hash64(std::uint64_t seed,
                                       std::uint64_t x) noexcept {
   std::uint64_t z = x + 0x9e3779b97f4a7c15ULL + seed;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-/// Two-word variant (e.g. an (app, user) key): feeds the first word's hash
-/// back as the seed so the pair avalanches jointly.
-constexpr std::uint64_t stable_hash64(std::uint64_t seed, std::uint64_t a,
-                                      std::uint64_t b) noexcept {
-  return stable_hash64(stable_hash64(seed, a), b);
 }
 
 }  // namespace wan

@@ -20,13 +20,6 @@ Scenario::Scenario(ScenarioConfig config)
   WAN_REQUIRE(config_.users >= 1);
   config_.protocol.validate();
   WAN_REQUIRE(config_.protocol.check_quorum <= config_.managers);
-  WAN_REQUIRE(config_.shard_groups >= 1);
-  WAN_REQUIRE(config_.managers % config_.shard_groups == 0);
-  if (config_.shard_groups > 1) {
-    // Quorums run within a group under sharding.
-    WAN_REQUIRE(config_.protocol.check_quorum <=
-                config_.managers / config_.shard_groups);
-  }
 
   collector_ =
       std::make_unique<metrics::Collector>(truth_, config_.protocol.Te);
@@ -79,22 +72,6 @@ Scenario::Scenario(ScenarioConfig config)
   env_ = std::make_unique<runtime::SimEnv>(*net_);
 
   names_.set_managers(app_, manager_ids_);
-  if (config_.shard_groups > 1) {
-    const std::size_t per = static_cast<std::size_t>(config_.managers) /
-                            static_cast<std::size_t>(config_.shard_groups);
-    std::vector<std::vector<HostId>> groups(
-        static_cast<std::size_t>(config_.shard_groups));
-    for (std::size_t i = 0; i < manager_ids_.size(); ++i) {
-      groups[i / per].push_back(manager_ids_[i]);
-    }
-    const std::uint32_t shards =
-        config_.shard_count != 0
-            ? config_.shard_count
-            : static_cast<std::uint32_t>(config_.shard_groups);
-    shard_map_ = shard::ShardMap::ring(std::move(groups), shards, /*epoch=*/1);
-    names_.set_shard_map(app_, shard_map_);
-  }
-
   auto make_clock = [&]() {
     if (!config_.drifting_clocks) return clk::LocalClock::perfect();
     return clk::LocalClock::sample(rng_, config_.protocol.clock_bound_b);
@@ -103,16 +80,7 @@ Scenario::Scenario(ScenarioConfig config)
   for (const HostId id : manager_ids_) {
     managers_.push_back(std::make_unique<proto::ManagerHost>(
         id, *env_, make_clock(), config_.protocol));
-    if (shard_map_.empty()) {
-      managers_.back()->manager().manage_app(app_, manager_ids_);
-    } else {
-      // A sharded manager's Managers(A) is its own group: every quorum, sync,
-      // and freeze computation runs unmodified inside it.
-      const auto g = shard_map_.group_index_of(id);
-      WAN_ASSERT(g.has_value());
-      managers_.back()->manager().manage_app(app_, shard_map_.group(*g));
-      managers_.back()->manager().set_shard_map(app_, shard_map_);
-    }
+    managers_.back()->manager().manage_app(app_, manager_ids_);
   }
 
   for (const HostId id : host_ids_) {
@@ -184,25 +152,12 @@ void Scenario::set_active_managers(const std::vector<int>& indices) {
   }
 }
 
-bool Scenario::manager_owns(int i, UserId user) const {
-  const HostId id = manager_ids_[static_cast<std::size_t>(i)];
-  // The workload routes like an operator: the published map (name service)
-  // must agree the manager's group owns the key. This is what keeps a
-  // manager that slept through a rebalance commit — crashed at the flip,
-  // recovered with the old epoch — from accepting updates its shard's real
-  // owner group would never see.
-  if (!shard_map_.empty() && !shard_map_.owns(id, app_, user)) return false;
-  const auto* map = managers_[static_cast<std::size_t>(i)]->manager().shard_map(app_);
-  return map == nullptr || map->trivial() || map->owns(id, app_, user);
-}
-
 bool Scenario::submit(acl::Op op, UserId user, int mgr,
                       std::function<void()> on_quorum) {
   if (mgr < 0) {
-    // Round-robin over managers that are currently up, in the active
-    // membership, and — under a shard map — in the key's owner group (a
-    // crashed, departed, or non-owning site cannot accept the operation; the
-    // workload moves on, like a human operator would).
+    // Round-robin over managers that are currently up and in the active
+    // membership (a crashed or departed site cannot accept the operation;
+    // the workload moves on, like a human operator would).
     const auto active = [this](int i) {
       return manager_active_.empty() ||
              manager_active_[static_cast<std::size_t>(i)];
@@ -210,8 +165,7 @@ bool Scenario::submit(acl::Op op, UserId user, int mgr,
     for (int tried = 0; tried < config_.managers; ++tried) {
       const int candidate = (next_mgr_ + tried) % config_.managers;
       if (active(candidate) &&
-          managers_[static_cast<std::size_t>(candidate)]->up() &&
-          manager_owns(candidate, user)) {
+          managers_[static_cast<std::size_t>(candidate)]->up()) {
         mgr = candidate;
         next_mgr_ = (candidate + 1) % config_.managers;
         break;
@@ -221,9 +175,6 @@ bool Scenario::submit(acl::Op op, UserId user, int mgr,
   }
   WAN_REQUIRE(mgr < config_.managers);
   if (!managers_[static_cast<std::size_t>(mgr)]->up()) return false;
-  // An explicitly-addressed manager that does not own the key would refuse
-  // the submit; report failure instead of recording a grant that never runs.
-  if (!manager_owns(mgr, user)) return false;
   auto& module = managers_[static_cast<std::size_t>(mgr)]->manager();
   const bool granted = op == acl::Op::kAdd;
   // Ground-truth timing is asymmetric on purpose: a grant makes the user
@@ -263,13 +214,6 @@ void Scenario::check(int host_idx, UserId user, proto::CheckCallback done) {
   controller.check_access(app_, user,
                           done ? std::move(done)
                                : [](const proto::AccessDecision&) {});
-}
-
-void Scenario::publish_shard_map(shard::ShardMap map) {
-  WAN_REQUIRE(map.valid() && !map.empty());
-  names_.set_shard_map(app_, map);
-  for (auto& h : hosts_) h->controller().install_shard_map(app_, map);
-  shard_map_ = std::move(map);
 }
 
 net::ScriptedPartitions& Scenario::scripted() {

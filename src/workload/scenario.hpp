@@ -30,15 +30,6 @@ struct ScenarioConfig {
   int users = 20;
   proto::ProtocolConfig protocol;
 
-  /// Sharded deployment: managers split into this many equal disjoint groups
-  /// (managers % shard_groups == 0), the key space into shard_count logical
-  /// shards placed by the consistent-hash ring. 1 = the flat paper protocol.
-  /// check_quorum then applies WITHIN each group, so it must not exceed the
-  /// group size.
-  int shard_groups = 1;
-  /// 0 = one shard per group.
-  std::uint32_t shard_count = 0;
-
   enum class Partitions { kNone, kPairwise, kStorms, kScripted };
   Partitions partitions = Partitions::kNone;
   double pi = 0.1;                                     ///< kPairwise
@@ -113,19 +104,6 @@ class Scenario {
   /// The trusted name service (manager-set reconfiguration goes through it).
   [[nodiscard]] ns::NameService& names() noexcept { return names_; }
 
-  /// The scenario's current routing map: empty when flat, otherwise the map
-  /// grant/revoke routing and the name service publish. Rebalance drivers
-  /// read groups and ownership from here.
-  [[nodiscard]] const shard::ShardMap& shard_map() const noexcept {
-    return shard_map_;
-  }
-
-  /// Publishes a committed map to the routing layers this scenario owns: the
-  /// name service, every app host's controller override, and grant/revoke
-  /// routing. Managers are NOT touched — the rebalance driver walks them
-  /// through begin_shard_handoff / commit_shard_map itself.
-  void publish_shard_map(shard::ShardMap map);
-
   /// Restricts which managers the round-robin grant/revoke path may target —
   /// the workload's view of the current Managers(app) membership. Indices are
   /// into manager(i); the set must be non-empty. Explicit-manager grant() /
@@ -147,10 +125,6 @@ class Scenario {
 
  private:
   bool submit(acl::Op op, UserId user, int mgr, std::function<void()> on_quorum);
-  /// Whether manager(i) may accept a submit for `user` under ITS current map
-  /// (each manager's own view is authoritative while a rebalance is in
-  /// flight — old owners keep accepting until they commit).
-  [[nodiscard]] bool manager_owns(int i, UserId user) const;
 
   ScenarioConfig config_;
   Rng rng_;
@@ -171,7 +145,6 @@ class Scenario {
   std::unique_ptr<metrics::Collector> collector_;
   std::vector<bool> manager_active_;
   int next_mgr_ = 0;
-  shard::ShardMap shard_map_;  ///< empty when flat
 };
 
 }  // namespace wan::workload

@@ -495,75 +495,6 @@ TEST(ChaosSweep, ByzantineAsymmetricSeedsClean) {
   }
 }
 
-TEST(ChaosPlan, ShardedPlanAddsOneRebalanceWithoutPerturbingBase) {
-  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    const chaos::ChaosPlan base =
-        chaos::make_plan(seed, Duration::minutes(8));
-    chaos::PlanOptions opts;
-    opts.sharded = true;
-    const chaos::ChaosPlan sharded =
-        chaos::make_plan(seed, Duration::minutes(8), opts);
-
-    // Singleton groups over the same shape; C clamped to the group size and
-    // freeze off (silence computation needs group peers).
-    EXPECT_EQ(sharded.scenario.managers, base.scenario.managers);
-    EXPECT_EQ(sharded.scenario.shard_groups, sharded.scenario.managers);
-    EXPECT_EQ(sharded.scenario.shard_count,
-              static_cast<std::uint32_t>(4 * sharded.scenario.managers));
-    EXPECT_EQ(sharded.scenario.protocol.check_quorum, 1);
-    EXPECT_FALSE(sharded.scenario.protocol.freeze_enabled);
-
-    // Exactly one rebalance, a valid leaving group, and every base event
-    // still present (the extra draws happen after all base drawing sites).
-    std::size_t rebalances = 0;
-    for (const auto& e : sharded.schedule.events) {
-      if (e.kind != chaos::FaultKind::kShardRebalance) continue;
-      ++rebalances;
-      EXPECT_GE(e.a, 0) << "seed " << seed;
-      EXPECT_LT(e.a, sharded.scenario.managers) << "seed " << seed;
-    }
-    EXPECT_EQ(rebalances, 1u) << "seed " << seed;
-    EXPECT_EQ(sharded.schedule.events.size(),
-              base.schedule.events.size() + 1)
-        << "seed " << seed;
-  }
-}
-
-TEST(ChaosEngine, ShardedReplayIsBitIdentical) {
-  ChaosOptions opts;
-  opts.seed = 5;
-  opts.horizon = Duration::minutes(4);
-  opts.plan.sharded = true;
-  const ChaosResult a = run_chaos(opts);
-  const ChaosResult b = run_chaos(opts);
-  EXPECT_EQ(a.trace_hash, b.trace_hash);
-  EXPECT_EQ(a.decisions, b.decisions);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-}
-
-TEST(ChaosSweep, ShardedSeedsClean) {
-  // Smoke sweep over sharded deployments with a live mid-run rebalance; the
-  // 100+ seed sweep lives in tools/chaos_runner --sharded, this keeps a
-  // tripwire inside ctest. At least one seed must actually flip its map —
-  // a sweep whose rebalances all no-op proves nothing about the handoff.
-  ChaosOptions opts;
-  opts.horizon = Duration::minutes(4);
-  opts.plan.sharded = true;
-  opts.trace = true;
-  bool any_flip = false;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    opts.seed = seed;
-    const ChaosResult r = run_chaos(opts);
-    EXPECT_EQ(r.violation_count, 0u)
-        << "seed " << seed << ": "
-        << (r.violations.empty() ? "" : r.violations[0].detail);
-    for (const auto& line : r.trace_lines) {
-      any_flip |= line.find("shard map flipped") != std::string::npos;
-    }
-  }
-  EXPECT_TRUE(any_flip);
-}
-
 TEST(ChaosEngine, ShrinkerMinimizesToFailingCore) {
   // Synthetic predicate: the run "fails" iff events 3 AND 7 are both
   // enabled. ddmin must land on exactly {3, 7}.

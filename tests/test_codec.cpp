@@ -10,6 +10,7 @@
 // tags are frozen there.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -29,7 +30,6 @@
 #include "net/reliable.hpp"
 #include "proto/messages.hpp"
 #include "proto/wire.hpp"
-#include "shard/shard_map.hpp"
 #include "util/rng.hpp"
 
 namespace wan {
@@ -38,11 +38,10 @@ namespace {
 using net::CodecRegistry;
 using net::DecodeError;
 
-/// The full tag table under test: the 15 original protocol messages, the
-/// reliability envelope (tags 16/17, net/reliable.hpp) and the shard
-/// rebalancing messages (tags 18-21). Tags 22-23 (coalesced revocation
-/// batches), 24-25 (relay tree) and 26-27 (delta sync) are retired and stay
-/// unregistered.
+/// The full tag table under test: the 15 protocol messages and the
+/// reliability envelope (tags 16/17, net/reliable.hpp). Tags 18-21
+/// (sharding), 22-23 (coalesced revocation batches), 24-25 (relay tree) and
+/// 26-27 (delta sync) are retired and stay unregistered.
 void register_all() {
   proto::register_wire_messages();
   net::register_reliable_codecs();
@@ -90,30 +89,8 @@ UserId random_user(Rng& rng) {
   return UserId(static_cast<std::uint32_t>(rng.next_u64()));
 }
 
-shard::ShardMap random_shard_map(Rng& rng) {
-  const std::uint32_t group_count =
-      1 + static_cast<std::uint32_t>(rng.next_u64() % 3);
-  std::uint32_t next = static_cast<std::uint32_t>(rng.next_u64() % 1000);
-  std::vector<std::vector<HostId>> groups;
-  for (std::uint32_t g = 0; g < group_count; ++g) {
-    std::vector<HostId> group;
-    const std::uint32_t members =
-        1 + static_cast<std::uint32_t>(rng.next_u64() % 3);
-    for (std::uint32_t m = 0; m < members; ++m) group.push_back(HostId(next++));
-    groups.push_back(std::move(group));
-  }
-  const std::uint32_t shards =
-      1 + static_cast<std::uint32_t>(rng.next_u64() % 8);
-  std::vector<std::uint32_t> owner(shards);
-  for (auto& o : owner) {
-    o = static_cast<std::uint32_t>(rng.next_u64() % group_count);
-  }
-  return shard::ShardMap::assigned(std::move(groups), std::move(owner),
-                                   rng.next_u64(), rng.next_u64());
-}
-
-/// One seeded generator per message type, in wire-tag order 1..21 (22-27 are
-/// retired). Adding a message type without extending this list fails the
+/// One seeded generator per message type, in wire-tag order 1..17 (18-27
+/// are retired). Adding a message type without extending this list fails the
 /// coverage check below.
 std::vector<std::function<net::MessagePtr(Rng&)>> generators() {
   using net::make_message;
@@ -201,27 +178,6 @@ std::vector<std::function<net::MessagePtr(Rng&)>> generators() {
       [](Rng& rng) {
         return make_message<net::ReliableAck>(rng.next_u64(), rng.next_u64());
       },
-      [](Rng& rng) {
-        return make_message<proto::ShardMapAnnounce>(random_app(rng),
-                                                     random_shard_map(rng));
-      },
-      [](Rng& rng) {
-        return make_message<proto::ShardHandoffBegin>(
-            random_app(rng), rng.next_u64(),
-            static_cast<std::uint32_t>(rng.next_u64()), rng.next_u64(),
-            static_cast<std::uint32_t>(rng.next_u64()));
-      },
-      [](Rng& rng) {
-        return make_message<proto::ShardHandoffChunk>(
-            random_app(rng), rng.next_u64(),
-            static_cast<std::uint32_t>(rng.next_u64()), rng.next_u64(),
-            static_cast<std::uint32_t>(rng.next_u64()), random_snapshot(rng));
-      },
-      [](Rng& rng) {
-        return make_message<proto::ShardHandoffDone>(
-            random_app(rng), rng.next_u64(),
-            static_cast<std::uint32_t>(rng.next_u64()), rng.next_u64());
-      },
   };
 }
 
@@ -237,12 +193,17 @@ TEST(Codec, RegistryCoversEveryMessageType) {
   register_all();
   EXPECT_EQ(CodecRegistry::global().registered_count(),
             generators().size());
-  // Tags are the frozen contiguous block 1..21; 22-27 are retired and never
-  // reused (docs/WIRE_FORMAT.md).
+  // Live tags are the frozen contiguous block 1..17; 18-27 are retired and
+  // never reused (docs/WIRE_FORMAT.md).
   const std::vector<net::WireTag> tags = CodecRegistry::global().tags();
+  ASSERT_EQ(tags.size(), 17u);
   ASSERT_EQ(tags.size(), generators().size());
   for (std::size_t i = 0; i < tags.size(); ++i) {
     EXPECT_EQ(tags[i], static_cast<net::WireTag>(i + 1));
+  }
+  for (net::WireTag retired = 18; retired <= 27; ++retired) {
+    EXPECT_EQ(std::count(tags.begin(), tags.end(), retired), 0)
+        << "retired tag " << retired << " is registered again";
   }
 }
 
@@ -253,9 +214,7 @@ using RegisteredTypes =
                proto::RevokeNotifyAck, proto::UpdateMsg, proto::UpdateAck,
                proto::VersionQuery, proto::VersionReply, proto::SyncRequest,
                proto::SyncResponse, proto::SyncPush, proto::HeartbeatPing,
-               proto::HeartbeatPong, net::ReliableData, net::ReliableAck,
-               proto::ShardMapAnnounce, proto::ShardHandoffBegin,
-               proto::ShardHandoffChunk, proto::ShardHandoffDone>;
+               proto::HeartbeatPong, net::ReliableData, net::ReliableAck>;
 
 /// message_cast<T>(msg) for every T in `Types`: the cast result, in order.
 template <typename... Types>
@@ -545,39 +504,12 @@ TEST(CodecCorpus, EveryCheckedInFrameKeepsItsOutcome) {
   // The corpus shipped with 14 entries, grew to 19 with the reliability
   // envelope (tags 16/17), to 25 with the shard messages (tags 18-21), and
   // to 35 with the dissemination/delta-sync messages (tags 22-27); it only
-  // ever grows. Those frames (tags 22-27, since retired) stay as
-  // unknown_tag_22_* .. unknown_tag_27_* pins.
+  // ever grows. Those frames (tags 18-27, since retired) stay as
+  // unknown_tag_18_* .. unknown_tag_27_* pins.
   EXPECT_GE(seen, 35u);
 }
 
-// Wire-stability pin for the richest shard message: the checked-in tag 18
-// frame must decode to exactly this map and re-encode byte-identically.
-TEST(CodecCorpus, OkShardMapAnnouncePinsWireLayout) {
-  register_all();
-  const std::filesystem::path file =
-      std::filesystem::path(WAN_CODEC_CORPUS_DIR) / "ok_shard_map_announce.bin";
-  std::ifstream in(file, std::ios::binary);
-  ASSERT_TRUE(in) << file;
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const auto decoded =
-      CodecRegistry::global().decode(bytes.data(), bytes.size());
-  ASSERT_TRUE(decoded.ok()) << net::to_cstring(decoded.error);
-  EXPECT_EQ(decoded.frame->from, HostId(3));
-  EXPECT_EQ(decoded.frame->to, HostId(1));
-  const auto& announce =
-      static_cast<const proto::ShardMapAnnounce&>(*decoded.frame->msg);
-  EXPECT_EQ(announce.app, AppId(7));
-  const shard::ShardMap expected = shard::ShardMap::assigned(
-      {{HostId(0), HostId(1)}, {HostId(2), HostId(3)}}, {1, 0, 1}, 5);
-  EXPECT_EQ(announce.map, expected);
-  const auto again = CodecRegistry::global().encode(
-      decoded.frame->from, decoded.frame->to, *decoded.frame->msg);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, bytes);
-}
-
-// Same wire-stability pin for the reliability envelope: the checked-in tag 17
+// Wire-stability pin for the reliability envelope: the checked-in tag 17
 // ack frame must decode to these exact fields and re-encode byte-identically.
 TEST(CodecCorpus, OkReliableAckPinsWireLayout) {
   register_all();

@@ -41,7 +41,6 @@
 #include "runtime/env_options.hpp"
 #include "runtime/socket_base.hpp"
 #include "runtime/threaded_env.hpp"
-#include "shard/shard_map.hpp"
 #include "util/rng.hpp"
 
 namespace wan::runtime {
@@ -74,42 +73,27 @@ proto::ProtocolConfig conformance_config() {
   return config;
 }
 
-/// One whole deployment — managers (3 flat, 2 per group sharded), 2 app
-/// hosts, each on its own ThreadedEnv — over whichever fabric backend the
-/// kind names. The socket fabric self-wires every node id to the
-/// transport's bound port. `shard_groups` 0 = the flat reference deployment; 1 = the
-/// one-shard sharded vocabulary (single_group map installed everywhere, must
-/// behave bit-identically to flat); >= 2 = a real multi-shard partition.
+/// One whole deployment — 3 managers and 2 app hosts, each on its own
+/// ThreadedEnv — over whichever fabric backend the kind names. The socket
+/// fabric self-wires every node id to the transport's bound port.
 struct Deployment {
   std::unique_ptr<Fabric> fabric;
   SocketTransport* socket = nullptr;  ///< non-null for the reactor
   ns::NameService names;
   auth::KeyRegistry keys;
-  shard::ShardMap map;  ///< empty when flat
   std::vector<std::unique_ptr<ThreadedEnv>> envs;
   std::vector<std::unique_ptr<proto::ManagerHost>> managers;
   std::vector<std::unique_ptr<proto::AppHost>> hosts;
-  std::size_t host_env_base = 3;
+  /// Managers are ids and envs 0..2; the hosts' envs follow them.
+  static constexpr std::size_t kManagers = 3;
 
-  explicit Deployment(BackendKind kind, bool reliable = false,
-                      std::uint32_t shard_groups = 0) {
+  explicit Deployment(BackendKind kind, bool reliable = false) {
     proto::register_wire_messages();
-    const int n_managers =
-        shard_groups >= 2 ? static_cast<int>(2 * shard_groups) : 3;
     std::vector<HostId> manager_ids;
-    for (int i = 0; i < n_managers; ++i) {
+    for (std::size_t i = 0; i < kManagers; ++i) {
       manager_ids.push_back(HostId(static_cast<std::uint32_t>(i)));
     }
     const std::vector<HostId> host_ids{HostId(100), HostId(101)};
-    host_env_base = manager_ids.size();
-    if (shard_groups == 1) {
-      map = shard::ShardMap::single_group(manager_ids);
-    } else if (shard_groups >= 2) {
-      ShardTopologyOptions topo;
-      topo.groups = shard_groups;
-      topo.shards = 8;
-      map = make_shard_map(topo, manager_ids);
-    }
 
     EnvOptions opts;
     opts.backend = kind;
@@ -142,36 +126,19 @@ struct Deployment {
           manager_ids[i], *envs[i], clk::LocalClock::perfect(), config));
     }
     names.set_managers(kApp, manager_ids);
-    if (!map.empty()) names.set_shard_map(kApp, map);
     for (std::size_t i = 0; i < managers.size(); ++i) {
-      envs[i]->run_sync([&, i] {
-        // A sharded manager's Managers(A) is its own group; the flat and
-        // one-shard deployments use the whole set.
-        const auto g =
-            map.empty() ? std::nullopt : map.group_index_of(manager_ids[i]);
-        managers[i]->manager().manage_app(
-            kApp, g.has_value() ? map.group(*g) : manager_ids);
-        if (!map.empty()) managers[i]->manager().set_shard_map(kApp, map);
-      });
+      envs[i]->run_sync(
+          [&, i] { managers[i]->manager().manage_app(kApp, manager_ids); });
     }
     for (std::size_t i = 0; i < host_ids.size(); ++i) {
       hosts.push_back(std::make_unique<proto::AppHost>(
-          host_ids[i], *envs[host_env_base + i], clk::LocalClock::perfect(),
+          host_ids[i], *envs[kManagers + i], clk::LocalClock::perfect(),
           names, keys, config));
-      envs[host_env_base + i]->run_sync([&, i] {
+      envs[kManagers + i]->run_sync([&, i] {
         hosts[i]->controller().register_app(
             kApp, [](UserId, const std::string& p) { return p; });
       });
     }
-  }
-
-  /// Index of the manager an update for `user` must be submitted at: the
-  /// first member of the key's owner group (managers are id == index here).
-  /// Flat and one-shard deployments route everything to manager 0, matching
-  /// the reference scripts.
-  [[nodiscard]] int route(UserId user) const {
-    if (map.empty() || map.trivial()) return 0;
-    return static_cast<int>(map.group_for(kApp, user).front().value());
   }
 
   ~Deployment() {
@@ -188,7 +155,7 @@ struct Deployment {
     envs[static_cast<std::size_t>(i)]->run_sync(std::move(fn));
   }
   void on_host(int i, std::function<void()> fn) {
-    envs[host_env_base + static_cast<std::size_t>(i)]->run_sync(std::move(fn));
+    envs[kManagers + static_cast<std::size_t>(i)]->run_sync(std::move(fn));
   }
 };
 
@@ -324,13 +291,13 @@ std::vector<std::string> run_script_on(Deployment& d,
                       barrier_check(d, op.host, user));
         break;
       case Op::kGrant:
-        log.push_back(barrier_update(d, d.route(user), acl::Op::kAdd, user)
+        log.push_back(barrier_update(d, 0, acl::Op::kAdd, user)
                           ? "grant u" + std::to_string(op.user_idx)
                           : "grant-timeout u" + std::to_string(op.user_idx));
         break;
       case Op::kRevoke: {
         std::string entry = "revoke u" + std::to_string(op.user_idx);
-        if (!barrier_update(d, d.route(user), acl::Op::kRevoke, user)) {
+        if (!barrier_update(d, 0, acl::Op::kRevoke, user)) {
           entry += " (quorum-timeout)";
         } else if (!settle_revoked(d, user)) {
           entry += " (settle-timeout)";
@@ -361,7 +328,7 @@ void run_conformance_seeds(std::uint64_t first_seed, int count) {
   }
 }
 
-// 100 seeds, sharded four ways so `ctest -j` runs them concurrently.
+// 100 seeds, split four ways so `ctest -j` runs them concurrently.
 TEST(Conformance, SeedSweepShard0) { run_conformance_seeds(1, 25); }
 TEST(Conformance, SeedSweepShard1) { run_conformance_seeds(26, 25); }
 TEST(Conformance, SeedSweepShard2) { run_conformance_seeds(51, 25); }
@@ -393,78 +360,6 @@ TEST(Conformance, CanonicalScriptMatchesOnSocketBackends) {
       "deny/quorum-denied", "deny/quorum-denied",
   };
   EXPECT_EQ(log, expected);
-}
-
-// --------------------------------------------------- sharded deployments
-
-// A one-shard sharded deployment — the whole key space owned by one group,
-// expressed through ShardMap::single_group and installed on the name
-// service and every manager — must be bit-identical to the flat reference:
-// same model-predicted decision log, seed for seed, on both fabrics.
-TEST(Conformance, OneShardShardedMatchesFlatReference) {
-  for (const BackendKind kind : {BackendKind::kLoopback, BackendKind::kReactor}) {
-    SCOPED_TRACE(to_cstring(kind));
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      const SeedScript script = make_script(seed);
-      Deployment d(kind, /*reliable=*/false, /*shard_groups=*/1);
-      ASSERT_NE(d.fabric, nullptr);
-      ASSERT_TRUE(d.map.trivial());
-      EXPECT_EQ(run_script_on(d, script), script.expected)
-          << "seed " << seed << ": one-shard sharded diverged from reference";
-    }
-  }
-}
-
-// A real multi-shard partition (2 groups x 2 managers, 8 shards) runs the
-// same seeded scripts with updates routed to each key's owner group. The
-// reference model is shard-agnostic — quorum semantics are per group — so
-// the decision logs must still match it exactly.
-TEST(Conformance, MultiShardSeedSweepMatchesReference) {
-  for (const BackendKind kind : {BackendKind::kLoopback, BackendKind::kReactor}) {
-    SCOPED_TRACE(to_cstring(kind));
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      const SeedScript script = make_script(seed);
-      Deployment d(kind, /*reliable=*/false, /*shard_groups=*/2);
-      ASSERT_NE(d.fabric, nullptr);
-      ASSERT_FALSE(d.map.trivial());
-      EXPECT_EQ(run_script_on(d, script), script.expected)
-          << "seed " << seed << ": multi-shard diverged from reference";
-    }
-  }
-}
-
-// The canonical script on the multi-shard deployment, with the revoke
-// submitted at the OTHER member of the owner group: the final deny proves
-// update propagation within the group and owner-routed queries across
-// groups (mallory's check may land on a different group than alice's).
-TEST(Conformance, MultiShardCanonicalScriptMatchesReferenceDecisions) {
-  for (const BackendKind kind : {BackendKind::kLoopback, BackendKind::kReactor}) {
-    SCOPED_TRACE(to_cstring(kind));
-    Deployment d(kind, /*reliable=*/false, /*shard_groups=*/2);
-    ASSERT_NE(d.fabric, nullptr);
-    const UserId alice(7);
-    const UserId mallory(8);
-    const auto& owner_group = d.map.group_for(kApp, alice);
-    ASSERT_EQ(owner_group.size(), 2u);
-    const int grantor = static_cast<int>(owner_group[0].value());
-    const int revoker = static_cast<int>(owner_group[1].value());
-
-    std::vector<std::string> log;
-    log.push_back(barrier_check(d, 0, alice));
-    ASSERT_TRUE(barrier_update(d, grantor, acl::Op::kAdd, alice));
-    log.push_back(barrier_check(d, 1, alice));
-    log.push_back(barrier_check(d, 1, alice));
-    log.push_back(barrier_check(d, 0, mallory));
-    ASSERT_TRUE(barrier_update(d, revoker, acl::Op::kRevoke, alice));
-    ASSERT_TRUE(settle_revoked(d, alice));
-    log.push_back(barrier_check(d, 1, alice));
-
-    const std::vector<std::string> expected{
-        "deny/quorum-denied", "allow/quorum-granted", "allow/cache-hit",
-        "deny/quorum-denied", "deny/quorum-denied",
-    };
-    EXPECT_EQ(log, expected);
-  }
 }
 
 // ------------------------------------------------- adverse-network runs

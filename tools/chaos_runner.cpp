@@ -62,7 +62,6 @@ struct Options {
   std::string log_level;  // empty = logging off
   int byzantine = 0;      // liars per run (0 = adversary off)
   bool asymmetric = false;
-  bool sharded = false;
   std::string json_path;   // empty = no machine-readable summary
   std::string trace_path;  // --trace FILE: Chrome trace_event JSON (replay)
   std::string metrics_path;  // --metrics PATH: Prometheus dump on exit
@@ -167,10 +166,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
                   return true;
                 });
   cli.add_flag("--asymmetric", "inject one-way link cuts", &opt->asymmetric);
-  cli.add_flag("--sharded",
-               "singleton-group sharded deployments with one live\n"
-               "mid-run shard rebalance (incompatible with --byzantine)",
-               &opt->sharded);
   cli.add_string("--json", "PATH",
                  "write a machine-readable sweep summary to PATH",
                  &opt->json_path);
@@ -210,7 +205,6 @@ ChaosOptions to_chaos_options(const Options& opt, std::uint64_t seed) {
   c.plan.byzantine = opt.byzantine > 0;
   c.plan.byzantine_max = opt.byzantine > 0 ? opt.byzantine : 1;
   c.plan.asymmetric = opt.asymmetric;
-  c.plan.sharded = opt.sharded;
   return c;
 }
 
@@ -219,7 +213,6 @@ std::string repro_flags(const Options& opt) {
   std::string s;
   if (opt.byzantine > 0) s += " --byzantine " + std::to_string(opt.byzantine);
   if (opt.asymmetric) s += " --asymmetric";
-  if (opt.sharded) s += " --sharded";
   if (opt.horizon_minutes != 8)
     s += " --horizon-minutes " + std::to_string(opt.horizon_minutes);
   return s;
@@ -440,11 +433,11 @@ int run_sweep(const Options& opt) {
       static_cast<double>(wall) / 1000.0);
   std::printf(
       "  %llu decisions audited, %llu faults injected, %zu failing seed(s)"
-      "%s%s%s\n",
+      "%s%s\n",
       static_cast<unsigned long long>(state.decisions.load()),
       static_cast<unsigned long long>(state.faults.load()),
       state.failures.size(), opt.byzantine > 0 ? " [byzantine]" : "",
-      opt.asymmetric ? " [asymmetric]" : "", opt.sharded ? " [sharded]" : "");
+      opt.asymmetric ? " [asymmetric]" : "");
 
   // Per-kind violation tally across failing seeds (recorded violations only;
   // each run stores at most its oracle's max_violations).
@@ -486,7 +479,6 @@ int run_sweep(const Options& opt) {
     std::fprintf(f, "  \"byzantine\": %d,\n", opt.byzantine);
     std::fprintf(f, "  \"asymmetric\": %s,\n",
                  opt.asymmetric ? "true" : "false");
-    std::fprintf(f, "  \"sharded\": %s,\n", opt.sharded ? "true" : "false");
     std::fprintf(f, "  \"decisions\": %llu,\n",
                  static_cast<unsigned long long>(state.decisions.load()));
     std::fprintf(f, "  \"faults\": %llu,\n",
@@ -553,12 +545,5 @@ int run_sweep(const Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   if (!parse_args(argc, argv, &opt)) return 2;
-  if (opt.sharded && opt.byzantine > 0) {
-    // The liar model predates group-scoped quorums: a singleton group has
-    // C = 1 and no honest peers, so no slack can make it lie-tolerant.
-    std::fprintf(stderr,
-                 "chaos_runner: --sharded and --byzantine are incompatible\n");
-    return 2;
-  }
   return opt.replay ? run_replay(opt) : run_sweep(opt);
 }

@@ -99,7 +99,6 @@
 #include "proto/journal.hpp"
 #include "proto/user_agent.hpp"
 #include "proto/wire.hpp"
-#include "shard/shard_map.hpp"
 #include "util/rng.hpp"
 #include "runtime/env_options.hpp"
 #include "runtime/reactor_transport.hpp"
@@ -131,7 +130,6 @@ struct Options {
   bool resume = false;   ///< restarted node: skip the scripted one-shot duties
   int lifetime_ms = 0;   ///< override node lifetime (0 = derive from te_ms)
   std::uint64_t chaos_seed = 1;  ///< --proc-chaos kill/restart schedule
-  bool shards = false;   ///< sharded deployment: 4 managers in 2 groups
   std::string trace_dir;  ///< per-process span capture directory (empty = off)
 };
 
@@ -149,45 +147,10 @@ constexpr int kAgentPollStartMs = 1200;
 constexpr int kBlockAtMs = 3000;
 constexpr int kRevokeAtMs = 3200;
 
-// --shards variant: 4 managers in 2 groups ({0,1} owns everything at epoch 1;
-// the shard holding the user migrates to {2,3} mid-script) and a later revoke
-// so the flip — including a --proc-chaos kill during the handoff — completes
-// before the new owner must act on the migrated key.
-constexpr std::uint32_t kShardManagerIds[] = {0, 1, 2, 3};
-constexpr std::uint32_t kShardRevoker = 2;  ///< first member of the new owner
-constexpr int kShardHandoffAtMs = 2000;
-constexpr int kShardRevokeAtMs = 3600;
-
-std::vector<std::uint32_t> manager_raw_ids(bool shards) {
-  std::vector<std::uint32_t> ids;
-  if (shards) {
-    ids.assign(std::begin(kShardManagerIds), std::end(kShardManagerIds));
-  } else {
-    ids.assign(std::begin(kManagerIds), std::end(kManagerIds));
-  }
-  return ids;
-}
-
-/// The sharded deployment's map: two shards over groups {0,1} and {2,3}.
-/// Epoch 1 places everything on group 0; epoch 2 moves the shard holding the
-/// scripted user to group 1 — exactly one live slice migration. Every
-/// process derives both maps independently (no coordination channel), which
-/// is why placement is `assigned`, not ring-hashed.
-shard::ShardMap sharded_map(bool flipped) {
-  const std::vector<std::vector<HostId>> groups = {
-      {HostId(0), HostId(1)}, {HostId(2), HostId(3)}};
-  std::vector<std::uint32_t> owner = {0, 0};
-  shard::ShardMap initial =
-      shard::ShardMap::assigned(groups, owner, /*epoch=*/1);
-  if (!flipped) return initial;
-  owner[initial.shard_of(AppId{1}, UserId{7})] = 1;
-  return shard::ShardMap::assigned(groups, owner, /*epoch=*/2);
-}
-
 /// How long a node process serves before exiting cleanly: the script plus
 /// three Te periods for the cache to expire plus slack for slow CI machines.
 int node_lifetime_ms(const Options& opt) {
-  return (opt.shards ? kShardRevokeAtMs : kRevokeAtMs) + 3 * opt.te_ms + 2000;
+  return kRevokeAtMs + 3 * opt.te_ms + 2000;
 }
 
 /// A node's actual lifetime: the --lifetime-ms override (restarted chaos
@@ -603,26 +566,13 @@ int run_manager(const Options& opt, runtime::SocketTransport& transport) {
   const AppId app{1};
   const UserId alice{7};
   std::vector<HostId> manager_ids;
-  for (const std::uint32_t id : manager_raw_ids(opt.shards)) {
-    manager_ids.push_back(HostId(id));
-  }
+  for (const std::uint32_t id : kManagerIds) manager_ids.push_back(HostId(id));
   const proto::ProtocolConfig config = make_config(opt);
 
   runtime::ThreadedEnv env(transport);
   proto::ManagerHost mgr(HostId(opt.id), env, clk::LocalClock::perfect(),
                          config);
-  // Sharded: a manager's quorum set IS its group; the paper's C-of-M
-  // machinery runs per group, unchanged.
-  std::vector<HostId> quorum_set = manager_ids;
-  if (opt.shards) {
-    quorum_set = opt.id < 2
-                     ? std::vector<HostId>{HostId(0), HostId(1)}
-                     : std::vector<HostId>{HostId(2), HostId(3)};
-  }
-  env.run_sync([&] {
-    mgr.manager().manage_app(app, quorum_set);
-    if (opt.shards) mgr.manager().set_shard_map(app, sharded_map(false));
-  });
+  env.run_sync([&] { mgr.manager().manage_app(app, manager_ids); });
 
   // Durable state: open the journal, replay whatever survived a previous
   // incarnation, and — only when there WAS a previous incarnation — re-sync
@@ -674,44 +624,8 @@ int run_manager(const Options& opt, runtime::SocketTransport& transport) {
                                   });
     });
   }
-  if (opt.shards) {
-    // The live rebalance: every manager proposes the flipped map, old owners
-    // stream their migrating slices, and each commits once its own outbound
-    // handoffs drain (receivers drain vacuously and gate answering on the
-    // complete series instead). A restarted chaos victim re-enters here
-    // immediately — its re-streamed series is idempotent at the receivers —
-    // so a SIGKILL mid-handoff stalls the flip only until the restart.
-    if (!opt.resume) sleep_until_offset(t0, kShardHandoffAtMs);
-    const shard::ShardMap next = sharded_map(true);
-    env.run_sync([&] { mgr.manager().begin_shard_handoff(app, next); });
-    const auto drain_deadline = Clock::now() + std::chrono::seconds(10);
-    bool drained = false;
-    while (!drained && Clock::now() < drain_deadline) {
-      env.run_sync([&] { drained = mgr.manager().handoff_drained(app); });
-      if (!drained) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    }
-    if (drained) {
-      env.run_sync([&] { mgr.manager().commit_shard_map(app, next); });
-      if (opt.id == kShardRevoker) {
-        std::vector<HostId> host_ids;
-        for (const std::uint32_t id : kHostIds) host_ids.push_back(HostId(id));
-        env.run_sync([&] { mgr.manager().announce_shard_map(app, host_ids); });
-        std::printf("SHARD_FLIP_US %lld\n",
-                    static_cast<long long>(system_us()));
-        std::fflush(stdout);
-      }
-    } else {
-      std::printf("HANDOFF_STUCK\n");
-      std::fflush(stdout);
-    }
-  }
-
-  const std::uint32_t revoker = opt.shards ? kShardRevoker : kManagerIds[1];
-  const int revoke_at = opt.shards ? kShardRevokeAtMs : kRevokeAtMs;
-  if (!opt.resume && opt.id == revoker) {
-    sleep_until_offset(t0, revoke_at);
+  if (!opt.resume && opt.id == kManagerIds[1]) {
+    sleep_until_offset(t0, kRevokeAtMs);
     env.run_sync([&] {
       mgr.manager().submit_update(app, acl::Op::kRevoke, alice,
                                   acl::Right::kUse,
@@ -734,16 +648,11 @@ int run_manager(const Options& opt, runtime::SocketTransport& transport) {
 int run_host(const Options& opt, runtime::SocketTransport& transport) {
   const AppId app{1};
   std::vector<HostId> manager_ids;
-  for (const std::uint32_t id : manager_raw_ids(opt.shards)) {
-    manager_ids.push_back(HostId(id));
-  }
+  for (const std::uint32_t id : kManagerIds) manager_ids.push_back(HostId(id));
   const proto::ProtocolConfig config = make_config(opt);
 
   ns::NameService names;
   names.set_managers(app, manager_ids);
-  // Sharded: queries route to the owner group of the epoch-1 map; the flip
-  // to epoch 2 arrives over the wire (ShardMapAnnounce from the new owner).
-  if (opt.shards) names.set_shard_map(app, sharded_map(false));
   auth::KeyRegistry keys;
   keys.register_user(UserId(7), shared_keypair().public_key);
 
@@ -849,8 +758,7 @@ int run_agent(const Options& opt, runtime::SocketTransport& transport) {
         std::printf("  allow at +%.0f ms\n", ms_since(t0));
         std::fflush(stdout);
       }
-    } else if (ms_since(t0) >
-               (opt.shards ? kShardRevokeAtMs : kRevokeAtMs)) {
+    } else if (ms_since(t0) > kRevokeAtMs) {
       // Transient denies before the revoke (e.g. a query attempt racing the
       // very first grant) are retried; a deny after it is the revocation
       // taking effect at the cut host.
@@ -1101,9 +1009,7 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
   const std::string topo_path = std::string(dir) + "/topology.txt";
 
   std::vector<std::pair<std::string, std::uint32_t>> nodes;
-  for (const std::uint32_t id : manager_raw_ids(opt.shards)) {
-    nodes.emplace_back("manager", id);
-  }
+  for (const std::uint32_t id : kManagerIds) nodes.emplace_back("manager", id);
   for (const std::uint32_t id : kHostIds) nodes.emplace_back("host", id);
   nodes.emplace_back("agent", kAgentId);
 
@@ -1121,10 +1027,7 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
         "--topology", topo_path,
         "--te-ms",    std::to_string(opt.te_ms),
         "--listen",   "127.0.0.1:0"};
-    if (opt.shards) args.push_back("--shards");
-    // Sharded runs always arm the reliability layer: the map announce and
-    // the handoff series must survive whatever localhost UDP drops.
-    if (opt.reliable || opt.shards) args.push_back("--reliable");
+    if (opt.reliable) args.push_back("--reliable");
     if (opt.loss > 0.0) {
       args.push_back("--loss");
       args.push_back(std::to_string(opt.loss));
@@ -1197,9 +1100,8 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
       all_ok = false;
     }
   }
-  const std::uint32_t revoker = opt.shards ? kShardRevoker : kManagerIds[1];
   const std::optional<std::int64_t> quorum_us = scrape_stamp(
-      std::string(dir) + "/manager-" + std::to_string(revoker) + ".out",
+      std::string(dir) + "/manager-" + std::to_string(kManagerIds[1]) + ".out",
       "REVOKE_QUORUM_US");
   const std::optional<std::int64_t> last_allow_us = scrape_stamp(
       std::string(dir) + "/agent-" + std::to_string(kAgentId) + ".out",
@@ -1208,21 +1110,6 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
     std::fprintf(stderr,
                  "wan_node --udp-smoke: revoke never reached quorum\n");
     all_ok = false;
-  }
-  std::optional<std::int64_t> flip_us;
-  if (opt.shards) {
-    // The revoke above was submitted at the NEW owner group, so a quorum
-    // stamp already implies the flip; the explicit stamp pins where the
-    // handoff committed relative to it.
-    flip_us = scrape_stamp(
-        std::string(dir) + "/manager-" + std::to_string(kShardRevoker) +
-            ".out",
-        "SHARD_FLIP_US");
-    if (!flip_us) {
-      std::fprintf(stderr,
-                   "wan_node --udp-smoke: shard map never flipped\n");
-      all_ok = false;
-    }
   }
   if (!last_allow_us) {
     std::fprintf(stderr, "wan_node --udp-smoke: agent saw no allow/deny "
@@ -1242,14 +1129,9 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
       static_cast<double>(*last_allow_us - *quorum_us) / 1000.0;
   const bool held = over_ms <= static_cast<double>(opt.te_ms);
   std::printf(
-      "wan_node --udp-smoke: Te bound across %zu processes%s: last allow "
+      "wan_node --udp-smoke: Te bound across %zu processes: last allow "
       "%.1f ms after revoke quorum (bound %d ms) — %s\n",
-      children.size(), opt.shards ? " (sharded, live rebalance)" : "",
-      over_ms, opt.te_ms, held ? "HELD" : "VIOLATED");
-  if (flip_us && quorum_us) {
-    std::printf("  shard flip committed %.1f ms before the revoke\n",
-                static_cast<double>(*quorum_us - *flip_us) / 1000.0);
-  }
+      children.size(), over_ms, opt.te_ms, held ? "HELD" : "VIOLATED");
   if (!held) {
     std::fprintf(stderr, "wan_node --udp-smoke: FAILED (outputs kept in %s)\n",
                  dir);
@@ -1262,8 +1144,8 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
   }
   std::remove(topo_path.c_str());
   ::rmdir(dir);
-  std::printf("wan_node --udp-smoke: OK (%zu processes over localhost UDP%s)\n",
-              children.size(), opt.shards ? ", sharded" : "");
+  std::printf("wan_node --udp-smoke: OK (%zu processes over localhost UDP)\n",
+              children.size());
   return 0;
 }
 
@@ -1313,9 +1195,7 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
   const std::string topo_path = std::string(dir) + "/topology.txt";
 
   std::vector<std::pair<std::string, std::uint32_t>> nodes;
-  for (const std::uint32_t id : manager_raw_ids(opt.shards)) {
-    nodes.emplace_back("manager", id);
-  }
+  for (const std::uint32_t id : kManagerIds) nodes.emplace_back("manager", id);
   for (const std::uint32_t id : kHostIds) nodes.emplace_back("host", id);
   nodes.emplace_back("agent", kAgentId);
 
@@ -1323,17 +1203,8 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
   // revoke must still happen so the oracle has an instant to measure from —
   // and never the cut host (103), whose cache expiry IS the property under
   // test. Everything else is fair game mid-traffic.
-  //
-  // Sharded variant: ONE manager victim, SIGKILLed DURING the handoff —
-  // either an old-owner sender (0, its slice stream dies mid-series and must
-  // be re-streamed on restart) or a new-owner receiver (3, the senders
-  // retransmit into the outage until its restart acks). The grant anchor is
-  // ~1.5 s before the handoff begins, so grant+[1550,1900] ms lands inside
-  // the streaming window.
   Rng chaos(opt.chaos_seed);
-  const std::uint32_t victim_mgr =
-      opt.shards ? (chaos.next_bool(0.5) ? 0u : 3u)
-                 : (chaos.next_bool(0.5) ? 0u : 2u);
+  const std::uint32_t victim_mgr = chaos.next_bool(0.5) ? 0u : 2u;
   constexpr std::uint32_t kHostPool[] = {100, 101, 102};
   const std::uint32_t victim_host =
       kHostPool[chaos.next_below(std::size(kHostPool))];
@@ -1341,11 +1212,9 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
   // the revocation, so the crash overlaps the revocation storm. Restart a
   // few hundred ms later, well within the outage the retry budgets absorb.
   const int kill_mgr_after_grant_ms =
-      opt.shards ? 1550 + static_cast<int>(chaos.next_below(350))
-                 : 1600 + static_cast<int>(chaos.next_below(1000));
+      1600 + static_cast<int>(chaos.next_below(1000));
   const int restart_mgr_delay_ms =
-      opt.shards ? 300 + static_cast<int>(chaos.next_below(300))
-                 : 300 + static_cast<int>(chaos.next_below(500));
+      300 + static_cast<int>(chaos.next_below(500));
   const int kill_host_after_grant_ms = 1600 + static_cast<int>(chaos.next_below(1000));
   const int restart_host_delay_ms = 300 + static_cast<int>(chaos.next_below(500));
 
@@ -1358,7 +1227,6 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
         "--te-ms",    std::to_string(opt.te_ms),
         "--listen",   listen,
         "--reliable"};
-    if (opt.shards) args.push_back("--shards");
     if (role == "manager") {
       args.push_back("--state-dir");
       args.push_back(std::string(dir) + "/state-" + std::to_string(id));
@@ -1384,21 +1252,13 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
     }
     children.push_back(std::move(child));
   }
-  if (opt.shards) {
-    std::printf(
-        "wan_node --proc-chaos: seed %llu (sharded) — will kill manager-%u "
-        "during the shard handoff (+%d ms after grant, back %d ms later)\n",
-        static_cast<unsigned long long>(opt.chaos_seed), victim_mgr,
-        kill_mgr_after_grant_ms, restart_mgr_delay_ms);
-  } else {
-    std::printf(
-        "wan_node --proc-chaos: seed %llu — will kill manager-%u (+%d ms "
-        "after grant, back %d ms later) and host-%u (+%d ms, back %d ms "
-        "later)\n",
-        static_cast<unsigned long long>(opt.chaos_seed), victim_mgr,
-        kill_mgr_after_grant_ms, restart_mgr_delay_ms, victim_host,
-        kill_host_after_grant_ms, restart_host_delay_ms);
-  }
+  std::printf(
+      "wan_node --proc-chaos: seed %llu — will kill manager-%u (+%d ms "
+      "after grant, back %d ms later) and host-%u (+%d ms, back %d ms "
+      "later)\n",
+      static_cast<unsigned long long>(opt.chaos_seed), victim_mgr,
+      kill_mgr_after_grant_ms, restart_mgr_delay_ms, victim_host,
+      kill_host_after_grant_ms, restart_host_delay_ms);
 
   std::vector<std::int64_t> ports;
   if (!publish_topology("--proc-chaos", children, nodes, topo_path, &ports)) {
@@ -1443,18 +1303,12 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
       {grant_at + std::chrono::milliseconds(kill_mgr_after_grant_ms +
                                             restart_mgr_delay_ms),
        true, index_of(victim_mgr)},
+      {grant_at + std::chrono::milliseconds(kill_host_after_grant_ms), false,
+       index_of(victim_host)},
+      {grant_at + std::chrono::milliseconds(kill_host_after_grant_ms +
+                                            restart_host_delay_ms),
+       true, index_of(victim_host)},
   };
-  if (!opt.shards) {
-    // The sharded variant concentrates its adversity on the handoff: one
-    // manager dies mid-migration. The flat schedule also crashes a host.
-    events.push_back(
-        {grant_at + std::chrono::milliseconds(kill_host_after_grant_ms),
-         false, index_of(victim_host)});
-    events.push_back(
-        {grant_at + std::chrono::milliseconds(kill_host_after_grant_ms +
-                                              restart_host_delay_ms),
-         true, index_of(victim_host)});
-  }
   std::sort(events.begin(), events.end(),
             [](const ChaosEvent& a, const ChaosEvent& b) { return a.at < b.at; });
 
@@ -1556,19 +1410,13 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
 
   // The recovery oracle: the restarted manager must have replayed durable
   // state and completed a resync. (The restarted host is stateless — its
-  // check is simply the clean exit above.) Sharded exception: the replay
-  // COUNT is timing-dependent — a killed receiver (manager 3) owned nothing
-  // at epoch 1, and a killed sender (manager 0) may have already streamed
-  // its slice away and compacted before the SIGKILL landed — so a zero-
-  // record journal is legitimate. We still require the replay line itself
-  // (the recovery path ran); the real sharded oracle is the flip + revoke
-  // quorum below.
+  // check is simply the clean exit above.)
   const std::string mgr_restart_out = std::string(dir) + "/manager-" +
                                       std::to_string(victim_mgr) +
                                       ".restart.out";
   const std::optional<std::int64_t> replayed =
       scrape_stamp(mgr_restart_out, "JOURNAL_REPLAYED");
-  if (!replayed || (!opt.shards && *replayed < 1)) {
+  if (!replayed || *replayed < 1) {
     std::fprintf(stderr,
                  "wan_node --proc-chaos: FAILED — restarted manager-%u "
                  "replayed no journal records\n",
@@ -1592,27 +1440,11 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
                  victim_mgr);
     all_ok = false;
   }
-  if (opt.shards) {
-    // The flip must complete DESPITE the mid-handoff kill: the new owner
-    // only commits the migrated slice once it holds the complete series from
-    // every old-group member, one of which may have died and re-streamed.
-    if (!scrape_stamp(std::string(dir) + "/manager-" +
-                          std::to_string(kShardRevoker) + ".out",
-                      "SHARD_FLIP_US")) {
-      std::fprintf(stderr,
-                   "wan_node --proc-chaos: FAILED — shard map never flipped "
-                   "across the kill\n");
-      all_ok = false;
-    }
-  }
-
   // The Te oracle, identical to the smoke: crashes may delay convergence but
   // must never extend the window in which a revoked right is honoured.
-  const std::uint32_t revoker = opt.shards ? kShardRevoker : kManagerIds[1];
-  const std::optional<std::int64_t> quorum_us =
-      scrape_stamp(std::string(dir) + "/manager-" + std::to_string(revoker) +
-                       ".out",
-                   "REVOKE_QUORUM_US");
+  const std::optional<std::int64_t> quorum_us = scrape_stamp(
+      std::string(dir) + "/manager-" + std::to_string(kManagerIds[1]) + ".out",
+      "REVOKE_QUORUM_US");
   const std::optional<std::int64_t> last_allow_us = scrape_stamp(
       std::string(dir) + "/agent-" + std::to_string(kAgentId) + ".out",
       "LAST_ALLOW_US");
@@ -1631,11 +1463,10 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
         static_cast<double>(*last_allow_us - *quorum_us) / 1000.0;
     const bool held = over_ms <= static_cast<double>(opt.te_ms);
     std::printf(
-        "wan_node --proc-chaos: Te bound across crashes%s: last allow %.1f "
+        "wan_node --proc-chaos: Te bound across crashes: last allow %.1f "
         "ms after revoke quorum (bound %d ms) — %s; manager-%u replayed "
         "%lld records\n",
-        opt.shards ? " (sharded, kill during handoff)" : "", over_ms,
-        opt.te_ms, held ? "HELD" : "VIOLATED", victim_mgr,
+        over_ms, opt.te_ms, held ? "HELD" : "VIOLATED", victim_mgr,
         static_cast<long long>(replayed.value_or(0)));
     all_ok = held;
   }
@@ -1653,7 +1484,7 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
   for (const ChildProc& child : children) {
     std::remove(child.out_path.c_str());
   }
-  for (const std::uint32_t id : manager_raw_ids(opt.shards)) {
+  for (const std::uint32_t id : kManagerIds) {
     const std::string state = std::string(dir) + "/state-" + std::to_string(id);
     std::remove((state + "/app-1.snap").c_str());
     std::remove((state + "/app-1.log").c_str());
@@ -1661,9 +1492,8 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
   }
   std::remove(topo_path.c_str());
   ::rmdir(dir);
-  std::printf("wan_node --proc-chaos: OK (seed %llu%s)\n",
-              static_cast<unsigned long long>(opt.chaos_seed),
-              opt.shards ? ", sharded" : "");
+  std::printf("wan_node --proc-chaos: OK (seed %llu)\n",
+              static_cast<unsigned long long>(opt.chaos_seed));
   return 0;
 }
 
@@ -1760,12 +1590,6 @@ int main(int argc, char** argv) {
                 [&](const std::string& v) {
                   return wan::cli::parse_u64(v, &opt.chaos_seed);
                 });
-  cli.add_flag("--shards",
-               "sharded deployment: 4 managers in 2 shard groups; the shard\n"
-               "holding the scripted user migrates live mid-script and the\n"
-               "revoke lands at the NEW owner group (--udp-smoke runs the\n"
-               "migration; --proc-chaos SIGKILLs a manager during it)",
-               &opt.shards);
   cli.add_value("--delay-us", "N",
                 "loopback one-way delay in us (--realtime only, default 1000)",
                 [&](const std::string& v) {
