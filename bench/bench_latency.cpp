@@ -1,6 +1,6 @@
 // Reproduces the §4.1 delay claims:
 //   * cache hit:   "very small" (zero network round trips)
-//   * cache miss:  O(C) — the C-th fastest manager round trip
+//   * cache miss:  O(C) — the slowest round trip of the C managers queried
 //   * unreachable: O(R) — R attempts x query timeout
 // Measured on the exponential-tail WAN latency model and compared to the
 // closed-form order-statistic expectation.
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     for (const int c : {1, 2, 3, 4, 5}) {
       const double measured = wan::measure_miss(5, c);
       const double model = wan::analysis::expected_check_delay_seconds(
-          5, c, wan::kBaseS, wan::kTailS);
+          c, c, wan::kBaseS, wan::kTailS);
       json.record("miss,C=" + std::to_string(c),
                   {{"c", c}, {"measured_s", measured}, {"model_s", model}});
       t.add_row({std::to_string(c), Table::fmt(measured, 4),

@@ -7,8 +7,8 @@
 // every (host, user) pair re-validates once per expiry period):
 //   1. Te sweep at fixed C — measured control-message rate vs the 2C/te model
 //   2. C sweep at fixed Te — ditto
-// The exact-quorum fanout is used so the model constant is literally 2C
-// (C queries + C responses per re-validation).
+// A healthy re-validation queries exactly C managers, so the model constant
+// is literally 2C (C queries + C responses).
 #include <cstdio>
 
 #include "analysis/overhead_model.hpp"
@@ -36,7 +36,6 @@ Measured run(Duration te_target, int check_quorum, std::uint64_t seed) {
   cfg.constant_latency = true;
   cfg.const_latency = Duration::millis(20);
   cfg.protocol.check_quorum = check_quorum;
-  cfg.protocol.fanout = proto::QueryFanout::kExactQuorum;
   cfg.protocol.Te = te_target;
   cfg.protocol.clock_bound_b = 1.0;
   cfg.protocol.cache_idle_limit = Duration::hours(10);  // no idle eviction

@@ -9,11 +9,18 @@
 //       PS(sim): snapshot probe "can an issuer reach >= M-C peers?"
 //   PA (proto)        — fraction of protocol-level fresh checks (R = 1) that
 //                       assembled a check quorum
+//   PA 99% CI         — the central 99% interval of Binomial(n, PA(model))/n
+//                       over the n fresh checks: PA (proto) must fall inside
+//   q/check           — QueryRequests sent per fresh check (C when healthy;
+//                       a hedge adds the remaining managers)
 //   PS (proto)        — fraction of real updates reaching their update quorum
 //                       within a short deadline
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "analysis/availability.hpp"
+#include "analysis/binomial.hpp"
 #include "sim/timer.hpp"
 #include "bench_common.hpp"
 #include "bench_main.hpp"
@@ -43,7 +50,25 @@ constexpr PaperRow kPaper02[10] = {
 
 struct SimResult {
   double pa_probe, ps_probe, pa_proto, ps_proto;
+  std::uint64_t fresh_checks;
+  double queries_per_check;
 };
+
+/// The central 99% interval of Binomial(n, p), as fractions of n.
+std::pair<double, double> binomial_interval99(std::uint64_t n, double p) {
+  if (n == 0) return {0.0, 1.0};
+  const int trials = static_cast<int>(n);
+  double cdf = 0.0;
+  int lo = -1;
+  for (int k = 0; k <= trials; ++k) {
+    cdf += analysis::binomial_pmf(trials, k, p);
+    if (lo < 0 && cdf >= 0.005) lo = k;
+    if (cdf >= 0.995) {
+      return {static_cast<double>(lo) / trials, static_cast<double>(k) / trials};
+    }
+  }
+  return {static_cast<double>(lo < 0 ? trials : lo) / trials, 1.0};
+}
 
 SimResult simulate(int check_quorum, double pi, std::uint64_t seed) {
   workload::ScenarioConfig cfg;
@@ -73,6 +98,7 @@ SimResult simulate(int check_quorum, double pi, std::uint64_t seed) {
   s.run_for(Duration::seconds(10));
   bench::FreshCheckAvailability fresh;
   bench::attach_fresh_check_counter(s, fresh);
+  s.network().reset_stats();
   sim::PeriodicTimer probe_timer(s.scheduler());
   int probe_user = 1;  // user 0 is the update-meter target below
   probe_timer.start(Duration::seconds(35), [&] {  // > te: always a fresh check
@@ -92,32 +118,52 @@ SimResult simulate(int check_quorum, double pi, std::uint64_t seed) {
   });
 
   s.run_for(horizon(Duration::hours(6), Duration::hours(1)));
+  const auto by_type = s.network().stats().sent_by_type();
+  const auto queries = by_type.count("QueryRequest") != 0
+                           ? by_type.at("QueryRequest")
+                           : std::uint64_t{0};
+  const std::uint64_t checks = fresh.quorum_ok + fresh.quorum_failed;
   return SimResult{probe.result().pa(), probe.result().ps(), fresh.pa(),
-                   meter.ps()};
+                   meter.ps(), checks,
+                   checks == 0 ? 0.0
+                               : static_cast<double>(queries) /
+                                     static_cast<double>(checks)};
 }
 
 void run_pi(double pi, const PaperRow* paper, bench::JsonEmitter& json) {
   Table t;
   t.set_header({"C", "PA(paper)", "PA(model)", "PA(sim)", "PA(proto)",
-                "PS(paper)", "PS(model)", "PS(sim)", "PS(proto)"});
+                "PA 99% CI", "q/check", "PS(paper)", "PS(model)", "PS(sim)",
+                "PS(proto)"});
   for (int c = 1; c <= 10; ++c) {
     const SimResult sim =
         simulate(c, pi, static_cast<std::uint64_t>(c) * 1000 +
                             static_cast<std::uint64_t>(pi * 10));
+    const double pa_model = analysis::availability_pa(10, c, pi);
+    const auto [ci_lo, ci_hi] = binomial_interval99(sim.fresh_checks, pa_model);
+    const bool inside = sim.pa_proto >= ci_lo && sim.pa_proto <= ci_hi;
     json.record("Pi=" + std::to_string(pi) + ",C=" + std::to_string(c),
                 {{"pi", pi},
                  {"c", c},
                  {"pa_paper", paper[c - 1].pa},
-                 {"pa_model", analysis::availability_pa(10, c, pi)},
+                 {"pa_model", pa_model},
                  {"pa_sim", sim.pa_probe},
                  {"pa_proto", sim.pa_proto},
+                 {"pa_proto_checks", static_cast<double>(sim.fresh_checks)},
+                 {"pa_ci99_lo", ci_lo},
+                 {"pa_ci99_hi", ci_hi},
+                 {"pa_proto_in_ci99", inside ? 1.0 : 0.0},
+                 {"queries_per_check", sim.queries_per_check},
                  {"ps_paper", paper[c - 1].ps},
                  {"ps_model", analysis::security_ps(10, c, pi)},
                  {"ps_sim", sim.ps_probe},
                  {"ps_proto", sim.ps_proto}});
     t.add_row({Table::fmt(static_cast<std::int64_t>(c)),
-               Table::fmt(paper[c - 1].pa), Table::fmt(analysis::availability_pa(10, c, pi)),
+               Table::fmt(paper[c - 1].pa), Table::fmt(pa_model),
                Table::fmt(sim.pa_probe), Table::fmt(sim.pa_proto),
+               Table::fmt(ci_lo) + "-" + Table::fmt(ci_hi) +
+                   (inside ? "" : " OUT"),
+               Table::fmt(sim.queries_per_check, 2),
                Table::fmt(paper[c - 1].ps), Table::fmt(analysis::security_ps(10, c, pi)),
                Table::fmt(sim.ps_probe), Table::fmt(sim.ps_proto)});
   }

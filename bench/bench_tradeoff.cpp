@@ -42,7 +42,7 @@ constexpr int kHosts = 3;
 constexpr int kUsers = 8;
 const Duration kTe = Duration::seconds(60);
 
-enum class ProtoVariant { kDeny, kAllow, kFreeze, kExactFanout };
+enum class ProtoVariant { kDeny, kAllow, kFreeze };
 
 RunResult run_protocol(ProtoVariant variant, double pi, std::uint64_t seed) {
   workload::ScenarioConfig cfg;
@@ -58,14 +58,6 @@ RunResult run_protocol(ProtoVariant variant, double pi, std::uint64_t seed) {
   cfg.protocol.query_timeout = Duration::seconds(1);
   if (variant == ProtoVariant::kAllow) {
     cfg.protocol.exhausted_policy = proto::ExhaustedPolicy::kAllow;
-  }
-  if (variant == ProtoVariant::kExactFanout) {
-    // Design-choice ablation: query exactly C managers per attempt instead
-    // of all M. Cheaper in messages (the literal O(C) claim) but an attempt
-    // fails if ANY of the C is unreachable — availability drops from
-    // P[>=C of M reachable] toward P[all of C reachable] (mitigated by the
-    // rotating retry across attempts).
-    cfg.protocol.fanout = proto::QueryFanout::kExactQuorum;
   }
   if (variant == ProtoVariant::kFreeze) {
     cfg.protocol.freeze_enabled = true;
@@ -221,7 +213,6 @@ void emit(double pi, bench::JsonEmitter& json) {
   };
   row("quorum C=3 (deny)", run_protocol(ProtoVariant::kDeny, pi, 11));
   row("quorum C=3 (allow after R)", run_protocol(ProtoVariant::kAllow, pi, 12));
-  row("quorum C=3 (exact fanout)", run_protocol(ProtoVariant::kExactFanout, pi, 17));
   row("freeze Ti=20s", run_protocol(ProtoVariant::kFreeze, pi, 13));
   row("full-replication", run_baseline(baseline::Kind::kFullReplication, pi, 14));
   row("local-only", run_baseline(baseline::Kind::kLocalOnly, pi, 15));

@@ -12,15 +12,15 @@ double harmonic(int k) {
 }
 }  // namespace
 
-double expected_check_delay_seconds(int reachable, int check_quorum,
+double expected_check_delay_seconds(int queried, int check_quorum,
                                     double base_seconds,
                                     double tail_mean_seconds) {
   WAN_REQUIRE(check_quorum >= 1);
-  if (reachable < check_quorum) return -1.0;  // no quorum: see O(R) path
-  // C-th order statistic of `reachable` i.i.d. Exp(tail) variables, plus the
+  if (queried < check_quorum) return -1.0;  // no quorum: see O(R) path
+  // C-th order statistic of `queried` i.i.d. Exp(tail) variables, plus the
   // deterministic base both ways.
   const double tail =
-      tail_mean_seconds * (harmonic(reachable) - harmonic(reachable - check_quorum));
+      tail_mean_seconds * (harmonic(queried) - harmonic(queried - check_quorum));
   return 2.0 * base_seconds + tail;
 }
 

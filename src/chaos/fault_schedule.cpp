@@ -81,8 +81,9 @@ ChaosPlan make_plan(std::uint64_t seed, sim::Duration horizon,
   p.max_attempts = static_cast<int>(knobs.next_in_range(2, 3));
   p.exhausted_policy = knobs.next_bool(0.2) ? proto::ExhaustedPolicy::kAllow
                                             : proto::ExhaustedPolicy::kDeny;
-  p.fanout = knobs.next_bool(0.2) ? proto::QueryFanout::kExactQuorum
-                                  : proto::QueryFanout::kAll;
+  // Spent draw: it once picked a query strategy. Drawing it still keeps every
+  // seed's other plan parameters as they were.
+  knobs.next_bool(0.2);
   if (knobs.next_bool(0.15)) {
     // Freeze strategy (§3.3): C is pinned to 1 — the whole point of the
     // heartbeat is that any single manager's answer is safe to cache.

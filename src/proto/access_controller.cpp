@@ -16,6 +16,12 @@ namespace {
 /// own earlier replies. Doubles per repeat offense, capped at 32x.
 constexpr sim::Duration kQuarantineBackoff = sim::Duration::seconds(30);
 
+/// The shortest hedge delay. On a loopback a round trip is tens of
+/// microseconds, and one receive batch of the host's own loop can outlast
+/// twice that: below this floor the spread a hedge would react to is the
+/// host's scheduling, not the managers'.
+constexpr sim::Duration kMinHedgeDelay = sim::Duration::millis(1);
+
 // Metric handles resolve once (function-local static) and then cost one
 // relaxed atomic add per event.
 obs::Counter& decision_counter(DecisionPath p) {
@@ -371,7 +377,6 @@ void AccessController::start_session(AppId app, UserId user, Waiter waiter,
   s.started = requested;
   s.query_id = 0;
   s.attempts = 0;
-  s.rotate = 0;
   s.managers.assign(managers->begin(), managers->end());
   s.responders.set_needed(needed);  // begin_attempt clears the votes
   s.any_reply = false;
@@ -396,49 +401,63 @@ void AccessController::begin_attempt(CheckSession& s) {
   s.best_rights = acl::RightSet{};
   s.best_version = acl::Version{};
   s.best_expiry = sim::Duration{};
+  s.scanned = 0;
+  s.hedged = false;
 
+  // First wave: a quorum's worth of managers. The session's one timer fires
+  // first at the hedge deadline if any manager is left to widen to.
+  send_queries(s, static_cast<std::size_t>(s.responders.needed()));
+  if (s.scanned == s.managers.size()) {
+    s.timer.arm(config_.query_timeout, [this, &s] { on_attempt_timeout(s); });
+    return;
+  }
+  const sim::Duration cap = config_.query_timeout / 2;
+  s.timer.arm(srtt_ ? std::min(std::max(2 * *srtt_, kMinHedgeDelay), cap) : cap,
+              [this, &s] { on_hedge(s); });
+}
+
+void AccessController::send_queries(CheckSession& s, std::size_t limit) {
+  // The window moves on by a quorum per retry, so repeated failures try
+  // "different managers" (Fig. 2's loop).
+  const std::size_t m = s.managers.size();
+  const auto needed = static_cast<std::size_t>(s.responders.needed());
+  const std::size_t start =
+      (first_wave_start(m) + static_cast<std::size_t>(s.attempts) * needed) % m;
   // Quarantined managers are not queried: their replies would be ignored
   // anyway, and skipping them gives honest managers the attempt's airtime.
   // If every manager is benched the attempt sends nothing and times out into
   // the exhausted policy — an unverifiable access, which is the safe reading.
   const clk::LocalTime bench_now = local_now();
-  const auto usable = [&](HostId m) {
-    if (!quarantined(m, bench_now)) return true;
-    ++hardening_.queries_suppressed;
-    return false;
-  };
-
   const auto msg =
       net::make_message<QueryRequest>(s.app, s.user, s.query_id, s.trace);
   static obs::Counter& queries_sent =
       obs::Registry::global().counter("wan_queries_sent_total");
-  const auto send_query = [&](HostId target) {
+  for (std::size_t sent = 0; s.scanned < m && sent < limit; ++s.scanned) {
+    const std::size_t at = start + s.scanned;  // < 2m
+    const HostId target = s.managers[at < m ? at : at - m];
+    if (quarantined(target, bench_now)) {
+      ++hardening_.queries_suppressed;
+      continue;
+    }
     obs::record(s.trace, obs::SpanKind::kSend, self_, env_.now(), "query.send",
                 target.value(), s.attempts);
     queries_sent.inc();
     net_.send(self_, target, msg);
-  };
-  if (config_.fanout == QueryFanout::kAll) {
-    for (const HostId m : s.managers) {
-      if (usable(m)) send_query(m);
-    }
-  } else {
-    // Exactly C managers, rotating the window between attempts so that
-    // repeated failures try "different managers" (Fig. 2's loop).
-    const std::size_t m = s.managers.size();
-    const auto c = static_cast<std::size_t>(s.responders.needed());
-    std::size_t sent = 0;
-    for (std::size_t i = 0; i < m && sent < c; ++i) {
-      const HostId target = s.managers[(s.rotate + i) % m];
-      if (usable(target)) {
-        send_query(target);
-        ++sent;
-      }
-    }
-    s.rotate = (s.rotate + c) % m;
+    ++sent;
   }
+}
 
-  s.timer.arm(config_.query_timeout, [this, &s] { on_attempt_timeout(s); });
+void AccessController::on_hedge(CheckSession& s) {
+  s.hedged = true;
+  obs::record(s.trace, obs::SpanKind::kTimer, self_, env_.now(), "check.hedge",
+              s.attempts);
+  static obs::Counter& hedges =
+      obs::Registry::global().counter("wan_query_hedges_total");
+  hedges.inc();
+  send_queries(s, s.managers.size());
+  s.timer.arm(std::max(sim::Duration{},
+                       s.attempt_sent + config_.query_timeout - env_.now()),
+              [this, &s] { on_attempt_timeout(s); });
 }
 
 void AccessController::handle_query_response(HostId from,
@@ -513,15 +532,17 @@ void AccessController::handle_query_response(HostId from,
 
   // Check quorum assembled; freshest response decides. The update quorum
   // (M - C + 1) guarantees at least one responder saw any completed update.
+  // Fig. 3's delta: the host measures the whole attempt round trip on its
+  // own clock. It also sets the hedge delay, sampled only from attempts that
+  // did not hedge (Karn's rule: a hedged attempt's round trip mixes waves).
+  const clk::LocalTime now_local = local_now();
+  const sim::Duration delta = now_local - clock_.skew().now(s.attempt_sent);
+  if (!s.hedged) srtt_ = srtt_ ? *srtt_ + (delta - *srtt_) / 8 : delta;
   if (s.best_rights.has(acl::Right::kUse)) {
-    // Cache with the transmission delay subtracted (Fig. 3's delta). The
-    // host measures delta on its own clock over the whole attempt RTT —
-    // an upper bound on the response's age, which only shortens the entry.
+    // Cache with delta subtracted: an upper bound on the response's age,
+    // which only shortens the entry.
     AppState* state = app_state(s.app);
     WAN_ASSERT(state != nullptr);
-    const clk::LocalTime now_local = local_now();
-    const clk::LocalTime sent_local = clock_.skew().now(s.attempt_sent);
-    const sim::Duration delta = now_local - sent_local;
     const sim::Duration remaining = s.best_expiry - delta;
     if (remaining > sim::Duration{}) {
       state->cache.insert(s.user, s.best_rights, now_local + remaining,
@@ -711,6 +732,7 @@ void AccessController::crash() {
   // the stats ledger survives, like any metrics counter would.
   profiles_.clear();
   deny_floor_.clear();
+  srtt_.reset();
   authenticator_.reset();
   resolver_.clear();
   sweep_timer_.stop();

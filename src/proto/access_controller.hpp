@@ -10,6 +10,15 @@
 // decides (freshest-version response wins) or retries with the next attempt
 // until R attempts are exhausted.
 //
+// An attempt first asks a quorum's worth of managers (C, or C + f under
+// Byzantine slack): the paper's "communication with at least C managers"
+// (§4.1). Each host starts that window at its own offset into the manager
+// list, and each retry moves it on by a quorum, as Fig. 2's loop tries
+// "different managers". If the quorum has not answered by the hedge delay
+// (twice the smoothed attempt round trip, at least 1 ms and at most half the
+// query timeout), the attempt widens to every other usable manager, so one attempt still
+// reaches any C reachable managers: the premise of the paper's PA(C).
+//
 // Concurrent invocations by the same (app, user) coalesce onto one session —
 // an optimization the paper does not discuss but any implementation needs to
 // avoid query storms; it is behaviour-preserving because all coalesced
@@ -109,6 +118,12 @@ class AccessController {
   /// quarantine (test/diag hook).
   [[nodiscard]] bool manager_quarantined(HostId manager) const;
 
+  /// Where this host's first query wave starts in a manager list of `m`
+  /// entries: its own id mod m, so hosts spread their checks over the set.
+  [[nodiscard]] std::size_t first_wave_start(std::size_t m) const noexcept {
+    return self_.value() % m;
+  }
+
   /// Local clock reading (the paper's Time()).
   [[nodiscard]] clk::LocalTime local_now() const {
     return clock_.local_now();
@@ -145,7 +160,8 @@ class AccessController {
     sim::TimePoint attempt_sent{};
     std::uint64_t query_id = 0;
     int attempts = 0;
-    std::size_t rotate = 0;  ///< rotates the manager subset between attempts
+    std::size_t scanned = 0;  ///< positions of this attempt's window tried
+    bool hedged = false;      ///< this attempt widened past its first wave
     std::vector<HostId> managers;
     quorum::QuorumTracker responders;
     acl::RightSet best_rights;
@@ -191,6 +207,10 @@ class AccessController {
   void start_session(AppId app, UserId user, Waiter waiter,
                      obs::TraceId parent, sim::TimePoint requested);
   void begin_attempt(CheckSession& s);
+  /// Queries up to `limit` more usable managers of this attempt's window.
+  void send_queries(CheckSession& s, std::size_t limit);
+  /// The hedge timer: widens the attempt to the rest of the managers.
+  void on_hedge(CheckSession& s);
   void on_attempt_timeout(CheckSession& s);
   void finish_session(CheckSession& s, bool allowed, DecisionPath path,
                       DenyReason reason);
@@ -219,7 +239,7 @@ class AccessController {
   //    per user; a rights flip at the same version is self-inconsistent —
   //    only a liar does that (honest reorderings and crash recoveries can
   //    regress versions, but never flip the bit a version carries) — and
-  //    benches the manager for a backoff window (skipped in fanout, replies
+  //    benches the manager for a backoff window (never queried, replies
   //    ignored).
   //  * equal-version contradictions BETWEEN managers can't identify the liar,
   //    so the session takes the deny side and flags the decision.
@@ -262,6 +282,9 @@ class AccessController {
   std::unordered_map<std::uint64_t, acl::Version> deny_floor_;  ///< by user key
 
   HardeningStats hardening_;
+  /// Smoothed round trip (EWMA, gain 1/8) of attempts that reached their
+  /// quorum without hedging; unset until the first such attempt.
+  std::optional<sim::Duration> srtt_;
   std::uint64_t next_query_id_ = 1;
   // Minted unconditionally (a plain increment) so the ids riding in messages
   // do not depend on whether a tracer happens to be installed — traced and

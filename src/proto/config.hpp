@@ -14,18 +14,6 @@
 
 namespace wan::proto {
 
-/// Which managers a host contacts per check attempt.
-enum class QueryFanout : std::uint8_t {
-  /// Query all M managers, succeed on the first C distinct responses. This is
-  /// the regime the paper's availability analysis assumes (PA(C) = P[at least
-  /// C of M accessible]) and the default.
-  kAll,
-  /// Query exactly C managers per attempt (rotating the subset between
-  /// attempts); cheaper in messages — the O(C) claim — but an attempt fails
-  /// if any one of the C is unreachable. Used by the overhead ablation.
-  kExactQuorum,
-};
-
 /// What to do when R verification attempts have failed (paper Fig. 4).
 enum class ExhaustedPolicy : std::uint8_t {
   kDeny,   ///< security-first: reject the access
@@ -55,7 +43,6 @@ struct ProtocolConfig {
 
   // --- engineering parameters (not named in the paper but required by any
   //     implementation of it) ---------------------------------------------
-  QueryFanout fanout = QueryFanout::kAll;
   sim::Duration query_timeout = sim::Duration::seconds(2);   ///< Fig. 3 timer
   sim::Duration update_retransmit = sim::Duration::seconds(2);
   sim::Duration revoke_retransmit = sim::Duration::seconds(2);

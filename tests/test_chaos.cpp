@@ -30,6 +30,12 @@ using sim::Duration;
 using workload::Scenario;
 using workload::ScenarioConfig;
 
+// The manager host 0's checks query first.
+HostId first_queried(Scenario& s) {
+  return s.manager_ids()[s.host(0).controller().first_wave_start(
+      s.manager_ids().size())];
+}
+
 ScenarioConfig oracle_config() {
   ScenarioConfig cfg;
   cfg.managers = 3;
@@ -327,22 +333,23 @@ TEST(OneWayOracle, CatchesDeliveryAcrossCutDirection) {
   Scenario s(oracle_config());
   InvariantOracle oracle(s, {});
   oracle.install();
-  oracle.note_one_way_cut(s.host_ids()[0], s.manager_ids()[0]);
+  oracle.note_one_way_cut(s.host_ids()[0], first_queried(s));
   s.check(0, s.user(0));
   s.run_for(Duration::seconds(2));
   EXPECT_TRUE(has_kind(oracle, ViolationKind::kOneWayDeliveryLeak));
 }
 
 TEST(OneWayOracle, HonouredCutReportsNothingAndQuorumRoutesAround) {
-  // Cut host 0 -> manager 0 in the model AND the oracle: the network must
-  // drop that direction (no leak) while the C=2 quorum still assembles from
-  // managers 1 and 2.
+  // Cut host 0 -> the first manager it queries, in the model AND the
+  // oracle: the network must drop that direction (no leak) while the C=2
+  // quorum still assembles from the other two (the hedge reaches the third).
   Scenario s(oracle_config());
   InvariantOracle oracle(s, {});
   oracle.install();
+  const HostId m0 = first_queried(s);
   auto& dir = s.directional();
-  dir.cut_one_way(s.host_ids()[0], s.manager_ids()[0]);
-  oracle.note_one_way_cut(s.host_ids()[0], s.manager_ids()[0]);
+  dir.cut_one_way(s.host_ids()[0], m0);
+  oracle.note_one_way_cut(s.host_ids()[0], m0);
 
   s.grant(s.user(0), 1);
   s.run_for(Duration::seconds(5));
@@ -355,8 +362,8 @@ TEST(OneWayOracle, HonouredCutReportsNothingAndQuorumRoutesAround) {
       << (oracle.violations().empty() ? "" : oracle.violations()[0].detail);
 
   // Healing re-opens the direction without tripping the observer.
-  oracle.note_one_way_heal(s.host_ids()[0], s.manager_ids()[0]);
-  dir.heal_one_way(s.host_ids()[0], s.manager_ids()[0]);
+  oracle.note_one_way_heal(s.host_ids()[0], m0);
+  dir.heal_one_way(s.host_ids()[0], m0);
   s.check(0, s.user(0));
   s.run_for(Duration::seconds(5));
   EXPECT_EQ(oracle.violation_count(), 0u);

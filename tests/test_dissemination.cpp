@@ -5,6 +5,7 @@
 // reference model; this suite pins what it sends and when.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -71,8 +72,9 @@ void cache_user_on_hosts(Scenario& s, UserId user) {
 // ------------------------------------------------------- mass revocation
 
 // 4 users cached on every one of 32 hosts, all revoked at once at manager 0:
-// each of the 3 managers sends exactly one RevokeNotify per cached host per
-// right, every cache empties, and every manager drains. Under a 10 ms link
+// each manager sends exactly one RevokeNotify per host it granted to, per
+// right (each host's check asked C = 2 of the 3 managers), every cache
+// empties, and every manager drains. Under a 10 ms link
 // the first flush of each (host, user) lands no later than the issuer's
 // update quorum: the issuer's own notify takes one link latency, its quorum
 // a round trip. Effect time reads 0, so a hold of even one link latency in
@@ -102,7 +104,7 @@ TEST(Dissemination, MassRevocationSendsOneNotifyPerManagerHostAndRight) {
     s.run_for(Duration::seconds(10));
   }
   EXPECT_EQ(counter("wan_revoke_fanout_frames_total") - before,
-            static_cast<std::uint64_t>(3 * kHosts * kUsers));
+            static_cast<std::uint64_t>(2 * kHosts * kUsers));
 
   for (int h = 0; h < kHosts; ++h) {
     EXPECT_EQ(s.host(h).controller().cache(s.app())->size(), 0u)
@@ -141,6 +143,15 @@ TEST(Dissemination, MassRevocationSendsOneNotifyPerManagerHostAndRight) {
 TEST(Dissemination, IsolatedHostExpiresByTeAndIsRetired) {
   Scenario s(dissemination_config(4));
   cache_user_on_hosts(s, s.user(0));
+  // The managers host 0's check reached, which must keep notifying it.
+  std::vector<int> granted_host0;
+  for (int m = 0; m < 3; ++m) {
+    const auto hosts = s.manager(m).manager().granted_hosts(s.app(), s.user(0));
+    if (std::find(hosts.begin(), hosts.end(), s.host_ids()[0]) != hosts.end()) {
+      granted_host0.push_back(m);
+    }
+  }
+  ASSERT_EQ(granted_host0.size(), 2u);  // C = 2
 
   // Cut host 0 off from the whole world, THEN revoke.
   s.scripted().isolate(s.host_ids()[0], s.all_site_ids());
@@ -152,7 +163,7 @@ TEST(Dissemination, IsolatedHostExpiresByTeAndIsRetired) {
   }
   // The isolated host still holds its copy — the leak the bound absorbs.
   EXPECT_EQ(s.host(0).controller().cache(s.app())->size(), 1u);
-  for (int m = 0; m < 3; ++m) {
+  for (const int m : granted_host0) {
     EXPECT_GT(s.manager(m).manager().inflight_revocations(), 0u)
         << "manager " << m << " stopped retrying before the deadline";
   }
@@ -174,11 +185,13 @@ TEST(Dissemination, IsolatedHostExpiresByTeAndIsRetired) {
 // another host. Otherwise the next revoke skips it and it keeps allowing
 // until its cached copy expires.
 TEST(Dissemination, LateAckForEarlierRevokeKeepsReCachedHostListed) {
-  Scenario s(dissemination_config(2));
+  Scenario s(dissemination_config(3));
   const UserId user = s.user(0);
   cache_user_on_hosts(s, user);
-  // Host 1 never confirms, so the first revocation stays in flight.
+  // Hosts 1 and 2 never confirm, so the first revocation stays in flight at
+  // every manager: between them their checks reached all three.
   s.scripted().isolate(s.host_ids()[1], s.all_site_ids());
+  s.scripted().isolate(s.host_ids()[2], s.all_site_ids());
 
   obs::Tracer tracer;
   {

@@ -2,9 +2,11 @@
 // caching, coalescing, authentication, grant tables, deny reasons.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "workload/scenario.hpp"
 
 namespace wan {
@@ -29,6 +31,24 @@ ScenarioConfig healthy_config() {
   cfg.protocol.clock_bound_b = 1.0;
   cfg.seed = 42;
   return cfg;
+}
+
+// The index of the manager at position `i` of `host`'s first query wave.
+int first_wave_manager(Scenario& s, int host, int i) {
+  const auto m = static_cast<std::size_t>(s.manager_count());
+  return static_cast<int>(
+      (s.host(host).controller().first_wave_start(m) +
+       static_cast<std::size_t>(i)) % m);
+}
+
+std::uint64_t hedges() {
+  return obs::Registry::global().counter("wan_query_hedges_total").value();
+}
+
+std::uint64_t queries_sent(Scenario& s) {
+  const auto by_type = s.network().stats().sent_by_type();
+  const auto it = by_type.find("QueryRequest");
+  return it == by_type.end() ? 0 : it->second;
 }
 
 // Runs a check and returns the decision once made (driving the scheduler a
@@ -140,8 +160,8 @@ TEST(ProtoBasic, ConcurrentChecksCoalesceIntoOneSession) {
   s.run_for(Duration::seconds(10));
   EXPECT_EQ(decisions, 5);
   EXPECT_TRUE(all_allowed);
-  // One session: exactly M = 3 QueryRequests despite 5 concurrent checks.
-  EXPECT_EQ(s.network().stats().sent_by_type().at("QueryRequest"), 3u);
+  // One session: exactly C = 2 QueryRequests despite 5 concurrent checks.
+  EXPECT_EQ(queries_sent(s), 2u);
 }
 
 TEST(ProtoBasic, ManagerGrantTableTracksCachingHosts) {
@@ -150,13 +170,18 @@ TEST(ProtoBasic, ManagerGrantTableTracksCachingHosts) {
   s.run_for(Duration::seconds(5));
   run_check(s, 0, s.user(0));
   run_check(s, 1, s.user(0));
-  // Every manager that answered recorded the hosts it granted to.
-  int tables_with_hosts = 0;
-  for (int m = 0; m < s.manager_count(); ++m) {
-    const auto hosts = s.manager(m).manager().granted_hosts(s.app(), s.user(0));
-    tables_with_hosts += hosts.empty() ? 0 : 1;
+  // Each host's first wave (C = 2 managers) answered, and every one of those
+  // managers recorded the host it granted to.
+  for (int h = 0; h < 2; ++h) {
+    for (int i = 0; i < 2; ++i) {
+      const auto hosts = s.manager(first_wave_manager(s, h, i))
+                             .manager()
+                             .granted_hosts(s.app(), s.user(0));
+      EXPECT_NE(std::find(hosts.begin(), hosts.end(), s.host_ids()[h]),
+                hosts.end())
+          << "host " << h << ", first-wave position " << i;
+    }
   }
-  EXPECT_GE(tables_with_hosts, 1);
 }
 
 TEST(ProtoBasic, RevokeAckPrunesGrantTable) {
@@ -255,25 +280,61 @@ TEST(ProtoBasic, UnknownAppRejected) {
   EXPECT_EQ(d->path, DecisionPath::kUnknownApp);
 }
 
-TEST(ProtoBasic, ExactQuorumFanoutSendsOnlyC) {
+TEST(ProtoBasic, HealthyCheckQueriesExactlyTheQuorum) {
+  Scenario s(healthy_config());
+  s.grant(s.user(0));
+  s.run_for(Duration::seconds(5));
+  s.network().reset_stats();
+  const std::uint64_t hedges_before = hedges();
+  const auto d = run_check(s, 0, s.user(0));
+  EXPECT_TRUE(d.allowed);
+  EXPECT_EQ(d.attempts, 1);
+  EXPECT_EQ(queries_sent(s), 2u);  // C = 2 of M = 3
+  EXPECT_EQ(hedges() - hedges_before, 0u);
+}
+
+TEST(ProtoBasic, ByzantineSlackQueriesOneMore) {
   auto cfg = healthy_config();
-  cfg.protocol.fanout = proto::QueryFanout::kExactQuorum;
+  cfg.managers = 4;
+  cfg.protocol.byzantine_slack = 1;
   Scenario s(cfg);
   s.grant(s.user(0));
   s.run_for(Duration::seconds(5));
   s.network().reset_stats();
+  const std::uint64_t hedges_before = hedges();
   const auto d = run_check(s, 0, s.user(0));
   EXPECT_TRUE(d.allowed);
-  EXPECT_EQ(s.network().stats().sent_by_type().at("QueryRequest"), 2u);  // C = 2
+  EXPECT_EQ(queries_sent(s), 3u);  // C + f = 2 + 1 of M = 4
+  EXPECT_EQ(hedges() - hedges_before, 0u);
 }
 
-TEST(ProtoBasic, CheckQuorumOneAsksAllButNeedsOne) {
+TEST(ProtoBasic, HedgeReachesTheRestWhenAFirstWaveManagerIsDown) {
+  Scenario s(healthy_config());
+  s.grant(s.user(0));
+  s.run_for(Duration::seconds(5));
+  s.manager(first_wave_manager(s, 0, 0)).crash();
+  s.network().reset_stats();
+  const std::uint64_t hedges_before = hedges();
+  const auto d = run_check(s, 0, s.user(0));
+  // The hedge widens attempt 1 to the third manager, so the one attempt
+  // still reaches the C = 2 managers that are up.
+  EXPECT_TRUE(d.allowed);
+  EXPECT_EQ(d.path, DecisionPath::kQuorumGranted);
+  EXPECT_EQ(d.attempts, 1);
+  EXPECT_EQ(queries_sent(s), 3u);
+  EXPECT_EQ(hedges() - hedges_before, 1u);
+  EXPECT_LT(d.latency(), s.host(0).controller().config().query_timeout);
+}
+
+TEST(ProtoBasic, CheckQuorumOneAsksOneManager) {
   auto cfg = healthy_config();
   cfg.protocol.check_quorum = 1;
   Scenario s(cfg);
   s.grant(s.user(0));
   s.run_for(Duration::seconds(5));
+  s.network().reset_stats();
   EXPECT_TRUE(run_check(s, 0, s.user(0)).allowed);
+  EXPECT_EQ(queries_sent(s), 1u);
 }
 
 TEST(ProtoBasic, IdleCacheEntriesSweptPeriodically) {

@@ -43,6 +43,12 @@ ScenarioConfig byz_config(int slack, int check_quorum = 2) {
   return cfg;
 }
 
+// The index of the manager host 0's checks query first.
+int first_queried(Scenario& s) {
+  return static_cast<int>(s.host(0).controller().first_wave_start(
+      static_cast<std::size_t>(s.manager_count())));
+}
+
 std::optional<AccessDecision> check_at(Scenario& s, int host, UserId user) {
   std::optional<AccessDecision> out;
   s.check(host, user, [&](const AccessDecision& d) { out = d; });
@@ -91,19 +97,21 @@ TEST(ByzantineManager, SelfInconsistentManagerIsQuarantined) {
   ASSERT_TRUE(s.grant(s.user(0), 1));
   s.run_for(Duration::seconds(5));
 
-  s.manager(0).manager().set_byzantine(3, ManagerModule::LieMode::kInvert);
-  const auto d1 = check_at(s, 0, s.user(0));  // records (v, deny) for mgr 0
+  const int liar = first_queried(s);
+  s.manager(liar).manager().set_byzantine(3, ManagerModule::LieMode::kInvert);
+  const auto d1 = check_at(s, 0, s.user(0));  // records (v, deny) for the liar
   ASSERT_TRUE(d1.has_value());
 
-  s.manager(0).manager().restore_honest();
-  const auto d2 = check_at(s, 0, s.user(0));  // mgr 0 now claims (v, grant)
+  s.manager(liar).manager().restore_honest();
+  const auto d2 = check_at(s, 0, s.user(0));  // the liar now claims (v, grant)
   ASSERT_TRUE(d2.has_value());
   EXPECT_TRUE(d2->allowed);  // honest majority still assembles the quorum
 
   const auto& stats = s.host(0).controller().hardening_stats();
   EXPECT_GE(stats.self_inconsistent_replies, 1u);
   EXPECT_GE(stats.quarantines_imposed, 1u);
-  EXPECT_TRUE(s.host(0).controller().manager_quarantined(s.manager_ids()[0]));
+  EXPECT_TRUE(
+      s.host(0).controller().manager_quarantined(s.manager_ids()[liar]));
 }
 
 TEST(ByzantineManager, RevokeNotifyFloorDowngradesStaleGrant) {
@@ -118,8 +126,11 @@ TEST(ByzantineManager, RevokeNotifyFloorDowngradesStaleGrant) {
   ASSERT_TRUE(warm.has_value());
   ASSERT_TRUE(warm->allowed);
 
-  s.manager(0).manager().set_byzantine(11, ManagerModule::LieMode::kStale);
-  ASSERT_TRUE(s.revoke(s.user(0), 1));  // RevokeNotify raises the deny floor
+  // The liar is the manager host 0 queries first; an honest one revokes.
+  const int liar = first_queried(s);
+  s.manager(liar).manager().set_byzantine(11, ManagerModule::LieMode::kStale);
+  // RevokeNotify raises the deny floor.
+  ASSERT_TRUE(s.revoke(s.user(0), (liar + 1) % s.manager_count()));
   s.run_for(Duration::seconds(5));
 
   const auto d = check_at(s, 0, s.user(0));

@@ -140,23 +140,6 @@ TEST_P(StormTeBoundProperty, NoSecurityViolationsUnderStorms) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StormTeBoundProperty,
                          ::testing::Values(31, 32, 33, 34));
 
-// The exact-quorum fanout (query only C managers per attempt) changes the
-// availability curve but must not touch safety.
-TEST(TeBoundProperty, ExactFanoutPreservesTheBound) {
-  auto cfg = adversarial_config(55, 0.25);
-  cfg.protocol.fanout = proto::QueryFanout::kExactQuorum;
-  Scenario s(cfg);
-  DriverConfig dcfg;
-  dcfg.manager_ops_per_second = 0.25;
-  dcfg.revoke_fraction = 0.6;
-  Driver driver(s, dcfg, 56);
-  driver.start();
-  s.run_for(Duration::minutes(30));
-  const auto& report = s.collector().report();
-  EXPECT_GT(report.total, 5000u);
-  EXPECT_EQ(report.security_violations, 0u);
-}
-
 // The freeze strategy (§3.3's alternative) must uphold the same Te bound —
 // by refusing to answer rather than by quorum intersection.
 class FreezeTeBoundProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -174,24 +174,25 @@ TEST(ProtoRecovery, ManagerCrashLosesGrantTable) {
   // §3.4: "a failed manager m will essentially create a logical partition
   // since no other manager is aware of application hosts that cached access
   // control information based on interactions with m."
-  auto cfg = recovery_config();
-  cfg.protocol.fanout = proto::QueryFanout::kExactQuorum;
-  cfg.protocol.check_quorum = 2;
-  Scenario s(cfg);
+  Scenario s(recovery_config());
   s.grant(s.user(0));
   s.run_for(Duration::seconds(5));
   run_check(s, 0, s.user(0), Duration::seconds(2));
+  // m: the manager first in host 0's query window, which answered the check
+  // and so holds host 0 in its grant table.
+  const int m = static_cast<int>(s.host(0).controller().first_wave_start(
+      static_cast<std::size_t>(s.manager_count())));
   ASSERT_FALSE(
-      s.manager(0).manager().granted_hosts(s.app(), s.user(0)).empty());
+      s.manager(m).manager().granted_hosts(s.app(), s.user(0)).empty());
 
-  s.manager(0).crash();
+  s.manager(m).crash();
   s.run_for(Duration::seconds(2));
-  s.manager(0).recover();
+  s.manager(m).recover();
   s.run_for(Duration::seconds(10));
   // The ACL state resynced, but the grant table is gone — revocations issued
-  // now cannot be forwarded to host 0 by m0; only expiry protects us.
-  EXPECT_TRUE(s.manager(0).manager().synced(s.app()));
-  EXPECT_TRUE(s.manager(0).manager().granted_hosts(s.app(), s.user(0)).empty());
+  // now cannot be forwarded to host 0 by m; only expiry protects us.
+  EXPECT_TRUE(s.manager(m).manager().synced(s.app()));
+  EXPECT_TRUE(s.manager(m).manager().granted_hosts(s.app(), s.user(0)).empty());
 }
 
 TEST(ProtoRecovery, HostCrashDropsCacheEvenWithoutRevoke) {
