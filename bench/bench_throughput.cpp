@@ -11,12 +11,10 @@
 // grant/revoke storms — the revocation path (update quorum + RevokeNotify
 // invalidations) under fire.
 //
-// Backend is selectable: `--backend reactor` (default; the socket fabric,
-// epoll + recvmmsg/sendmmsg batching) or `--backend loopback` (no sockets —
-// the ceiling imposed by everything above the fabric). The checked-in
-// BENCH_throughput.json baseline is produced by the reactor; CI replays a
-// short run and diffs the schema against it (.github/workflows/ci.yml,
-// bench-smoke job).
+// The fabric is the reactor (epoll + recvmmsg/sendmmsg batching), the one
+// real-thread fabric. The checked-in BENCH_throughput.json baseline comes
+// from a full run; CI replays a short run and diffs the schema against it
+// (.github/workflows/ci.yml, bench-smoke job).
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -34,16 +32,14 @@
 #include "obs/metrics.hpp"
 #include "proto/host.hpp"
 #include "proto/wire.hpp"
-#include "runtime/backend.hpp"
 #include "runtime/env_options.hpp"
-#include "runtime/socket_base.hpp"
+#include "runtime/reactor_transport.hpp"
 #include "runtime/threaded_env.hpp"
 
 namespace wan::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using runtime::BackendKind;
 
 constexpr AppId kApp{1};
 constexpr std::uint32_t kDriverId = 999;
@@ -55,12 +51,11 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// The whole deployment in one process: 3 managers, 4 app hosts, and the
-/// driver endpoint, each on its own loop, sharing one fabric. Socket
-/// backends self-wire every node id to the transport's bound port, so every
-/// frame makes a real kernel round trip.
+/// driver endpoint, each on its own ThreadedEnv, sharing one reactor. Every
+/// node id routes to the reactor's bound port, so every frame makes a real
+/// kernel round trip.
 struct Rig {
-  std::unique_ptr<runtime::Fabric> fabric;
-  runtime::SocketTransport* socket = nullptr;
+  std::unique_ptr<runtime::ReactorTransport> fabric;
   ns::NameService names;
   auth::KeyRegistry keys;
   auth::KeyPair kp;
@@ -89,27 +84,23 @@ struct Rig {
         .count();
   }
 
-  explicit Rig(BackendKind kind) {
+  Rig() {
     proto::register_wire_messages();
     for (int i = 0; i < kManagers; ++i) manager_ids.push_back(HostId(static_cast<std::uint32_t>(i)));
     for (int i = 0; i < kHosts; ++i) host_ids.push_back(HostId(static_cast<std::uint32_t>(100 + i)));
 
     runtime::EnvOptions opts;
-    opts.backend = kind;
     opts.listen = "127.0.0.1:0";
     std::string error;
-    fabric = runtime::make_fabric(opts, &error);
+    fabric = runtime::ReactorTransport::create(opts, &error);
     if (fabric == nullptr) {
       std::fprintf(stderr, "fabric construction failed: %s\n", error.c_str());
       std::exit(2);
     }
-    socket = runtime::fabric_as_socket(fabric.get());
-    if (socket != nullptr) {
-      const runtime::NodeAddress self{"127.0.0.1", socket->local_port()};
-      for (const HostId id : manager_ids) socket->add_peer(id, self);
-      for (const HostId id : host_ids) socket->add_peer(id, self);
-      socket->add_peer(HostId(kDriverId), self);
-    }
+    const runtime::NodeAddress self{"127.0.0.1", fabric->local_port()};
+    for (const HostId id : manager_ids) fabric->add_peer(id, self);
+    for (const HostId id : host_ids) fabric->add_peer(id, self);
+    fabric->add_peer(HostId(kDriverId), self);
 
     proto::ProtocolConfig config;
     config.check_quorum = 2;
@@ -165,13 +156,7 @@ struct Rig {
         });
   }
 
-  ~Rig() {
-    if (socket != nullptr) {
-      socket->shutdown();
-    } else if (fabric != nullptr) {
-      fabric->stop_all();
-    }
-  }
+  ~Rig() { fabric->shutdown(); }
 
   static UserId user_of(int host_idx) {
     return UserId(static_cast<std::uint32_t>(7 + host_idx));
@@ -305,7 +290,7 @@ void stop_update_storm(Rig& rig, const std::shared_ptr<UpdateStorm>& storm,
   if (fire != nullptr && *fire != nullptr) **fire = nullptr;  // break cycle
 }
 
-int throughput_main(int argc, char** argv, BackendKind kind) {
+int throughput_main(int argc, char** argv) {
   const BenchInfo info{
       "throughput",
       "SATURATION THROUGHPUT — batched socket I/O under check + revocation "
@@ -315,17 +300,13 @@ int throughput_main(int argc, char** argv, BackendKind kind) {
       "check_storm.checks_per_sec is completed authenticate+check+reply "
       "cycles per second over real localhost UDP (every check = 2 datagrams "
       "through one socket). revocation_storm runs pipelined grant/revoke "
-      "quorums at manager 0 under live check load. backend_kind: 1=loopback, "
-      "3=reactor (select with --backend). The reactor run is the "
+      "quorums at manager 0 under live check load. A full run is the "
       "checked-in BENCH_throughput.json baseline; regressions >20% fail the "
       "CI bench-smoke diff."};
-  return bench_main(argc, argv, info, [kind](JsonEmitter& json) {
+  return bench_main(argc, argv, info, [](JsonEmitter& json) {
     const double storm_secs = fast_mode() ? 0.8 : 3.0;
     const std::uint64_t window = 256;
-    // Code 2 was the retired thread-per-direction udp backend; the codes
-    // stay fixed so checked-in rows keep their meaning.
-    const double backend_field = kind == BackendKind::kLoopback ? 1.0 : 3.0;
-    Rig rig(kind);
+    Rig rig;
 
     // Warm-up: grant every user, then one check per host to populate caches
     // (and the per-user nonce floors) so the storm measures the steady state.
@@ -357,8 +338,7 @@ int throughput_main(int argc, char** argv, BackendKind kind) {
                 static_cast<unsigned long long>(storm.replies),
                 static_cast<unsigned long long>(storm.accepted),
                 static_cast<unsigned long long>(storm.sent));
-    json.record("check_storm", {{"backend_kind", backend_field},
-                                {"checks_per_sec", checks_per_sec},
+    json.record("check_storm", {{"checks_per_sec", checks_per_sec},
                                 {"replies", static_cast<double>(storm.replies)},
                                 {"accepted", static_cast<double>(storm.accepted)},
                                 {"seconds", storm.elapsed},
@@ -401,8 +381,7 @@ int throughput_main(int argc, char** argv, BackendKind kind) {
                 static_cast<unsigned long long>(update_storm->revokes.load()),
                 bg_checks_per_sec);
     json.record("revocation_storm",
-                {{"backend_kind", backend_field},
-                 {"updates_per_sec", updates_per_sec},
+                {{"updates_per_sec", updates_per_sec},
                  {"updates", static_cast<double>(update_storm->completed.load())},
                  {"revokes", static_cast<double>(update_storm->revokes.load())},
                  {"checks_per_sec", bg_checks_per_sec},
@@ -414,24 +393,5 @@ int throughput_main(int argc, char** argv, BackendKind kind) {
 }  // namespace wan::bench
 
 int main(int argc, char** argv) {
-  // --backend is bench-specific; strip it before the shared flag parser.
-  std::string backend = "reactor";
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--backend" && i + 1 < argc) {
-      backend = argv[++i];
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  wan::runtime::BackendKind kind = wan::runtime::BackendKind::kReactor;
-  if (!wan::runtime::parse_backend(backend, &kind) ||
-      kind == wan::runtime::BackendKind::kSim) {
-    std::fprintf(stderr,
-                 "--backend must be loopback or reactor (got '%s')\n",
-                 backend.c_str());
-    return 2;
-  }
-  return wan::bench::throughput_main(static_cast<int>(args.size()),
-                                     args.data(), kind);
+  return wan::bench::throughput_main(argc, argv);
 }

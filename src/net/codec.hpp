@@ -1,9 +1,9 @@
 // Versioned binary wire codec for network messages.
 //
-// Until now every transport in the tree moved net::MessagePtr *pointers*
-// (the simulator and the loopback fabric live in one address space). A real
-// socket transport moves bytes, so messages need a serialized form. This
-// header provides the three pieces, all protocol-agnostic:
+// The simulator moves net::MessagePtr *pointers* (its nodes live in one
+// address space). A real socket transport moves bytes, so messages need a
+// serialized form. This header provides the three pieces, all
+// protocol-agnostic:
 //
 //   * WireWriter / WireReader — bounds-checked little-endian primitives.
 //     A reader that runs past the end of its buffer latches a failure bit

@@ -1,19 +1,11 @@
-// make_fabric: one construction path for every real-thread fabric backend.
+// make_fabric: the one construction path for the real-thread fabric.
 //
-// EnvOptions::backend names the backend; this factory builds it, so tools
-// and tests that run over "whatever fabric the flag said" need no
-// per-backend wiring. The two fabric kinds are:
-//
-//   * kLoopback — LoopbackFabric, in-process delivery with the options'
-//     delay/jitter/loss shaping;
-//   * kReactor  — ReactorTransport, real sockets, epoll + recvmmsg/sendmmsg.
-//
-// kSim is not a fabric (the simulator is an Env of its own); asking for it
-// here is reported as an error, not aborted, so flag parsing can surface it.
-//
-// The socket fabric also offers the SocketTransport surface (local_port,
-// add_peer, block_inbound_from, fault plans); fabric_as_socket() downcasts
-// when the caller needs that surface and returns nullptr for loopback.
+// The fabric is ReactorTransport (runtime/reactor_transport.hpp): real UDP
+// sockets, epoll + recvmmsg/sendmmsg. make_fabric() builds it from
+// EnvOptions and hands it back as a plain Fabric, for callers that attach
+// ThreadedEnvs and need nothing more. fabric_as_socket() recovers the
+// SocketTransport surface (local_port, add_peer, block_inbound_from, fault
+// plans) when they do.
 #pragma once
 
 #include <memory>
@@ -26,13 +18,13 @@ namespace wan::runtime {
 
 class SocketTransport;
 
-/// Builds the fabric opts.backend names. Returns nullptr and sets *error on
-/// construction failure or on backend kinds that are not fabrics (kSim).
+/// Builds the reactor fabric (ReactorTransport::create). Returns nullptr and
+/// sets *error on construction failure.
 [[nodiscard]] std::unique_ptr<Fabric> make_fabric(const EnvOptions& opts,
                                                   std::string* error);
 
 /// The socket-transport surface of a fabric built by make_fabric(), or
-/// nullptr when the fabric is not socket-backed (loopback).
+/// nullptr for any other Fabric.
 [[nodiscard]] SocketTransport* fabric_as_socket(Fabric* fabric) noexcept;
 
 }  // namespace wan::runtime

@@ -10,9 +10,9 @@
 //     simulation over sim::Scheduler + net::Network. Bit-reproducible; the
 //     chaos harness and every test run here.
 //   * ThreadedEnv (runtime/threaded_env.hpp) — real time on a steady clock,
-//     over an in-process loopback fabric (configurable delay/loss) or the
-//     UDP socket fabric. Each fabric runs all of its nodes on ONE worker
-//     thread (runtime/worker.hpp); a ThreadedEnv is a node's handle onto it.
+//     over the UDP socket fabric. The fabric runs all of its nodes on ONE
+//     worker thread (runtime/worker.hpp); a ThreadedEnv is a node's handle
+//     onto it.
 //
 // Rules of the seam (see docs/ARCHITECTURE.md):
 //   * Protocol code includes runtime/env.hpp, never sim/scheduler.hpp or

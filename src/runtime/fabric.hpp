@@ -1,21 +1,19 @@
 // Fabric: how datagrams move between nodes, and the one thread they run on.
 //
 // A ThreadedEnv is a per-node handle; a Fabric owns the execution and the
-// delivery underneath it. Two implementations exist:
-//
-//   * LoopbackFabric (runtime/threaded_env.hpp) — in-process, configurable
-//     delay/jitter/loss; every node lives in one address space.
-//   * ReactorTransport (runtime/reactor_transport.hpp) — one UDP socket per
-//     process, frames encoded by the net::CodecRegistry wire codec; nodes
-//     span processes and machines.
+// delivery underneath it. The one implementation is ReactorTransport
+// (runtime/reactor_transport.hpp, through runtime/socket_base.hpp): one UDP
+// socket per process, frames encoded by the net::CodecRegistry wire codec;
+// nodes span processes and machines, and nodes of one process share the
+// socket. Tests subclass SocketTransport with socketless fakes.
 //
 // Every fabric owns exactly one Worker (runtime/worker.hpp): one epoll loop
 // thread that runs every attached node's timers, posted work and message
 // handlers, each node serialised by construction because there is only one
 // thread. The reactor adds its socket to that worker's epoll set, so
 // receive, protocol work and send happen on one thread with no handoff.
-// Protocol code above the seam cannot tell which fabric is underneath — the
-// realtime Te smoke runs unchanged over either.
+// Protocol code above the seam runs unchanged on a ThreadedEnv over this
+// fabric and on a SimEnv.
 //
 // The base class also owns the epoch — the steady-clock instant that is
 // sim::TimePoint zero for all envs of this fabric, so timestamps from

@@ -2,7 +2,7 @@
 // machines.
 //
 // One ReactorTransport per OS process, owning one UDP socket. Local nodes
-// attach exactly as they do to a LoopbackFabric; remote nodes are reached
+// attach through their ThreadedEnvs; every node, local or remote, is reached
 // through a static topology mapping HostId -> host:port, loaded from a file
 // or patched in with add_peer(). Addressing, decode and delivery live in
 // runtime/socket_base.hpp; callers must register the protocol codecs

@@ -26,9 +26,9 @@
 // datagram into frames, decodes and filters them per frame in arrival order
 // and then runs each destination node's handler inline, once per node per
 // batch, over that node's messages in arrival order. The conformance suite
-// (tests/test_conformance.cpp) holds the socket fabric to the in-process
-// loopback fabric: the same seeded op script must produce the same protocol
-// outcomes on both.
+// (tests/test_conformance.cpp) holds the socket fabric to a reference model
+// of the protocol: each seeded op script must produce the decisions the
+// model predicts.
 //
 // Adverse-network injection: set_fault_plan() arms a *deterministic* seeded
 // fault stream applied to inbound frames after decode — loss (counted as

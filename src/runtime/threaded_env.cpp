@@ -100,71 +100,4 @@ void ThreadedEnv::run_sync(std::function<void()> fn) {
   WAN_REQUIRE_MSG(posted, "run_sync after stop(): the work would never run");
 }
 
-// ---------------------------------------------------------------------------
-// LoopbackFabric
-
-LoopbackFabric::LoopbackFabric(const EnvOptions& opts)
-    : opts_(opts), rng_(opts.seed) {
-  WAN_REQUIRE(opts_.loss >= 0.0 && opts_.loss < 1.0);
-  WAN_REQUIRE(!opts_.delay.is_negative());
-  WAN_REQUIRE(!opts_.jitter.is_negative());
-}
-
-std::uint64_t LoopbackFabric::delivered() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delivered_;
-}
-
-void LoopbackFabric::attach(HostId id, Worker::Node* node,
-                            Transport::Handler handler) {
-  WAN_REQUIRE(id.valid());
-  WAN_REQUIRE(handler != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  endpoints_[id] = Endpoint{node, std::move(handler), false};
-}
-
-void LoopbackFabric::set_endpoint_down(HostId id, bool down) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = endpoints_.find(id);
-  WAN_REQUIRE(it != endpoints_.end());
-  it->second.down = down;
-}
-
-void LoopbackFabric::send(HostId from, HostId to, net::MessagePtr msg) {
-  WAN_REQUIRE(msg != nullptr);
-  static obs::Counter& sends =
-      obs::Registry::global().counter("wan_env_sends_total{env=\"threaded\"}");
-  sends.inc();
-  Worker::Node* dest = nullptr;
-  Transport::Handler handler;
-  std::chrono::nanoseconds delay{};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto src = endpoints_.find(from);
-    if (src == endpoints_.end() || src->second.down) return;
-    const auto dst = endpoints_.find(to);
-    if (dst == endpoints_.end() || dst->second.down) return;
-    if (from != to) {
-      if (opts_.loss > 0.0 && rng_.next_double() < opts_.loss) return;
-      delay = to_chrono(opts_.delay);
-      if (!opts_.jitter.is_zero()) {
-        delay += std::chrono::nanoseconds(static_cast<std::int64_t>(
-            rng_.next_below(static_cast<std::uint64_t>(
-                opts_.jitter.count_nanos() + 1))));
-      }
-    }
-    dest = dst->second.node;
-    handler = dst->second.handler;
-    ++delivered_;
-  }
-  auto deliver = [handler = std::move(handler), from, msg = std::move(msg)] {
-    handler(from, msg);
-  };
-  if (delay.count() == 0) {
-    worker().post(dest, std::move(deliver));
-  } else {
-    worker().post_at(dest, SteadyClock::now() + delay, std::move(deliver));
-  }
-}
-
 }  // namespace wan::runtime

@@ -8,12 +8,11 @@
 // enforces by construction. The env's Worker::Node stop flag, checked
 // before every item runs, makes stop() per node.
 //
-// LoopbackFabric, the in-process fabric here, delivers with configurable
-// constant delay (+ uniform jitter) and i.i.d. loss: a send samples
-// loss/delay under the fabric lock and queues the delivery on the worker (a
-// post, or a timer when delayed). Deliveries to a stopped env are dropped —
-// exactly an unreachable host. The UDP socket fabric lives in
-// runtime/reactor_transport.hpp; a ThreadedEnv runs unchanged over either.
+// The fabric underneath is the real-socket ReactorTransport
+// (runtime/reactor_transport.hpp): nodes of one process share its socket,
+// and frames between them make a real kernel round trip. Tests and tools
+// that want a whole deployment in one process bind it to 127.0.0.1:0 and
+// route every node id to that port (SocketTransport::add_peer).
 //
 // Time: sim::TimePoint, measured from the fabric's construction instant on
 // the steady clock, so timestamps from different nodes compare (per-node
@@ -31,16 +30,11 @@
 // destroyed.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "runtime/env.hpp"
-#include "runtime/env_options.hpp"
 #include "runtime/fabric.hpp"
-#include "util/rng.hpp"
 
 namespace wan::runtime {
 
@@ -86,36 +80,6 @@ class ThreadedEnv final : public Env, private Transport {
   Fabric& fabric_;
   const std::shared_ptr<Worker> worker_;
   Worker::Node* const node_;
-};
-
-/// In-process datagram fabric connecting ThreadedEnvs. Uses the simulated-
-/// path fields of EnvOptions (delay, jitter, loss, seed); the socket fields
-/// are ignored.
-class LoopbackFabric final : public Fabric {
- public:
-  LoopbackFabric() : LoopbackFabric(EnvOptions{}) {}
-  explicit LoopbackFabric(const EnvOptions& opts);
-
-  void attach(HostId id, Worker::Node* node,
-              Transport::Handler handler) override;
-  void set_endpoint_down(HostId id, bool down) override;
-  void send(HostId from, HostId to, net::MessagePtr msg) override;
-
-  /// Datagrams handed to a destination node (delivered counter; diagnostics).
-  [[nodiscard]] std::uint64_t delivered() const;
-
- private:
-  struct Endpoint {
-    Worker::Node* node = nullptr;
-    Transport::Handler handler;
-    bool down = false;
-  };
-
-  mutable std::mutex mu_;
-  EnvOptions opts_;
-  Rng rng_;
-  std::unordered_map<HostId, Endpoint> endpoints_;
-  std::uint64_t delivered_ = 0;
 };
 
 }  // namespace wan::runtime

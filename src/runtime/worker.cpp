@@ -113,17 +113,6 @@ bool Worker::run_sync(Node* node, Fn fn) {
   return posted;
 }
 
-void Worker::post_at(Node* node, SteadyTP at, Fn fn) {
-  if (node != nullptr && !node->live()) return;
-  // A slot of its own, which the shot frees; the shot checks the node
-  // itself, so a stop turns it into a no-op instead of leaking the slot.
-  const std::uint32_t slot = new_timer(nullptr);
-  arm(slot, at, [this, slot, node, fn = std::move(fn)] {
-    free_timer(slot);
-    if (node == nullptr || node->live()) fn();
-  });
-}
-
 std::uint32_t Worker::new_timer(Node* node) {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint32_t slot = 0;

@@ -95,8 +95,6 @@ class Worker {
   /// work, which always runs). Returns false, dropping `fn`, when the node
   /// or the worker has stopped.
   bool post(Node* node, Fn fn);
-  /// Runs `fn` for `node` no earlier than `at` (a timer nobody holds).
-  void post_at(Node* node, SteadyTP at, Fn fn);
   /// Posts `fn` and blocks until it has run, or was dropped because its
   /// node stopped. Returns false when the post was refused. Aborts on the
   /// worker thread, where it would wait for itself forever.

@@ -1,18 +1,17 @@
-// Cross-backend conformance: the two real-thread fabrics — LoopbackFabric
-// (in-process) and ReactorTransport (real sockets, epoll +
-// recvmmsg/sendmmsg) — must be behaviorally indistinguishable above the
-// Fabric seam. The suite proves it three ways:
+// Conformance of the real-thread fabric: ThreadedEnvs over a
+// ReactorTransport (real sockets, epoll + recvmmsg/sendmmsg) must decide
+// exactly as the protocol specifies. The suite proves it three ways:
 //
 //   1. A model-checked seed sweep: 100 seeded op scripts (grants, revokes,
-//      access checks) run on both fabrics; each script's decision log must
-//      equal the prediction of a tiny reference model of the protocol AND be
-//      identical across the fabrics. The model is exact because every op
-//      barriers on its completion callback and every revoke settles (polls
-//      until the revocation is globally visible) before the script proceeds:
-//      update quorum is M-C+1 = 2 of 3, checks take the 2 freshest distinct
-//      responses, so at most one stale manager can appear in any response
-//      pair and freshest-version-wins makes the outcome a pure function of
-//      the op history.
+//      access checks) run on the reactor; each script's decision log must
+//      equal the prediction of a tiny reference model of the protocol. The
+//      model is exact because every op barriers on its completion callback
+//      and every revoke settles (polls until the revocation is globally
+//      visible) before the script proceeds: update quorum is M-C+1 = 2 of
+//      3, checks take the 2 freshest distinct responses, so at most one
+//      stale manager can appear in any response pair and
+//      freshest-version-wins makes the outcome a pure function of the op
+//      history.
 //   2. The canonical scripted sequence from test_runtime.cpp (whose expected
 //      log is pinned against SimEnv) replayed over real UDP sockets.
 //   3. Adverse-network runs: with the deterministic fault plan injecting
@@ -20,7 +19,7 @@
 //      converges — and far inside the Te staleness bound — while the
 //      injected_loss drop counter proves the faults actually fired.
 //
-// The socket fabric runs single-process: every node id routes to the
+// The deployment runs single-process: every node id routes to the
 // transport's own port (add_peer self-wiring), so frames make a real kernel
 // round trip through the shared socket and the full encode/decode path.
 #include <gtest/gtest.h>
@@ -37,9 +36,8 @@
 #include "obs/metrics.hpp"
 #include "proto/host.hpp"
 #include "proto/wire.hpp"
-#include "runtime/backend.hpp"
 #include "runtime/env_options.hpp"
-#include "runtime/socket_base.hpp"
+#include "runtime/reactor_transport.hpp"
 #include "runtime/threaded_env.hpp"
 #include "util/rng.hpp"
 
@@ -74,11 +72,10 @@ proto::ProtocolConfig conformance_config() {
 }
 
 /// One whole deployment — 3 managers and 2 app hosts, each on its own
-/// ThreadedEnv — over whichever fabric backend the kind names. The socket
-/// fabric self-wires every node id to the transport's bound port.
+/// ThreadedEnv — over one reactor that self-wires every node id to its
+/// bound port.
 struct Deployment {
-  std::unique_ptr<Fabric> fabric;
-  SocketTransport* socket = nullptr;  ///< non-null for the reactor
+  std::unique_ptr<ReactorTransport> fabric;
   ns::NameService names;
   auth::KeyRegistry keys;
   std::vector<std::unique_ptr<ThreadedEnv>> envs;
@@ -87,7 +84,7 @@ struct Deployment {
   /// Managers are ids and envs 0..2; the hosts' envs follow them.
   static constexpr std::size_t kManagers = 3;
 
-  explicit Deployment(BackendKind kind, bool reliable = false) {
+  explicit Deployment(bool reliable = false) {
     proto::register_wire_messages();
     std::vector<HostId> manager_ids;
     for (std::size_t i = 0; i < kManagers; ++i) {
@@ -96,9 +93,7 @@ struct Deployment {
     const std::vector<HostId> host_ids{HostId(100), HostId(101)};
 
     EnvOptions opts;
-    opts.backend = kind;
     opts.listen = "127.0.0.1:0";
-    if (kind == BackendKind::kLoopback) opts.delay = Duration::millis(1);
     if (reliable) {
       opts.reliability.enabled = true;
       opts.reliability.initial_rto = Duration::millis(20);
@@ -107,15 +102,12 @@ struct Deployment {
       opts.reliability.jitter_seed = 13;
     }
     std::string error;
-    fabric = make_fabric(opts, &error);
+    fabric = ReactorTransport::create(opts, &error);
     EXPECT_NE(fabric, nullptr) << error;
     if (fabric == nullptr) return;  // tests ASSERT on d.fabric before use
-    socket = fabric_as_socket(fabric.get());
-    if (socket != nullptr) {
-      const NodeAddress self{"127.0.0.1", socket->local_port()};
-      for (const HostId id : manager_ids) EXPECT_TRUE(socket->add_peer(id, self));
-      for (const HostId id : host_ids) EXPECT_TRUE(socket->add_peer(id, self));
-    }
+    const NodeAddress self{"127.0.0.1", fabric->local_port()};
+    for (const HostId id : manager_ids) EXPECT_TRUE(fabric->add_peer(id, self));
+    for (const HostId id : host_ids) EXPECT_TRUE(fabric->add_peer(id, self));
 
     const proto::ProtocolConfig config = conformance_config();
     for (std::size_t i = 0; i < manager_ids.size() + host_ids.size(); ++i) {
@@ -142,13 +134,9 @@ struct Deployment {
   }
 
   ~Deployment() {
-    // Socket shutdown (or stop_all) silences every loop and I/O thread
-    // before the protocol modules those threads call into are destroyed.
-    if (socket != nullptr) {
-      socket->shutdown();
-    } else if (fabric != nullptr) {
-      fabric->stop_all();
-    }
+    // Shutdown silences the worker before the protocol modules it calls
+    // into are destroyed.
+    if (fabric != nullptr) fabric->shutdown();
   }
 
   void on_manager(int i, std::function<void()> fn) {
@@ -311,20 +299,12 @@ std::vector<std::string> run_script_on(Deployment& d,
 }
 
 void run_conformance_seeds(std::uint64_t first_seed, int count) {
-  const BackendKind kinds[] = {BackendKind::kLoopback, BackendKind::kReactor};
   for (std::uint64_t seed = first_seed; seed < first_seed + count; ++seed) {
     const SeedScript script = make_script(seed);
-    std::vector<std::vector<std::string>> logs;
-    for (const BackendKind kind : kinds) {
-      Deployment d(kind);
-      ASSERT_NE(d.fabric, nullptr);
-      logs.push_back(run_script_on(d, script));
-      EXPECT_EQ(logs.back(), script.expected)
-          << "seed " << seed << " on backend " << to_cstring(kind)
-          << " diverged from the reference model";
-    }
-    // The headline assertion: identical protocol outcomes on both fabrics.
-    EXPECT_EQ(logs[0], logs[1]) << "seed " << seed << ": loopback vs reactor";
+    Deployment d;
+    ASSERT_NE(d.fabric, nullptr);
+    EXPECT_EQ(run_script_on(d, script), script.expected)
+        << "seed " << seed << " diverged from the reference model";
   }
 }
 
@@ -336,11 +316,12 @@ TEST(Conformance, SeedSweepShard3) { run_conformance_seeds(76, 25); }
 
 // ------------------------------------------------------- canonical script
 
-// The scripted sequence test_runtime.cpp pins against SimEnv and the
-// loopback fabric, replayed over real kernel sockets. The revoke lands at a different manager than the grant, so the
-// deny at the end additionally proves cross-manager update propagation.
+// The scripted sequence test_runtime.cpp pins against SimEnv, replayed over
+// real kernel sockets. The revoke lands at a different manager than the
+// grant, so the deny at the end additionally proves cross-manager update
+// propagation.
 TEST(Conformance, CanonicalScriptMatchesOnSocketBackends) {
-  Deployment d(BackendKind::kReactor);
+  Deployment d;
   ASSERT_NE(d.fabric, nullptr);
   const UserId alice(7);
   const UserId mallory(8);
@@ -370,15 +351,14 @@ TEST(Conformance, CanonicalScriptMatchesOnSocketBackends) {
 // frames really were dropped along the way. Duplication exercises update
 // and notification idempotence; reordering holds one frame back per pair.
 TEST(Conformance, RevocationConvergesUnderInjectedFaults) {
-  Deployment d(BackendKind::kReactor);
+  Deployment d;
   ASSERT_NE(d.fabric, nullptr);
-  ASSERT_NE(d.socket, nullptr);
   FaultPlan plan;
   plan.seed = 7;
   plan.loss = 0.15;
   plan.duplicate = 0.1;
   plan.reorder = 0.1;
-  d.socket->set_fault_plan(plan);
+  d.fabric->set_fault_plan(plan);
   const std::uint64_t lost_before = drop_count("injected_loss");
 
   const UserId alice(7);
@@ -414,13 +394,12 @@ TEST(Conformance, ReliableSweepUnderLossReactor) {
                                         .value();
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const SeedScript script = make_script(seed);
-    Deployment d(BackendKind::kReactor, /*reliable=*/true);
+    Deployment d(/*reliable=*/true);
     ASSERT_NE(d.fabric, nullptr);
-    ASSERT_NE(d.socket, nullptr);
     FaultPlan plan;
     plan.seed = seed;
     plan.loss = 0.10;
-    d.socket->set_fault_plan(plan);
+    d.fabric->set_fault_plan(plan);
     EXPECT_EQ(run_script_on(d, script), script.expected)
         << "seed " << seed << " under 10% loss diverged from the reference model";
   }

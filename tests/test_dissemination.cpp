@@ -24,8 +24,8 @@
 #include "proto/host.hpp"
 #include "proto/messages.hpp"
 #include "proto/wire.hpp"
-#include "runtime/backend.hpp"
 #include "runtime/env_options.hpp"
+#include "runtime/reactor_transport.hpp"
 #include "runtime/threaded_env.hpp"
 #include "workload/scenario.hpp"
 
@@ -236,24 +236,26 @@ TEST(Dissemination, LateAckForEarlierRevokeKeepsReCachedHostListed) {
 // --------------------------------------------- threaded smoke (TSan job)
 
 // The unicast forwarder owns per-right retransmission timers driven from a
-// real event-loop thread while acks arrive from peer nodes through the
-// loopback fabric and the test thread drives them through run_sync. This
+// real event-loop thread while acks arrive from peer nodes through a
+// reactor socket and the test thread drives them through run_sync. This
 // deployment mirrors the conformance harness in miniature so the TSan CI
 // job can race-check the dissemination path end-to-end: grant, cache on
 // every host, revoke, drain.
-TEST(DisseminationThreaded, RevocationOverLoopbackFabric) {
+TEST(DisseminationThreaded, RevocationOverReactorFabric) {
   proto::register_wire_messages();
   runtime::EnvOptions opts;
-  opts.backend = runtime::BackendKind::kLoopback;
-  opts.delay = Duration::millis(1);
+  opts.listen = "127.0.0.1:0";
   std::string error;
-  auto fabric = runtime::make_fabric(opts, &error);
+  auto fabric = runtime::ReactorTransport::create(opts, &error);
   ASSERT_NE(fabric, nullptr) << error;
 
   const AppId app{1};
   const UserId alice{7};
   const std::vector<HostId> manager_ids{HostId(0), HostId(1), HostId(2)};
   const std::vector<HostId> host_ids{HostId(100), HostId(101), HostId(102)};
+  const runtime::NodeAddress self{"127.0.0.1", fabric->local_port()};
+  for (const HostId id : manager_ids) ASSERT_TRUE(fabric->add_peer(id, self));
+  for (const HostId id : host_ids) ASSERT_TRUE(fabric->add_peer(id, self));
   proto::ProtocolConfig config;
   config.check_quorum = 2;
   config.Te = Duration::minutes(2);

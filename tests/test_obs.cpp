@@ -16,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/te_probe.hpp"
 #include "obs/trace.hpp"
+#include "runtime/reactor_transport.hpp"
 #include "runtime/threaded_env.hpp"
 #include "util/logging.hpp"
 #include "workload/scenario.hpp"
@@ -103,11 +104,15 @@ TEST(Registry, CounterIsExactUnderThreadedEnvConcurrency) {
   const std::uint64_t before = c.value();
   constexpr int kEnvs = 4;
   constexpr int kPosts = 2000;
-  runtime::LoopbackFabric fabric;
+  runtime::EnvOptions opts;
+  opts.listen = "127.0.0.1:0";
+  std::string error;
+  auto fabric = runtime::ReactorTransport::create(opts, &error);
+  ASSERT_NE(fabric, nullptr) << error;
   {
     std::vector<std::unique_ptr<runtime::ThreadedEnv>> envs;
     for (int i = 0; i < kEnvs; ++i) {
-      envs.push_back(std::make_unique<runtime::ThreadedEnv>(fabric));
+      envs.push_back(std::make_unique<runtime::ThreadedEnv>(*fabric));
     }
     for (auto& env : envs) {
       for (int i = 0; i < kPosts; ++i) env->post([&c] { c.inc(); });
@@ -115,7 +120,7 @@ TEST(Registry, CounterIsExactUnderThreadedEnvConcurrency) {
     // run_sync posts behind each env's increments on the fabric's worker,
     // so returning from all four means every increment has executed.
     for (auto& env : envs) env->run_sync([] {});
-    fabric.stop_all();
+    fabric->stop_all();
   }
   EXPECT_EQ(c.value(), before + static_cast<std::uint64_t>(kEnvs) *
                                     static_cast<std::uint64_t>(kPosts));

@@ -2,7 +2,8 @@
 // own reactor socket on a 127.0.0.1 ephemeral port, exchanging real
 // datagrams through the wire codec — delivery onto the destination node,
 // round trips, one-way inbound blocking, a down endpoint dropping inbound
-// deliveries, labelled send-path drops, idempotent shutdown and topology
+// deliveries, an endpoint whose env was stopped and destroyed dropping them
+// without harm, labelled send-path drops, idempotent shutdown and topology
 // parsing — plus the batched-I/O behaviors worth pinning directly: bursts larger than one syscall batch all arrive, and a recvmmsg
 // batch mixing valid frames with garbage rejects per-frame (each reject in
 // its labelled counter, every valid neighbour still delivered). The
@@ -298,6 +299,44 @@ TEST(ReactorTransport, DownEndpointDropsInboundDeliveries) {
         net::make_message<proto::HeartbeatPing>(AppId(1), 2));
   });
   ASSERT_TRUE(eventually([&] { return at_b.load() == 1; }));
+}
+
+// An endpoint whose ThreadedEnv was stopped and destroyed stays in the
+// routing table: frames for it still arrive at its socket and are dropped
+// there, its handler never runs, and the worker keeps serving the other
+// nodes on that socket.
+TEST(ReactorTransport, StoppedEnvDropsDeliveriesInsteadOfCrashing) {
+  Pair pair;
+  std::atomic<int> at_stopped{0};
+  std::atomic<int> at_live{0};
+  pair.env_a->transport().register_endpoint(
+      HostId(1), [](HostId, const net::MessagePtr&) {});
+  pair.env_b->transport().register_endpoint(
+      HostId(2), [&](HostId, const net::MessagePtr&) { ++at_stopped; });
+  ThreadedEnv live(*pair.b);
+  live.transport().register_endpoint(
+      HostId(3), [&](HostId, const net::MessagePtr&) { ++at_live; });
+  pair.a->add_peer(HostId(3), NodeAddress{"127.0.0.1", pair.b->local_port()});
+  pair.env_b->stop();
+  pair.env_b.reset();
+
+  obs::Counter& received =
+      obs::Registry::global().counter("wan_udp_frames_received_total");
+  const std::uint64_t received_before = received.value();
+  pair.env_a->run_sync([&] {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      pair.env_a->transport().send(
+          HostId(1), HostId(2),
+          net::make_message<proto::HeartbeatPing>(AppId(1), i));
+    }
+    pair.env_a->transport().send(
+        HostId(1), HostId(3),
+        net::make_message<proto::HeartbeatPing>(AppId(1), 8));
+  });
+  ASSERT_TRUE(eventually([&] { return at_live.load() == 1; }));
+  EXPECT_GE(received.value(), received_before + 9);
+  EXPECT_EQ(at_stopped.load(), 0);
+  live.stop();
 }
 
 TEST(ReactorTransport, CreateRejectsBadOptions) {

@@ -2,13 +2,17 @@
 // of the protocol (the same scripted grant/check/revoke sequence must produce
 // the same decision sequence on SimEnv and ThreadedEnv — the seam carries the
 // whole protocol, not just the happy path), and the seed-determinism pin the
-// refactor must not break (chaos runs stay bit-identical run-to-run).
+// refactor must not break (chaos runs stay bit-identical run-to-run). Every
+// ThreadedEnv here runs on a ReactorTransport bound to 127.0.0.1:0 with each
+// node id routed to its own port, so frames between nodes make a real
+// kernel round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -18,7 +22,9 @@
 #include "chaos/engine.hpp"
 #include "net/network.hpp"
 #include "proto/host.hpp"
+#include "proto/wire.hpp"
 #include "runtime/backend.hpp"
+#include "runtime/reactor_transport.hpp"
 #include "runtime/sim_env.hpp"
 #include "runtime/threaded_env.hpp"
 #include "sim/scheduler.hpp"
@@ -39,11 +45,26 @@ bool eventually(const std::function<bool()>& pred,
   return true;
 }
 
+// A reactor on 127.0.0.1:0 that routes every id in `ids` to its own port:
+// a whole deployment in one process.
+std::unique_ptr<ReactorTransport> local_fabric(
+    std::initializer_list<HostId> ids = {}) {
+  proto::register_wire_messages();
+  EnvOptions opts;
+  opts.listen = "127.0.0.1:0";
+  std::string error;
+  auto fabric = ReactorTransport::create(opts, &error);
+  EXPECT_NE(fabric, nullptr) << error;
+  const NodeAddress self{"127.0.0.1", fabric->local_port()};
+  for (const HostId id : ids) EXPECT_TRUE(fabric->add_peer(id, self));
+  return fabric;
+}
+
 // ------------------------------------------------- ThreadedEnv primitives
 
 TEST(ThreadedEnv, TimerFiresOnceAfterDelay) {
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   std::atomic<int> fired{0};
   env.run_sync([&] {
     auto timer = std::make_shared<Timer>(env.make_timer());
@@ -52,12 +73,12 @@ TEST(ThreadedEnv, TimerFiresOnceAfterDelay) {
   ASSERT_TRUE(eventually([&] { return fired.load() == 1; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(fired.load(), 1);
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 TEST(ThreadedEnv, CancelledTimerNeverFires) {
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   std::atomic<int> fired{0};
   auto timer = std::make_shared<Timer>();
   env.run_sync([&] {
@@ -67,12 +88,12 @@ TEST(ThreadedEnv, CancelledTimerNeverFires) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   EXPECT_EQ(fired.load(), 0);
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 TEST(ThreadedEnv, RearmReplacesPendingCallback) {
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   std::atomic<int> first{0};
   std::atomic<int> second{0};
   auto timer = std::make_shared<Timer>();
@@ -85,12 +106,12 @@ TEST(ThreadedEnv, RearmReplacesPendingCallback) {
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   EXPECT_EQ(first.load(), 0);
   EXPECT_EQ(second.load(), 1);
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 TEST(ThreadedEnv, PeriodicTimerTicksUntilStopped) {
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   std::atomic<int> ticks{0};
   auto timer = std::make_shared<PeriodicTimer>();
   env.run_sync([&] {
@@ -102,7 +123,7 @@ TEST(ThreadedEnv, PeriodicTimerTicksUntilStopped) {
   const int at_stop = ticks.load();
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_LE(ticks.load(), at_stop + 1);  // at most one in-flight tick
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 // A periodic timer's queued shot owns the timer state, and the state owns
@@ -110,8 +131,8 @@ TEST(ThreadedEnv, PeriodicTimerTicksUntilStopped) {
 // releasing the queued entries, or everything the callback captured leaks
 // once the env is stopped and the timer wrapper is gone.
 TEST(ThreadedEnv, StopReleasesQueuedPeriodicShots) {
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   auto sentinel = std::make_shared<int>(0);
   const std::weak_ptr<int> watch = sentinel;
   {
@@ -123,8 +144,8 @@ TEST(ThreadedEnv, StopReleasesQueuedPeriodicShots) {
 }
 
 TEST(ThreadedEnv, PostedWorkRunsInOrderOnLoopThread) {
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   std::mutex mu;
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
@@ -139,17 +160,17 @@ TEST(ThreadedEnv, PostedWorkRunsInOrderOnLoopThread) {
   }));
   const std::lock_guard<std::mutex> lock(mu);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 TEST(ThreadedEnv, NowAdvancesWithWallClock) {
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   const sim::TimePoint t0 = env.now();
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   const sim::TimePoint t1 = env.now();
   EXPECT_GE((t1 - t0).count_nanos(), 10'000'000);  // >= 10ms elapsed
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 // On the worker, now() is the dispatch time: reads within one posted
@@ -157,8 +178,8 @@ TEST(ThreadedEnv, NowAdvancesWithWallClock) {
 // later dispatch sees a strictly later time, and reads off the worker
 // follow the clock.
 TEST(ThreadedEnv, NowIsTheDispatchTimeOnTheWorker) {
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   const auto pause = std::chrono::milliseconds(2);
   sim::TimePoint first, second, posted, shot_a, shot_b;
   std::atomic<bool> done{false};
@@ -185,57 +206,7 @@ TEST(ThreadedEnv, NowIsTheDispatchTimeOnTheWorker) {
   const sim::TimePoint off0 = env.now();
   std::this_thread::sleep_for(pause);
   EXPECT_GE((env.now() - off0).count_nanos(), 2'000'000);
-  fabric.stop_all();
-}
-
-TEST(LoopbackFabric, DeliversBetweenEnvsAndRespectsDown) {
-  LoopbackFabric fabric;
-  ThreadedEnv a(fabric);
-  ThreadedEnv b(fabric);
-  std::atomic<int> got{0};
-  a.transport().register_endpoint(HostId(1),
-                                  [](HostId, const net::MessagePtr&) {});
-  b.transport().register_endpoint(
-      HostId(2), [&got](HostId, const net::MessagePtr&) { ++got; });
-
-  a.transport().send(HostId(1), HostId(2),
-                     net::make_message<proto::InvokeReply>(
-                         1, true, proto::DenyReason::kNone, "ping"));
-  ASSERT_TRUE(eventually([&] { return got.load() == 1; }));
-
-  // A downed destination silently swallows traffic — an unreachable host.
-  b.transport().set_endpoint_down(HostId(2), true);
-  a.transport().send(HostId(1), HostId(2),
-                     net::make_message<proto::InvokeReply>(
-                         1, true, proto::DenyReason::kNone, "ping"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(got.load(), 1);
-
-  b.transport().set_endpoint_down(HostId(2), false);
-  a.transport().send(HostId(1), HostId(2),
-                     net::make_message<proto::InvokeReply>(
-                         1, true, proto::DenyReason::kNone, "ping"));
-  ASSERT_TRUE(eventually([&] { return got.load() == 2; }));
-  fabric.stop_all();
-}
-
-TEST(LoopbackFabric, StoppedEnvDropsDeliveriesInsteadOfCrashing) {
-  LoopbackFabric fabric;
-  ThreadedEnv a(fabric);
-  auto b = std::make_unique<ThreadedEnv>(fabric);
-  a.transport().register_endpoint(HostId(1),
-                                  [](HostId, const net::MessagePtr&) {});
-  b->transport().register_endpoint(HostId(2),
-                                   [](HostId, const net::MessagePtr&) {});
-  b->stop();
-  b.reset();  // endpoint record remains; its core is stopped
-  for (int i = 0; i < 8; ++i) {
-    a.transport().send(HostId(1), HostId(2),
-                       net::make_message<proto::InvokeReply>(
-                         1, true, proto::DenyReason::kNone, "ping"));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  fabric.stop_all();  // reaching here without UB is the assertion
+  fabric->stop_all();
 }
 
 // ------------------------------------------------------ worker contract
@@ -251,9 +222,9 @@ TEST(ThreadedEnvDeathTest, RunSyncOnTheWorkerAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        LoopbackFabric fabric;
-        ThreadedEnv a(fabric);
-        ThreadedEnv b(fabric);
+        auto fabric = local_fabric();
+        ThreadedEnv a(*fabric);
+        ThreadedEnv b(*fabric);
         a.post([&b] { b.run_sync([] {}); });
         std::this_thread::sleep_for(std::chrono::seconds(10));
       },
@@ -264,9 +235,9 @@ TEST(ThreadedEnvDeathTest, RunSyncOnTheWorkerAborts) {
 // its end, and nothing later reaches the node — not the deliveries queued
 // behind it, not a timer armed before or after the stop, not new traffic.
 TEST(ThreadedEnv, StopFromInsideHandlerSilencesTheNode) {
-  LoopbackFabric fabric;
-  ThreadedEnv a(fabric);
-  ThreadedEnv b(fabric);
+  auto fabric = local_fabric({HostId(1), HostId(2)});
+  ThreadedEnv a(*fabric);
+  ThreadedEnv b(*fabric);
   std::atomic<int> got{0};
   std::atomic<int> fired{0};
   Timer before;
@@ -292,15 +263,15 @@ TEST(ThreadedEnv, StopFromInsideHandlerSilencesTheNode) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_EQ(got.load(), 1);
   EXPECT_EQ(fired.load(), 0);
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 // stop() from another thread waits out a handler of the node that is
 // running right now; afterwards posts, ticks and deliveries are refused.
 TEST(ThreadedEnv, StopFromAnotherThreadWaitsOutTheRunningHandler) {
-  LoopbackFabric fabric;
-  ThreadedEnv a(fabric);
-  ThreadedEnv b(fabric);
+  auto fabric = local_fabric({HostId(1), HostId(2)});
+  ThreadedEnv a(*fabric);
+  ThreadedEnv b(*fabric);
   std::atomic<bool> entered{false};
   std::atomic<bool> finished{false};
   std::atomic<int> later{0};
@@ -326,7 +297,7 @@ TEST(ThreadedEnv, StopFromAnotherThreadWaitsOutTheRunningHandler) {
   a.run_sync([&] { a.transport().send(HostId(1), HostId(2), ping_reply()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(later.load(), at_stop);
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 // ---------------------------------------------------------- worker timers
@@ -335,8 +306,8 @@ TEST(ThreadedEnv, StopFromAnotherThreadWaitsOutTheRunningHandler) {
 // cycles on one timer, only the last shot's callback ever runs.
 TEST(ThreadedEnv, TenThousandRearmsFireOnlyTheLastCallback) {
   constexpr int kCycles = 10000;
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   std::mutex mu;
   std::vector<int> fired;
   const auto record = [&mu, &fired](int id) {
@@ -362,7 +333,7 @@ TEST(ThreadedEnv, TenThousandRearmsFireOnlyTheLastCallback) {
   EXPECT_FALSE(pending);
   const std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(fired, std::vector<int>{kCycles - 1});
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 // Timers sit on a timerfd armed at the earliest deadline. epoll's own
@@ -371,8 +342,8 @@ TEST(ThreadedEnv, TenThousandRearmsFireOnlyTheLastCallback) {
 TEST(ThreadedEnv, IdleWorkerFiresShortTimersWithSubMillisecondLateness) {
   constexpr std::size_t kShots = 50;
   constexpr auto kDelay = std::chrono::microseconds(200);
-  LoopbackFabric fabric;
-  ThreadedEnv env(fabric);
+  auto fabric = local_fabric();
+  ThreadedEnv env(*fabric);
   std::vector<std::int64_t> late_us;  // worker only until `done`
   std::atomic<bool> done{false};
   Timer timer;
@@ -397,7 +368,7 @@ TEST(ThreadedEnv, IdleWorkerFiresShortTimersWithSubMillisecondLateness) {
   std::sort(late_us.begin(), late_us.end());
   EXPECT_GE(late_us.front(), 0);  // never early
   EXPECT_LT(late_us[kShots / 2], 500) << "median lateness in us";
-  fabric.stop_all();
+  fabric->stop_all();
 }
 
 // --------------------------------------------- cross-runtime equivalence
@@ -511,15 +482,14 @@ std::vector<std::string> run_on_sim() {
 
 std::vector<std::string> run_on_threads() {
   const AppId app(1);
-  EnvOptions fabric_options;
-  fabric_options.delay = Duration::millis(1);
-  LoopbackFabric fabric(fabric_options);
+  auto fabric = local_fabric(
+      {HostId(0), HostId(1), HostId(2), HostId(100), HostId(101)});
   ns::NameService names;
   auth::KeyRegistry keys;
   const proto::ProtocolConfig config = equivalence_config();
 
   std::vector<std::unique_ptr<ThreadedEnv>> envs;
-  for (int i = 0; i < 5; ++i) envs.push_back(std::make_unique<ThreadedEnv>(fabric));
+  for (int i = 0; i < 5; ++i) envs.push_back(std::make_unique<ThreadedEnv>(*fabric));
 
   std::vector<std::unique_ptr<proto::ManagerHost>> managers;
   const std::vector<HostId> manager_ids{HostId(0), HostId(1), HostId(2)};
@@ -561,12 +531,13 @@ std::vector<std::string> run_on_threads() {
       return done;
     })) << "threaded script step never completed";
     // Grace period so side-effect traffic (revoke notifications) lands
-    // before the next step reads state — 100 ms >> the 1 ms fabric delay.
+    // before the next step reads state — 100 ms, far above a localhost
+    // round trip.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   };
   auto log = run_script(w, app, UserId(7), UserId(8));
 
-  fabric.stop_all();  // silence every loop before modules are destroyed
+  fabric->stop_all();  // silence every loop before modules are destroyed
   return log;
 }
 
@@ -621,30 +592,8 @@ TEST(CrossRuntime, AdversarialChaosSeedsReplayBitIdentically) {
 // Operators see these exact strings (wan_node prints them verbatim), so the
 // messages are pinned, not just "non-empty".
 
-TEST(EnvOptionsErrors, ParseBackendRoundTripsAndRejectsUnknown) {
-  for (const BackendKind kind :
-       {BackendKind::kSim, BackendKind::kLoopback, BackendKind::kReactor}) {
-    BackendKind parsed = BackendKind::kSim;
-    ASSERT_TRUE(parse_backend(to_cstring(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  BackendKind out = BackendKind::kLoopback;
-  EXPECT_FALSE(parse_backend("tcp", &out));
-  EXPECT_FALSE(parse_backend("udp", &out));  // the retired socket backend
-  EXPECT_EQ(out, BackendKind::kLoopback);  // a failed parse leaves *out alone
-}
-
-TEST(EnvOptionsErrors, MakeFabricRejectsSimBackend) {
-  EnvOptions opts;
-  opts.backend = BackendKind::kSim;
-  std::string error;
-  EXPECT_EQ(make_fabric(opts, &error), nullptr);
-  EXPECT_EQ(error, "backend 'sim' is not a fabric");
-}
-
 TEST(EnvOptionsErrors, MakeFabricReportsMissingTopologyFile) {
   EnvOptions opts;
-  opts.backend = BackendKind::kReactor;
   opts.listen = "127.0.0.1:0";
   opts.topology_path = "/nonexistent/topology.txt";
   std::string error;
@@ -654,7 +603,6 @@ TEST(EnvOptionsErrors, MakeFabricReportsMissingTopologyFile) {
 
 TEST(EnvOptionsErrors, MakeFabricReportsBadListenAddress) {
   EnvOptions opts;
-  opts.backend = BackendKind::kReactor;
   opts.listen = "no-port-here";
   std::string error;
   EXPECT_EQ(make_fabric(opts, &error), nullptr);

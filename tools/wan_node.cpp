@@ -2,15 +2,10 @@
 //
 // The simulator proves the protocol's logic; this tool proves the runtime
 // seam — the same proto/ modules, byte for byte, driven by OS threads and a
-// steady clock. Three modes:
-//
-//   wan_node --realtime [--te-ms N] [--delay-us N] [--verbose]
-//            [--metrics [FILE]]
-//       All 8 nodes in one process over the in-process loopback fabric
-//       (the PR 3 smoke, unchanged).
+// steady clock over real UDP sockets. Three modes:
 //
 //   wan_node --role manager|host|agent --id N --topology FILE
-//            [--listen ADDR] [--te-ms N] [--verbose]
+//            [--listen ADDR] [--te-ms N] [--verbose] [--metrics [FILE]]
 //       ONE node of a multi-process deployment over real UDP sockets. Every
 //       process loads the same topology file (HostId -> host:port); frames
 //       travel through the versioned wire codec (docs/WIRE_FORMAT.md). Each
@@ -57,11 +52,12 @@
 // one machine — so the orchestrator checks LAST_ALLOW_US - REVOKE_QUORUM_US
 // <= Te without any cross-process clock protocol.
 //
-// --metrics exports the process-wide metrics registry in Prometheus text
+// --metrics exports the process's metrics registry in Prometheus text
 // format: with FILE, a background thread rewrites the file twice a second
-// while the smoke runs (tail -f it, or point a node_exporter textfile
+// while the process runs (tail -f it, or point a node_exporter textfile
 // collector at it) and once more on exit; without FILE, the registry is
-// printed to stdout on exit.
+// printed to stdout on exit. A --role node's registry holds its protocol
+// and socket counters; an orchestrator's holds little of its own.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -110,7 +106,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct Options {
-  bool realtime = false;
   bool udp_smoke = false;
   bool proc_chaos = false;
   std::string role;      ///< manager|host|agent (multi-process mode)
@@ -119,7 +114,6 @@ struct Options {
   std::string listen;    ///< bind override (default: the topology entry)
   std::string topology;  ///< topology file path
   int te_ms = 2000;      ///< revocation bound Te (small: this runs wall-clock)
-  int delay_us = 1000;   ///< loopback fabric one-way delay (--realtime only)
   bool verbose = false;
   bool metrics = false;      ///< export the metrics registry
   std::string metrics_path;  ///< with --metrics: live file (empty = stdout)
@@ -249,234 +243,6 @@ class MetricsExporter {
   std::condition_variable cv_;
   bool stopped_ = false;
   std::thread thread_;
-};
-
-// ---------------------------------------------------------------------------
-// --realtime: the single-process loopback smoke (PR 3), unchanged in spirit.
-
-struct Smoke {
-  static runtime::EnvOptions loopback_options(int delay_us) {
-    runtime::EnvOptions eopts;
-    eopts.delay = sim::Duration::micros(delay_us);
-    return eopts;
-  }
-
-  explicit Smoke(const Options& opt)
-      : opt_(opt), fabric_(loopback_options(opt.delay_us)) {}
-
-  int run() {
-    build();
-    if (!warm_up()) return fail("cache warm-up");
-    if (!invoke_end_to_end()) return fail("user-agent invoke");
-    if (!revoke_and_verify_te()) return fail("Te bound verification");
-    fabric_.stop_all();
-    std::printf("wan_node --realtime: OK (%zu datagrams delivered)\n",
-                static_cast<std::size_t>(fabric_.delivered()));
-    return 0;
-  }
-
- private:
-  const AppId app_{1};
-  const UserId alice_{7};
-
-  void build() {
-    config_ = make_config(opt_);
-
-    for (const std::uint32_t id : kManagerIds) manager_ids_.push_back(HostId(id));
-    for (const std::uint32_t id : kHostIds) host_ids_.push_back(HostId(id));
-
-    for (int i = 0; i < kManagers + kHosts + 1; ++i) {
-      envs_.push_back(std::make_unique<runtime::ThreadedEnv>(fabric_));
-    }
-    for (int i = 0; i < kManagers; ++i) {
-      managers_.push_back(std::make_unique<proto::ManagerHost>(
-          manager_ids_[static_cast<std::size_t>(i)], *envs_[static_cast<std::size_t>(i)],
-          clk::LocalClock::perfect(), config_));
-    }
-    names_.set_managers(app_, manager_ids_);
-    for (int i = 0; i < kManagers; ++i) {
-      envs_[static_cast<std::size_t>(i)]->run_sync([this, i] {
-        managers_[static_cast<std::size_t>(i)]->manager().manage_app(app_, manager_ids_);
-      });
-    }
-
-    const auth::KeyPair kp = shared_keypair();
-    keys_.register_user(alice_, kp.public_key);
-    for (int i = 0; i < kHosts; ++i) {
-      auto& env = *envs_[static_cast<std::size_t>(kManagers + i)];
-      hosts_.push_back(std::make_unique<proto::AppHost>(
-          host_ids_[static_cast<std::size_t>(i)], env, clk::LocalClock::perfect(),
-          names_, keys_, config_));
-      env.run_sync([this, i] {
-        hosts_[static_cast<std::size_t>(i)]->controller().register_app(
-            app_, [](UserId, const std::string& p) { return "ok:" + p; });
-      });
-    }
-
-    auto& agent_env = *envs_.back();
-    agent_ = std::make_unique<proto::UserAgent>(HostId(kAgentId), alice_, kp,
-                                                agent_env,
-                                                proto::UserAgent::Config{});
-    agent_env.transport().register_endpoint(
-        HostId(kAgentId), [this](HostId from, const net::MessagePtr& msg) {
-          agent_->on_message(from, msg);
-        });
-  }
-
-  // Polls `pred` until it holds or `timeout_ms` of wall clock elapses.
-  bool await(const std::function<bool()>& pred, int timeout_ms = 10000) {
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
-    while (!pred()) {
-      if (Clock::now() >= deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return true;
-  }
-
-  bool submit(int mgr, acl::Op op) {
-    std::mutex mu;
-    bool done = false;
-    envs_[static_cast<std::size_t>(mgr)]->run_sync([&, this] {
-      managers_[static_cast<std::size_t>(mgr)]->manager().submit_update(
-          app_, op, alice_, acl::Right::kUse,
-          [&](const proto::UpdateOutcome&) {
-            const std::lock_guard<std::mutex> lock(mu);
-            done = true;
-          });
-    });
-    return await([&] {
-      const std::lock_guard<std::mutex> lock(mu);
-      return done;
-    });
-  }
-
-  // Returns the decision's allowed bit, or -1 on timeout.
-  int check(int host) {
-    std::mutex mu;
-    bool done = false;
-    bool allowed = false;
-    envs_[static_cast<std::size_t>(kManagers + host)]->run_sync([&, this] {
-      hosts_[static_cast<std::size_t>(host)]->controller().check_access(
-          app_, alice_, [&](const proto::AccessDecision& d) {
-            const std::lock_guard<std::mutex> lock(mu);
-            allowed = d.allowed;
-            done = true;
-          });
-    });
-    if (!await([&] {
-          const std::lock_guard<std::mutex> lock(mu);
-          return done;
-        })) {
-      return -1;
-    }
-    return allowed ? 1 : 0;
-  }
-
-  bool warm_up() {
-    const Clock::time_point t0 = Clock::now();
-    if (!submit(0, acl::Op::kAdd)) return false;
-    for (int h = 0; h < kHosts; ++h) {
-      if (check(h) != 1) {
-        std::fprintf(stderr, "host %d denied a granted user\n", h);
-        return false;
-      }
-    }
-    if (opt_.verbose) {
-      std::printf("  grant + %d checks in %.1f ms\n", kHosts, ms_since(t0));
-    }
-    return true;
-  }
-
-  bool invoke_end_to_end() {
-    std::mutex mu;
-    bool done = false;
-    proto::InvokeResult result;
-    envs_.back()->run_sync([&, this] {
-      agent_->invoke(app_, {host_ids_[0], host_ids_[1]}, "hello",
-                     [&](const proto::InvokeResult& r) {
-                       const std::lock_guard<std::mutex> lock(mu);
-                       result = r;
-                       done = true;
-                     });
-    });
-    if (!await([&] {
-          const std::lock_guard<std::mutex> lock(mu);
-          return done;
-        })) {
-      return false;
-    }
-    if (!result.ok || result.result != "ok:hello") {
-      std::fprintf(stderr, "invoke failed (ok=%d result=%s)\n", result.ok,
-                   result.result.c_str());
-      return false;
-    }
-    if (opt_.verbose) std::printf("  invoke round-trip ok\n");
-    return true;
-  }
-
-  bool revoke_and_verify_te() {
-    // Cut the last host off from ALL inbound traffic: no revoke notification
-    // and no query replies can reach it. Only its cached entry (te = Te/b)
-    // keeps allowing — the worst case the Te bound is designed for.
-    const int cut = kHosts - 1;
-    envs_[static_cast<std::size_t>(kManagers + cut)]->transport().set_endpoint_down(
-        host_ids_[static_cast<std::size_t>(cut)], true);
-
-    if (!submit(1, acl::Op::kRevoke)) return false;
-    const Clock::time_point quorum_at = Clock::now();
-
-    // Connected hosts converge to deny quickly (RevokeNotify flush).
-    if (!await([this] { return check(0) == 0; }, opt_.te_ms)) {
-      std::fprintf(stderr, "connected host still allowing after revoke\n");
-      return false;
-    }
-    if (opt_.verbose) {
-      std::printf("  connected host denied %.1f ms after quorum\n",
-                  ms_since(quorum_at));
-    }
-
-    // The cut host may keep allowing off its cache, but only within Te.
-    double last_allow_ms = 0.0;
-    while (true) {
-      const int r = check(cut);
-      const double t = ms_since(quorum_at);
-      if (r == 1) {
-        last_allow_ms = t;
-      } else {
-        break;  // denied (cache expired, quorum unreachable -> deny policy)
-      }
-      if (t > 3.0 * opt_.te_ms) {
-        std::fprintf(stderr, "cut host never converged to deny\n");
-        return false;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    std::printf(
-        "  Te bound: last allow at cut host %.1f ms after revoke quorum "
-        "(bound %d ms) — %s\n",
-        last_allow_ms, opt_.te_ms,
-        last_allow_ms <= opt_.te_ms ? "HELD" : "VIOLATED");
-    return last_allow_ms <= static_cast<double>(opt_.te_ms);
-  }
-
-  int fail(const char* stage) {
-    std::fprintf(stderr, "wan_node --realtime: FAILED at %s\n", stage);
-    fabric_.stop_all();
-    return 1;
-  }
-
-  Options opt_;
-  runtime::LoopbackFabric fabric_;
-  proto::ProtocolConfig config_;
-  ns::NameService names_;
-  auth::KeyRegistry keys_;
-  std::vector<HostId> manager_ids_;
-  std::vector<HostId> host_ids_;
-  std::vector<std::unique_ptr<runtime::ThreadedEnv>> envs_;
-  std::vector<std::unique_ptr<proto::ManagerHost>> managers_;
-  std::vector<std::unique_ptr<proto::AppHost>> hosts_;
-  std::unique_ptr<proto::UserAgent> agent_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1504,19 +1270,13 @@ int main(int argc, char** argv) {
   wan::Options opt;
   wan::cli::Parser cli(
       "wan_node",
-      "Runs the access-control protocol on the real-time runtime: all nodes\n"
-      "in-process over loopback (--realtime), one node of a multi-process\n"
-      "UDP deployment (--role), or the 8-process localhost UDP smoke\n"
-      "orchestrator (--udp-smoke). See docs/ARCHITECTURE.md and\n"
-      "docs/WIRE_FORMAT.md.");
-  cli.add_flag("--realtime",
-               "single-process smoke: 3 managers + 4 hosts + 1 agent on\n"
-               "loopback threads; verifies the Te bound against the wall\n"
-               "clock",
-               &opt.realtime);
+      "Runs the access-control protocol on the real-time runtime: one node\n"
+      "of a multi-process UDP deployment (--role), the 8-process localhost\n"
+      "UDP smoke orchestrator (--udp-smoke), or its crash-restart variant\n"
+      "(--proc-chaos). See docs/ARCHITECTURE.md and docs/WIRE_FORMAT.md.");
   cli.add_flag("--udp-smoke",
-               "spawn the same deployment as 8 OS processes over localhost\n"
-               "UDP sockets and verify the Te bound across them",
+               "spawn 3 managers + 4 hosts + 1 agent as 8 OS processes over\n"
+               "localhost UDP sockets and verify the Te bound across them",
                &opt.udp_smoke);
   cli.add_flag("--proc-chaos",
                "the 8-process deployment plus a seeded kill/restart\n"
@@ -1590,12 +1350,6 @@ int main(int argc, char** argv) {
                 [&](const std::string& v) {
                   return wan::cli::parse_u64(v, &opt.chaos_seed);
                 });
-  cli.add_value("--delay-us", "N",
-                "loopback one-way delay in us (--realtime only, default 1000)",
-                [&](const std::string& v) {
-                  return wan::cli::parse_int(v, &opt.delay_us) &&
-                         opt.delay_us >= 0;
-                });
   cli.add_string(
       "--trace", "DIR",
       "per-process span capture: each role process writes\n"
@@ -1618,12 +1372,12 @@ int main(int argc, char** argv) {
       });
   if (!cli.parse(argc, argv)) return 2;
 
-  const int modes = (opt.realtime ? 1 : 0) + (opt.udp_smoke ? 1 : 0) +
-                    (opt.proc_chaos ? 1 : 0) + (opt.role.empty() ? 0 : 1);
+  const int modes = (opt.udp_smoke ? 1 : 0) + (opt.proc_chaos ? 1 : 0) +
+                    (opt.role.empty() ? 0 : 1);
   if (modes != 1) {
     std::fprintf(stderr,
-                 "wan_node: pick exactly one of --realtime, --udp-smoke, "
-                 "--proc-chaos, --role (try --help)\n");
+                 "wan_node: pick exactly one of --udp-smoke, --proc-chaos, "
+                 "--role (try --help)\n");
     return 2;
   }
   if (!opt.role.empty() && (!opt.id_set || opt.topology.empty())) {
@@ -1636,9 +1390,7 @@ int main(int argc, char** argv) {
     exporter = std::make_unique<wan::MetricsExporter>(opt.metrics_path);
   }
   int rc = 0;
-  if (opt.realtime) {
-    rc = wan::Smoke(opt).run();
-  } else if (opt.udp_smoke) {
+  if (opt.udp_smoke) {
     rc = wan::run_udp_smoke(opt, argv[0]);
   } else if (opt.proc_chaos) {
     rc = wan::run_proc_chaos(opt, argv[0]);
