@@ -104,7 +104,7 @@ class WireWriter {
     raw(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
   /// Raw byte run, no length prefix — the caller's layout carries the length
-  /// (the reliability envelope embeds whole frames this way).
+  /// (the socket fabric moves a whole frame to the next bundle this way).
   void raw(const std::uint8_t* p, std::size_t n) {
     if (n == 0) return;
     if (cap_ - size_ < n) grow(n);
@@ -171,17 +171,6 @@ class WireReader {
   HostId host_id() { return HostId(u32()); }
   UserId user_id() { return UserId(u32()); }
   AppId app_id() { return AppId(u32()); }
-  /// Raw byte run of exactly `n` bytes (no length prefix); fails when fewer
-  /// remain.
-  std::vector<std::uint8_t> raw(std::size_t n) {
-    if (!ok_ || n > remaining()) {
-      ok_ = false;
-      return {};
-    }
-    std::vector<std::uint8_t> out(p_, p_ + n);
-    p_ += n;
-    return out;
-  }
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   /// True when every byte has been consumed — decoders require this so a

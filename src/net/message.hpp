@@ -82,13 +82,6 @@ class Message {
   /// Approximate wire size in bytes; used for bandwidth-overhead accounting
   /// in the O(C/Te) experiments. Default models a small control packet.
   [[nodiscard]] virtual std::size_t wire_size() const { return 64; }
-
-  /// Whether a transport with a reliability layer enabled should move this
-  /// message through it (ack/retransmit/dedup; see runtime/reliable_channel).
-  /// Defaults to true — grants, revokes, syncs, and recovery traffic must
-  /// survive loss. Periodic best-effort probes (heartbeats) and the
-  /// reliability envelope itself override to false.
-  [[nodiscard]] virtual bool reliable() const { return true; }
 };
 
 /// Declares a message type's name and cached interned id in one shot:

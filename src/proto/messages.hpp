@@ -250,9 +250,6 @@ struct HeartbeatPing final : net::Message {
 
   WAN_MESSAGE_TYPE("HeartbeatPing")
   std::size_t wire_size() const override { return 24; }
-  // A lost probe is indistinguishable from a silent peer, which is exactly
-  // what the freeze strategy measures — retransmitting probes would mask it.
-  bool reliable() const override { return false; }
 };
 
 struct HeartbeatPong final : net::Message {
@@ -263,7 +260,6 @@ struct HeartbeatPong final : net::Message {
 
   WAN_MESSAGE_TYPE("HeartbeatPong")
   std::size_t wire_size() const override { return 24; }
-  bool reliable() const override { return false; }
 };
 
 }  // namespace wan::proto

@@ -40,10 +40,10 @@ enum WireTags : net::WireTag {
   kTagSyncPush = 13,
   kTagHeartbeatPing = 14,
   kTagHeartbeatPong = 15,
-  // 16 and 17 belong to the reliability envelope (net/reliable.hpp).
-  // 18 to 21 are retired (sharding); 22 and 23 are retired (coalesced
-  // revocation batches); 24 and 25 are retired (relay tree); 26 and 27 are
-  // retired (delta ACL sync). Never reuse them.
+  // 16 and 17 are retired (reliability envelope); 18 to 21 are retired
+  // (sharding); 22 and 23 are retired (coalesced revocation batches); 24
+  // and 25 are retired (relay tree); 26 and 27 are retired (delta ACL
+  // sync). Never reuse them.
 };
 
 /// The shared on-wire layout of an ACL slice — a `u32` entry count followed

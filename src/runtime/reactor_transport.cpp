@@ -54,8 +54,7 @@ ReactorTransport::~ReactorTransport() { shutdown(); }
 
 void ReactorTransport::shutdown() {
   // Envs first: once they stop, no protocol code runs while the socket
-  // winds down; then the worker, which also ends the reliability layer's
-  // retransmits.
+  // winds down; then the worker.
   stop_all();
   worker().stop();
   if (fd_ >= 0) {
@@ -67,27 +66,6 @@ void ReactorTransport::shutdown() {
 bool ReactorTransport::enqueue_message(HostId from, HostId to,
                                        const net::Message& msg,
                                        const ResolvedAddr& dest) {
-  return enqueue(dest, [&](net::WireWriter* out) {
-    net::CodecRegistry::EncodeError error{};
-    if (net::CodecRegistry::global().encode_append(from, to, msg, out,
-                                                   &error)) {
-      return true;
-    }
-    count_socket_drop(error);
-    return false;
-  });
-}
-
-bool ReactorTransport::enqueue_frame(std::span<const std::uint8_t> frame,
-                                     const ResolvedAddr& dest) {
-  return enqueue(dest, [frame](net::WireWriter* out) {
-    out->raw(frame.data(), frame.size());
-    return true;
-  });
-}
-
-template <typename Write>
-bool ReactorTransport::enqueue(const ResolvedAddr& dest, Write write) {
   if (queued_frames_ >= send_queue_limit_) {
     count_socket_drop(SocketDrop::kQueueFull);
     return false;
@@ -95,8 +73,13 @@ bool ReactorTransport::enqueue(const ResolvedAddr& dest, Write write) {
   if (live_ == 0 || out_[live_ - 1].dest != dest) open_bundle(dest);
   std::size_t tail = live_ - 1;
   const std::size_t before = out_[tail].bytes.size();
-  if (!write(&out_[tail].bytes)) {
-    if (before == 0) --live_;  // an empty datagram reads as truncated
+  net::CodecRegistry::EncodeError error{};
+  if (!net::CodecRegistry::global().encode_append(from, to, msg,
+                                                  &out_[tail].bytes, &error)) {
+    // A refused encode leaves the bundle as it was, and no empty bundle
+    // behind: an empty datagram reads as truncated.
+    count_socket_drop(error);
+    if (before == 0) --live_;
     return false;
   }
   if (before != 0 && out_[tail].bytes.size() > net::kBundleBytes) {

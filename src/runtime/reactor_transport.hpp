@@ -43,7 +43,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -78,18 +77,11 @@ class ReactorTransport final : public SocketTransport, private Worker::Io {
 
   ReactorTransport() = default;
 
-  // SocketTransport; worker thread only.
+  // SocketTransport; worker thread only. Sheds past send_queue_limit_,
+  // else encodes one frame at the end of the bundle for `dest` and applies
+  // the kBundleBytes cut.
   bool enqueue_message(HostId from, HostId to, const net::Message& msg,
                        const ResolvedAddr& dest) override;
-  bool enqueue_frame(std::span<const std::uint8_t> frame,
-                     const ResolvedAddr& dest) override;
-
-  /// The one enqueue path: sheds past send_queue_limit_, else lets
-  /// `write(net::WireWriter*)` append one frame to the bundle for `dest`
-  /// and applies the kBundleBytes cut. A false `write` leaves the bundle
-  /// as it was (and no empty bundle behind).
-  template <typename Write>
-  bool enqueue(const ResolvedAddr& dest, Write write);
   /// Makes out_[live_] the tail bundle, for `dest`.
   void open_bundle(const ResolvedAddr& dest);
 

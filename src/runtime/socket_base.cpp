@@ -14,8 +14,6 @@
 #include <sstream>
 #include <utility>
 
-#include "net/reliable.hpp"
-#include "runtime/reliable_channel.hpp"
 #include "util/assert.hpp"
 
 namespace wan::runtime {
@@ -98,20 +96,19 @@ namespace {
 
 // Counter names of the SocketDrop values, in enum order. The decode
 // rejects follow them in the counter table, named by net::to_cstring.
-constexpr std::array<const char*, 11> kDropReasons = {
-    "queue_full",        "oversize",      "unregistered_type",
-    "unknown_dest",      "endpoint_down", "blocked",
-    "not_local",         "sendto_error",  "injected_loss",
-    "seq_out_of_window", "reliable_inner_mismatch"};
+constexpr std::array<const char*, 9> kDropReasons = {
+    "queue_full",   "oversize",      "unregistered_type",
+    "unknown_dest", "endpoint_down", "blocked",
+    "not_local",    "sendto_error",  "injected_loss"};
 static_assert(kDropReasons.size() ==
-              static_cast<std::size_t>(SocketDrop::kReliableInnerMismatch) + 1);
+              static_cast<std::size_t>(SocketDrop::kInjectedLoss) + 1);
 constexpr std::size_t kDecodeDropBase = kDropReasons.size();
 constexpr std::size_t kDropCounters =
     kDecodeDropBase + static_cast<std::size_t>(net::DecodeError::kMalformed) + 1;
 
 std::array<std::atomic<obs::Counter*>, kDropCounters> drop_counters{};
 
-void count_drop_at(std::size_t i) {
+void count_drop_at(std::size_t i, std::uint64_t n = 1) {
   obs::Counter* c = drop_counters[i].load(std::memory_order_acquire);
   if (c == nullptr) {
     // Racing first drops resolve the same registry handle.
@@ -123,13 +120,13 @@ void count_drop_at(std::size_t i) {
         std::string("wan_udp_drops_total{reason=\"") + reason + "\"}");
     drop_counters[i].store(c, std::memory_order_release);
   }
-  c->inc();
+  c->inc(n);
 }
 
 }  // namespace
 
-void count_socket_drop(SocketDrop reason) {
-  count_drop_at(static_cast<std::size_t>(reason));
+void count_socket_drop(SocketDrop reason, std::uint64_t n) {
+  count_drop_at(static_cast<std::size_t>(reason), n);
 }
 
 void count_socket_drop(net::DecodeError error) {
@@ -224,8 +221,6 @@ std::string Topology::serialize() const {
 // ---------------------------------------------------------------------------
 // SocketTransport
 
-SocketTransport::SocketTransport() = default;
-
 SocketTransport::~SocketTransport() {
   // Subclass destructors run shutdown(); this is the last-resort fd guard for
   // construction paths that failed before the I/O machinery started.
@@ -288,10 +283,6 @@ bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
       }
     }
   }
-
-  if (opts.reliability.enabled) {
-    reliable_ = std::make_unique<ReliableChannel>(*this, opts.reliability);
-  }
   return true;
 }
 
@@ -309,26 +300,7 @@ void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
   sends.inc();
   const std::optional<ResolvedAddr> dest = route_for_send(from, to);
   if (!dest) return;
-  if (reliable_ != nullptr && msg->reliable()) {
-    std::vector<std::uint8_t> frame;
-    net::CodecRegistry::EncodeError error{};
-    if (!net::CodecRegistry::global().encode_into(from, to, *msg, &frame,
-                                                  &error)) {
-      count_socket_drop(error);
-      return;
-    }
-    reliable_->send_reliable(from, to, std::move(frame), *dest);
-    return;
-  }
   enqueue_message(from, to, *msg, *dest);
-}
-
-void SocketTransport::set_peer_unreachable(UnreachableFn fn) {
-  if (reliable_ != nullptr) reliable_->set_peer_unreachable(std::move(fn));
-}
-
-ReliableChannel* SocketTransport::reliable_channel() noexcept {
-  return reliable_.get();
 }
 
 void SocketTransport::run_on_worker(Worker::Fn fn) {
@@ -441,25 +413,9 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
   }
 
   for (Staged& f : staged_) {
-    // Blocked sources are filtered before the reliability layer sees the
-    // frame: a one-way partition must swallow the envelope too, or the ack
-    // it triggers would defeat the cut the test armed.
     if (f.blocked) {
       count_socket_drop(SocketDrop::kBlocked);
       continue;
-    }
-    if (reliable_ != nullptr) {
-      // on_data delivers the unwrapped message through collect(), so it
-      // joins the same handoff list in arrival order. The envelope's inner
-      // destination equals the outer one, so its endpoint was looked up.
-      if (const auto* data = net::message_cast<net::ReliableData>(f.msg)) {
-        reliable_->on_data(f.from, f.to, *data);
-        continue;
-      }
-      if (const auto* ack = net::message_cast<net::ReliableAck>(f.msg)) {
-        reliable_->on_ack(f.from, f.to, *ack);
-        continue;
-      }
     }
     collect(f.from, f.to, std::move(f.msg));
   }
@@ -467,16 +423,23 @@ void SocketTransport::on_datagrams(std::span<const Datagram> batch) {
 
   // Handlers run here, on the worker, one dispatch per node. They may
   // send, post, arm timers, or stop their own node (the rest of its
-  // messages are then skipped).
+  // messages are then dropped as endpoint_down).
   const std::span<Handoff> live(handoffs_.data(), live_handoffs_);
   for (Handoff& h : live) {
     if (h.msgs.empty()) continue;
-    socket_deliveries().inc(h.msgs.size());
-    socket_delivery_handoffs().inc();
     worker().new_dispatch();
+    std::size_t ran = 0;
     for (const auto& [from, msg] : h.msgs) {
       if (!h.node->live()) break;
       (*h.handler)(from, msg);
+      ++ran;
+    }
+    if (ran > 0) {
+      socket_deliveries().inc(ran);
+      socket_delivery_handoffs().inc();
+    }
+    if (ran < h.msgs.size()) {
+      count_socket_drop(SocketDrop::kEndpointDown, h.msgs.size() - ran);
     }
   }
   // Keep each list's capacity for the next batch.

@@ -2,8 +2,8 @@
 //
 // Everything a socket fabric needs apart from moving bytes lives here:
 // address parsing, the static topology, peer resolution, endpoint
-// bookkeeping, the inbound decode/deliver path, the optional reliability
-// layer and the labelled drop counters. The one backend, ReactorTransport
+// bookkeeping, the inbound decode/deliver path and the labelled drop
+// counters. The one backend, ReactorTransport
 // (runtime/reactor_transport.hpp), owns the outbound batch (frames are
 // encoded straight into its per-peer datagram bundles), adds the socket to
 // the fabric's worker and makes the batched recvmmsg/sendmmsg syscalls; tests
@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -115,24 +114,17 @@ struct ResolvedAddr {
   bool operator==(const ResolvedAddr&) const = default;
 };
 
-class ReliableChannel;
-
 /// Common machinery of the real-socket fabric. The subclass owns the I/O
-/// (the outbound batch, syscall batching) and implements enqueue_message(),
-/// enqueue_frame() and shutdown(); everything else — bind, routing,
-/// endpoints, the send path, decode, delivery, the optional reliability
-/// layer, counters — is here.
+/// (the outbound batch, syscall batching) and implements enqueue_message()
+/// and shutdown(); everything else — bind, routing, endpoints, the send
+/// path, decode, delivery, counters — is here. Delivery is plain UDP: the
+/// protocol's own retransmits and check retries carry loss end to end.
 class SocketTransport : public Fabric {
-  friend class ReliableChannel;  // its outbound frames, acks and deliveries
-
  public:
   ~SocketTransport() override;
 
-  /// The send path: route, classify, encode, enqueue. With the
-  /// reliability layer enabled (EnvOptions::reliability), messages whose
-  /// net::Message::reliable() is true travel wrapped in the ack/retransmit
-  /// envelope; heartbeats and the envelope itself stay fire-and-forget.
-  /// Called off the worker, the whole send is posted to it.
+  /// The send path: route, classify, encode, enqueue. Called off the
+  /// worker, the whole send is posted to it.
   void send(HostId from, HostId to, net::MessagePtr msg) override;
 
   void attach(HostId id, Worker::Node* node,
@@ -158,16 +150,6 @@ class SocketTransport : public Fabric {
   /// inbound loss/duplication/reordering. Test-only; see FaultPlan.
   void set_fault_plan(const FaultPlan& plan);
 
-  /// Fired when the reliability layer abandons a peer (retry budget
-  /// exhausted); `abandoned` counts the frames dropped in that sweep. Runs
-  /// on the worker. No-op without a reliability layer.
-  using UnreachableFn = std::function<void(HostId peer, std::size_t abandoned)>;
-  void set_peer_unreachable(UnreachableFn fn);
-
-  /// The reliability layer, or nullptr when EnvOptions::reliability was off
-  /// (tests poll in_flight() through this).
-  [[nodiscard]] ReliableChannel* reliable_channel() noexcept;
-
   /// Stops attached envs, then winds down the socket I/O. Idempotent (every
   /// step is); every subclass destructor calls it.
   virtual void shutdown() = 0;
@@ -186,9 +168,7 @@ class SocketTransport : public Fabric {
     std::size_t size = 0;
   };
 
-  // Out of line: the implicit constructor/destructor need the complete
-  // ReliableChannel type for the unique_ptr member.
-  SocketTransport();
+  SocketTransport() = default;
 
   /// Opens and binds the nonblocking UDP socket per opts.listen (default
   /// "127.0.0.1:0"), records the bound port, and loads opts.topology_path
@@ -207,31 +187,22 @@ class SocketTransport : public Fabric {
   virtual bool enqueue_message(HostId from, HostId to, const net::Message& msg,
                                const ResolvedAddr& dest) = 0;
 
-  /// Copies one already-encoded frame (a reliability envelope, ack or
-  /// retransmit) into the bounded outbound batch. Returns false on a
-  /// queue_full shed. Worker thread only.
-  virtual bool enqueue_frame(std::span<const std::uint8_t> frame,
-                             const ResolvedAddr& dest) = 0;
-
   /// The receive path. Splits every datagram of one receive call into its
   /// frames (net::frame_extent), decodes each with the strict codec (a tail
   /// that is not a whole frame counts one truncated drop; the frames before
   /// it still deliver) and, per frame in arrival order, applies the inbound
-  /// fault plan (if armed), blocked-source filtering and the reliability
-  /// layer's envelope handling (when enabled); every reject class lands in
-  /// its labelled drop counter. The survivors are grouped by destination
-  /// endpoint (looked up once per batch) and each endpoint's handler runs
-  /// inline over its messages in arrival order, as one dispatch
-  /// (Worker::new_dispatch), skipping the rest once the node stops. The
-  /// fault plan runs before the reliability layer, so injected loss hits
-  /// the envelope and retransmission is what recovers it. Worker thread
+  /// fault plan (if armed) and blocked-source filtering; every reject class
+  /// lands in its labelled drop counter. The survivors are grouped by
+  /// destination endpoint (looked up once per batch) and each endpoint's
+  /// handler runs inline over its messages in arrival order, as one
+  /// dispatch (Worker::new_dispatch). Once the node stops, the rest of its
+  /// messages count as endpoint_down drops, not deliveries. Worker thread
   /// only.
   void on_datagrams(std::span<const Datagram> batch);
 
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::size_t send_queue_limit_ = 1024;
-  std::unique_ptr<ReliableChannel> reliable_;  ///< nullptr when disabled
 
   // Routing tables, worker thread only.
   std::unordered_map<HostId, Endpoint> endpoints_;
@@ -265,8 +236,7 @@ class SocketTransport : public Fabric {
   /// Appends to staged_, drawing the frame's fault-plan decisions.
   void stage(std::uint32_t from, std::uint32_t to, net::MessagePtr msg);
   /// Adds one message to its destination's handoff list, or counts the
-  /// not_local / endpoint_down drop. Also the reliability layer's deliver
-  /// callback, which on_data runs synchronously on the worker.
+  /// not_local / endpoint_down drop.
   void collect(std::uint32_t from, std::uint32_t to, net::MessagePtr msg);
   /// This batch's handoff list for `to`, or nullptr.
   Handoff* handoff_for(std::uint32_t to);
@@ -280,7 +250,7 @@ class SocketTransport : public Fabric {
 
 /// Why the socket fabric dropped a frame; counted in
 /// wan_udp_drops_total{reason="..."} under the snake_case name of each
-/// value (queue_full, oversize, ..., reliable_inner_mismatch), and the
+/// value (queue_full, oversize, ..., injected_loss), and the
 /// decode rejects under their net::DecodeError string (truncated,
 /// bad_magic, bad_version, unknown_tag, malformed).
 enum class SocketDrop : std::uint8_t {
@@ -293,15 +263,13 @@ enum class SocketDrop : std::uint8_t {
   kNotLocal,
   kSendtoError,
   kInjectedLoss,
-  kSeqOutOfWindow,
-  kReliableInnerMismatch,
 };
 
 /// Shared drop accounting. Each reason's counter is resolved once, at its
 /// first drop, and kept in a fixed table, so a drop is one atomic add: the
 /// receive path counts every fuzzed or spoofed datagram, at a rate the
 /// sender chooses.
-void count_socket_drop(SocketDrop reason);
+void count_socket_drop(SocketDrop reason, std::uint64_t n = 1);
 void count_socket_drop(net::DecodeError error);
 /// unregistered_type or oversize, for a refused encode.
 void count_socket_drop(net::CodecRegistry::EncodeError error);

@@ -40,17 +40,4 @@ constexpr std::size_t hash_combine(std::size_t a, std::size_t b) noexcept {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
 }
 
-/// Seeded 64-bit hash (splitmix64 finalizer over seed + key), identical on
-/// every platform and run. Every bit of the input avalanches; the
-/// reliable-channel dedup window uses it to bucket flow keys so peer-chosen
-/// host ids cannot cluster (StableHash tests pin the values and the
-/// balance).
-constexpr std::uint64_t stable_hash64(std::uint64_t seed,
-                                      std::uint64_t x) noexcept {
-  std::uint64_t z = x + 0x9e3779b97f4a7c15ULL + seed;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace wan

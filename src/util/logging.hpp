@@ -5,9 +5,8 @@
 // logger prepends the simulation time when a time source has been installed,
 // which makes protocol traces directly comparable to the paper's figures.
 //
-// Thread safety: each fabric's worker thread, the reliability layer's timer
-// thread and the driver thread may all log while the driver installs/removes
-// sinks. The level is an atomic;
+// Thread safety: each fabric's worker thread and the driver thread may all
+// log while the driver installs/removes sinks. The level is an atomic;
 // sink, time source, and mirror are shared_ptr snapshots copied under a lock
 // and invoked outside it — so a sink swap never races an in-flight emit and a
 // removed sink is only destroyed once no emit still holds a reference.

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "net/codec.hpp"
-#include "net/reliable.hpp"
 #include "proto/messages.hpp"
 #include "proto/wire.hpp"
 #include "util/rng.hpp"
@@ -37,15 +36,6 @@ namespace {
 
 using net::CodecRegistry;
 using net::DecodeError;
-
-/// The full tag table under test: the 15 protocol messages and the
-/// reliability envelope (tags 16/17, net/reliable.hpp). Tags 18-21
-/// (sharding), 22-23 (coalesced revocation batches), 24-25 (relay tree) and
-/// 26-27 (delta sync) are retired and stay unregistered.
-void register_all() {
-  proto::register_wire_messages();
-  net::register_reliable_codecs();
-}
 
 acl::Version random_version(Rng& rng) {
   return acl::Version{rng.next_u64(),
@@ -89,8 +79,10 @@ UserId random_user(Rng& rng) {
   return UserId(static_cast<std::uint32_t>(rng.next_u64()));
 }
 
-/// One seeded generator per message type, in wire-tag order 1..17 (18-27
-/// are retired). Adding a message type without extending this list fails the
+/// One seeded generator per message type, in wire-tag order 1..15. Tags
+/// 16-17 (reliability envelope), 18-21 (sharding), 22-23 (coalesced
+/// revocation batches), 24-25 (relay tree) and 26-27 (delta sync) are
+/// retired and stay unregistered. Adding a message type without extending this list fails the
 /// coverage check below.
 std::vector<std::function<net::MessagePtr(Rng&)>> generators() {
   using net::make_message;
@@ -164,20 +156,6 @@ std::vector<std::function<net::MessagePtr(Rng&)>> generators() {
         return make_message<proto::HeartbeatPong>(random_app(rng),
                                                   rng.next_u64());
       },
-      [](Rng& rng) {
-        // The envelope wraps a complete encoded frame; decoders only require
-        // the inner bytes to hold at least a frame header.
-        const auto inner_msg =
-            make_message<proto::HeartbeatPing>(random_app(rng), rng.next_u64());
-        auto inner =
-            CodecRegistry::global().encode(HostId(1), HostId(2), *inner_msg);
-        return make_message<net::ReliableData>(
-            1 + rng.next_u64() % 100000, rng.next_u64(), rng.next_u64(),
-            inner.value_or(std::vector<std::uint8_t>(net::kWireHeaderSize)));
-      },
-      [](Rng& rng) {
-        return make_message<net::ReliableAck>(rng.next_u64(), rng.next_u64());
-      },
   };
 }
 
@@ -190,18 +168,18 @@ std::vector<std::uint8_t> encode_or_die(const net::Message& msg,
 }
 
 TEST(Codec, RegistryCoversEveryMessageType) {
-  register_all();
+  proto::register_wire_messages();
   EXPECT_EQ(CodecRegistry::global().registered_count(),
             generators().size());
-  // Live tags are the frozen contiguous block 1..17; 18-27 are retired and
+  // Live tags are the frozen contiguous block 1..15; 16-27 are retired and
   // never reused (docs/WIRE_FORMAT.md).
   const std::vector<net::WireTag> tags = CodecRegistry::global().tags();
-  ASSERT_EQ(tags.size(), 17u);
+  ASSERT_EQ(tags.size(), 15u);
   ASSERT_EQ(tags.size(), generators().size());
   for (std::size_t i = 0; i < tags.size(); ++i) {
     EXPECT_EQ(tags[i], static_cast<net::WireTag>(i + 1));
   }
-  for (net::WireTag retired = 18; retired <= 27; ++retired) {
+  for (net::WireTag retired = 16; retired <= 27; ++retired) {
     EXPECT_EQ(std::count(tags.begin(), tags.end(), retired), 0)
         << "retired tag " << retired << " is registered again";
   }
@@ -214,7 +192,7 @@ using RegisteredTypes =
                proto::RevokeNotifyAck, proto::UpdateMsg, proto::UpdateAck,
                proto::VersionQuery, proto::VersionReply, proto::SyncRequest,
                proto::SyncResponse, proto::SyncPush, proto::HeartbeatPing,
-               proto::HeartbeatPong, net::ReliableData, net::ReliableAck>;
+               proto::HeartbeatPong>;
 
 /// message_cast<T>(msg) for every T in `Types`: the cast result, in order.
 template <typename... Types>
@@ -226,7 +204,7 @@ std::vector<const void*> cast_to_each(const net::MessagePtr& msg,
 // message_cast is one TypeId compare: over every pair of registered types it
 // hits its own type and misses every other.
 TEST(Codec, MessageCastHitsExactlyItsOwnType) {
-  register_all();
+  proto::register_wire_messages();
   Rng rng{7};
   const auto gens = generators();
   ASSERT_EQ(gens.size(), std::tuple_size_v<RegisteredTypes>);
@@ -243,9 +221,9 @@ TEST(Codec, MessageCastHitsExactlyItsOwnType) {
 }
 
 TEST(Codec, RegistrationIsIdempotent) {
-  register_all();
+  proto::register_wire_messages();
   const std::size_t count = CodecRegistry::global().registered_count();
-  register_all();  // must not abort on duplicate tags
+  proto::register_wire_messages();  // must not abort on duplicate tags
   EXPECT_EQ(CodecRegistry::global().registered_count(), count);
 }
 
@@ -255,7 +233,7 @@ TEST(Codec, RegistrationIsIdempotent) {
 // bytes exactly. Byte-equality covers every field of every type at once; a
 // single dropped, reordered, or misparsed field breaks it.
 TEST(Codec, RandomizedRoundTripIsLosslessAndCanonical) {
-  register_all();
+  proto::register_wire_messages();
   Rng rng{20260805};
   for (const auto& gen : generators()) {
     for (int iter = 0; iter < 64; ++iter) {
@@ -282,7 +260,7 @@ TEST(Codec, RandomizedRoundTripIsLosslessAndCanonical) {
 // Byte-equality proves fidelity only if encoders read the fields; spot-check
 // a representative message against explicit field values.
 TEST(Codec, FieldFidelitySpotCheck) {
-  register_all();
+  proto::register_wire_messages();
   acl::RightSet rights;
   rights.add(acl::Right::kUse);
   const acl::Version version{42, HostId(2), 777};
@@ -307,7 +285,7 @@ TEST(Codec, FieldFidelitySpotCheck) {
 // Every strict prefix of every frame must be rejected — no partial parse,
 // no out-of-bounds read. (ASAN-clean under the sanitizer CI job.)
 TEST(CodecReject, EveryTruncationOfEveryFrame) {
-  register_all();
+  proto::register_wire_messages();
   Rng rng{7};
   for (const auto& gen : generators()) {
     const net::MessagePtr msg = gen(rng);
@@ -321,7 +299,7 @@ TEST(CodecReject, EveryTruncationOfEveryFrame) {
 }
 
 TEST(CodecReject, HeaderFieldValidation) {
-  register_all();
+  proto::register_wire_messages();
   const auto msg = net::make_message<proto::HeartbeatPing>(AppId(1), 99);
   const auto frame = encode_or_die(*msg);
 
@@ -355,7 +333,7 @@ TEST(CodecReject, HeaderFieldValidation) {
 // decode takes exactly one frame: any disagreement between the payload
 // length field and the bytes it is given is truncation/padding.
 TEST(CodecReject, PayloadLengthMustMatchDatagram) {
-  register_all();
+  proto::register_wire_messages();
   const auto msg = net::make_message<proto::UpdateAck>(AppId(3), 4);
   const auto frame = encode_or_die(*msg);
   {
@@ -376,7 +354,7 @@ TEST(CodecReject, PayloadLengthMustMatchDatagram) {
 // (booleans > 1, out-of-range enums, impossible right bits) are malformed,
 // not silently coerced.
 TEST(CodecReject, NonCanonicalPayloadBytes) {
-  register_all();
+  proto::register_wire_messages();
   {
     // InvokeReply payload: request_id u64 @0, accepted u8 @8, reason u8 @9.
     const auto msg = net::make_message<proto::InvokeReply>(
@@ -406,7 +384,7 @@ TEST(CodecReject, NonCanonicalPayloadBytes) {
 // An adversarial snapshot count must be rejected by comparing it against the
 // bytes actually present — not trusted into a reserve()/resize() call.
 TEST(CodecReject, HostileSnapshotCountDoesNotAllocate) {
-  register_all();
+  proto::register_wire_messages();
   const auto msg = net::make_message<proto::SyncResponse>(
       AppId(1), 2, std::vector<acl::AclUpdate>{});
   auto bad = encode_or_die(*msg);
@@ -420,7 +398,7 @@ TEST(CodecReject, HostileSnapshotCountDoesNotAllocate) {
 // Seeded garbage fuzz: random buffers must never crash the decoder, and a
 // buffer that does not start with the magic can never decode.
 TEST(CodecReject, GarbageBuffersNeverParse) {
-  register_all();
+  proto::register_wire_messages();
   Rng rng{99};
   for (int iter = 0; iter < 4000; ++iter) {
     std::vector<std::uint8_t> buf(rng.next_u64() % 128);
@@ -459,7 +437,7 @@ TEST(CodecReject, GarbageBuffersNeverParse) {
 // change. A decoder behavior change that reclassifies any corpus entry
 // fails loudly instead of silently shifting drop-counter reasons.
 TEST(CodecCorpus, EveryCheckedInFrameKeepsItsOutcome) {
-  register_all();
+  proto::register_wire_messages();
   // Longest-prefix match: "bad_version" must win over a hypothetical "bad".
   const std::vector<std::pair<std::string, std::optional<DecodeError>>>
       outcomes = {
@@ -504,34 +482,10 @@ TEST(CodecCorpus, EveryCheckedInFrameKeepsItsOutcome) {
   // The corpus shipped with 14 entries, grew to 19 with the reliability
   // envelope (tags 16/17), to 25 with the shard messages (tags 18-21), and
   // to 35 with the dissemination/delta-sync messages (tags 22-27); it only
-  // ever grows. Those frames (tags 18-27, since retired) stay as
-  // unknown_tag_18_* .. unknown_tag_27_* pins.
+  // ever grows. Those frames (tags 16-27, since retired) stay as
+  // unknown_tag_16_* .. unknown_tag_27_* pins; a tag 17 frame whose header
+  // already overclaims its datagram stays a truncated pin.
   EXPECT_GE(seen, 35u);
-}
-
-// Wire-stability pin for the reliability envelope: the checked-in tag 17
-// ack frame must decode to these exact fields and re-encode byte-identically.
-TEST(CodecCorpus, OkReliableAckPinsWireLayout) {
-  register_all();
-  const std::filesystem::path file =
-      std::filesystem::path(WAN_CODEC_CORPUS_DIR) / "ok_reliable_ack.bin";
-  std::ifstream in(file, std::ios::binary);
-  ASSERT_TRUE(in) << file;
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  ASSERT_EQ(bytes.size(), net::kWireHeaderSize + 16u);
-  const auto decoded =
-      CodecRegistry::global().decode(bytes.data(), bytes.size());
-  ASSERT_TRUE(decoded.ok()) << net::to_cstring(decoded.error);
-  EXPECT_EQ(decoded.frame->from, HostId(2));
-  EXPECT_EQ(decoded.frame->to, HostId(1));
-  const auto& ack = static_cast<const net::ReliableAck&>(*decoded.frame->msg);
-  EXPECT_EQ(ack.cum_ack, 5u);
-  EXPECT_EQ(ack.ack_bits, 0b1010u);
-  const auto again = CodecRegistry::global().encode(
-      decoded.frame->from, decoded.frame->to, *decoded.frame->msg);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, bytes);
 }
 
 // The one accepted corpus frame is a wire-stability pin: these exact bytes
@@ -539,7 +493,7 @@ TEST(CodecCorpus, OkReliableAckPinsWireLayout) {
 // freezes the layout). Regenerating the frame from current encoders would
 // test nothing — the bytes on disk are the contract.
 TEST(CodecCorpus, OkHeartbeatPingPinsWireLayout) {
-  register_all();
+  proto::register_wire_messages();
   const std::filesystem::path file =
       std::filesystem::path(WAN_CODEC_CORPUS_DIR) / "ok_heartbeat_ping.bin";
   std::ifstream in(file, std::ios::binary);
@@ -572,7 +526,7 @@ struct Unwired final : net::Message {
 // encode_into() tells that apart from an unregistered type with one lookup:
 // the socket's send path maps the two to different drop reasons.
 TEST(CodecReject, OversizePayloadFailsEncode) {
-  register_all();
+  proto::register_wire_messages();
   const auto msg = net::make_message<proto::InvokeRequest>(
       AppId(1), UserId(2), 3, 4, auth::Signature{5},
       std::string(net::kMaxFrameSize, 'x'), 6);
@@ -599,7 +553,7 @@ std::vector<std::uint8_t> bytes_of(const net::WireWriter& w) {
 // that already holds bytes are exactly the concatenation of encode() of
 // each, after the bytes that were there.
 TEST(CodecAppend, AppendedFramesAreTheConcatenationOfEncode) {
-  register_all();
+  proto::register_wire_messages();
   Rng rng{20261018};
   for (const auto& gen : generators()) {
     net::WireWriter bundle;
@@ -624,7 +578,7 @@ TEST(CodecAppend, AppendedFramesAreTheConcatenationOfEncode) {
 // A refused append leaves the frames already in the buffer intact: its
 // size and bytes are restored, and the error names the refusal.
 TEST(CodecAppend, RefusalRestoresTheBuffer) {
-  register_all();
+  proto::register_wire_messages();
   const auto good = net::make_message<proto::HeartbeatPing>(AppId(3), 9);
   const auto oversize = net::make_message<proto::InvokeRequest>(
       AppId(1), UserId(2), 3, 4, auth::Signature{5},

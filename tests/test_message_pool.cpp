@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -200,10 +199,6 @@ class Probe final : public runtime::SocketTransport {
  private:
   bool enqueue_message(HostId, HostId, const net::Message&,
                        const runtime::ResolvedAddr&) override {
-    return true;
-  }
-  bool enqueue_frame(std::span<const std::uint8_t>,
-                     const runtime::ResolvedAddr&) override {
     return true;
   }
 };

@@ -33,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -303,8 +302,8 @@ TEST(ReactorTransport, DownEndpointDropsInboundDeliveries) {
 
 // An endpoint whose ThreadedEnv was stopped and destroyed stays in the
 // routing table: frames for it still arrive at its socket and are dropped
-// there, its handler never runs, and the worker keeps serving the other
-// nodes on that socket.
+// there as endpoint_down (never counted as deliveries), its handler never
+// runs, and the worker keeps serving the other nodes on that socket.
 TEST(ReactorTransport, StoppedEnvDropsDeliveriesInsteadOfCrashing) {
   Pair pair;
   std::atomic<int> at_stopped{0};
@@ -323,6 +322,8 @@ TEST(ReactorTransport, StoppedEnvDropsDeliveriesInsteadOfCrashing) {
   obs::Counter& received =
       obs::Registry::global().counter("wan_udp_frames_received_total");
   const std::uint64_t received_before = received.value();
+  const std::uint64_t deliveries_before = socket_deliveries().value();
+  const std::uint64_t down_before = drop_count("endpoint_down");
   pair.env_a->run_sync([&] {
     for (std::uint64_t i = 0; i < 8; ++i) {
       pair.env_a->transport().send(
@@ -333,9 +334,15 @@ TEST(ReactorTransport, StoppedEnvDropsDeliveriesInsteadOfCrashing) {
         HostId(1), HostId(3),
         net::make_message<proto::HeartbeatPing>(AppId(1), 8));
   });
-  ASSERT_TRUE(eventually([&] { return at_live.load() == 1; }));
+  ASSERT_TRUE(eventually([&] {
+    return at_live.load() == 1 &&
+           drop_count("endpoint_down") - down_before >= 8 &&
+           socket_deliveries().value() - deliveries_before >= 1;
+  }));
   EXPECT_GE(received.value(), received_before + 9);
   EXPECT_EQ(at_stopped.load(), 0);
+  EXPECT_EQ(socket_deliveries().value() - deliveries_before, 1u);
+  EXPECT_EQ(drop_count("endpoint_down") - down_before, 8u);
   live.stop();
 }
 
@@ -521,10 +528,6 @@ class BatchProbe final : public SocketTransport {
  private:
   bool enqueue_message(HostId, HostId, const net::Message&,
                        const ResolvedAddr&) override {
-    return true;
-  }
-  bool enqueue_frame(std::span<const std::uint8_t>,
-                     const ResolvedAddr&) override {
     return true;
   }
 };

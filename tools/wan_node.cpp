@@ -13,26 +13,26 @@
 //       processes re-enact the revocation worst case with no coordination
 //       channel beyond the sockets themselves.
 //
-//   wan_node --udp-smoke [--te-ms N] [--reliable] [--loss P] [--verbose]
+//   wan_node --udp-smoke [--te-ms N] [--loss P] [--verbose]
 //       Orchestrator: spawns the 8 node processes (3 managers, 4 hosts,
 //       1 agent) from this same binary, each binding port 0; scrapes the
 //       kernel-assigned ports from their output, then writes the topology
 //       file the children are waiting on (two-phase startup — no
 //       bind-then-close port race). Collects their stdout and asserts the
 //       Te bound across process boundaries. This is what CI runs.
-//       --reliable arms the ack/retransmit layer in every child; --loss P additionally makes
-//       each child drop fraction P of inbound frames (seeded, deterministic
-//       per child), which only converges because retransmission recovers it.
+//       --loss P makes each child drop fraction P of inbound frames (seeded,
+//       deterministic per child); the protocol's own retransmits and check
+//       retries recover it.
 //
 //   wan_node --proc-chaos [--chaos-seed N] [--te-ms N]
 //       Process-level chaos orchestrator: the same 8-process deployment
-//       (reliability layer on, managers journaling to per-process state
-//       dirs), plus a seeded kill/restart schedule — one non-revoking
-//       manager and one non-cut host are SIGKILLed mid-traffic and
-//       re-exec'd on their original ports a few hundred ms later. The
-//       restarted manager must replay its journal (JOURNAL_REPLAYED),
-//       re-sync from peers (RESYNCED), and the Te bound must hold across
-//       the crashes exactly as in the smoke. See docs/CHAOS.md.
+//       (managers journaling to per-process state dirs), plus a seeded
+//       kill/restart schedule — one non-revoking manager and one non-cut
+//       host are SIGKILLed mid-traffic and re-exec'd on their original
+//       ports a few hundred ms later. The restarted manager must replay its
+//       journal (JOURNAL_REPLAYED), re-sync from peers (RESYNCED), and the
+//       Te bound must hold across the crashes exactly as in the smoke. See
+//       docs/CHAOS.md.
 //
 // The multi-process script (offsets from each process's start; spawn skew is
 // tens of ms, the gaps are hundreds):
@@ -46,7 +46,8 @@
 //   +3200 ms  manager 1 revokes                     (prints REVOKE_QUORUM_US)
 //   ...       agent keeps invoking; allows come only from the cut host's
 //             cache, which must expire within te. First deny after the
-//             revoke instant ends the poll            (prints LAST_ALLOW_US)
+//             revoke instant ends the poll            (prints LAST_ALLOW_US);
+//             an invocation that times out is neither and is retried
 //
 // Timestamps are system-clock microseconds — comparable across processes on
 // one machine — so the orchestrator checks LAST_ALLOW_US - REVOKE_QUORUM_US
@@ -118,7 +119,6 @@ struct Options {
   bool metrics = false;      ///< export the metrics registry
   std::string metrics_path;  ///< with --metrics: live file (empty = stdout)
   std::string state_dir;     ///< manager role: durable journal directory
-  bool reliable = false;     ///< arm the ack/retransmit layer
   double loss = 0.0;         ///< seeded inbound loss fraction (test adversity)
   std::uint64_t fault_seed = 1;
   bool resume = false;   ///< restarted node: skip the scripted one-shot duties
@@ -167,19 +167,27 @@ void sleep_until_offset(Clock::time_point t0, int offset_ms) {
   std::this_thread::sleep_until(t0 + std::chrono::milliseconds(offset_ms));
 }
 
-/// The protocol knobs every node of a deployment must agree on.
+/// The protocol knobs every node of a deployment must agree on. The
+/// fabric is plain UDP, so these timers are what recovers a lost frame:
+/// each costs one 50 ms timer. A check makes up to 8 attempts of 50 ms
+/// (a 400 ms budget); updates, revocations and syncs retransmit every 50 ms
+/// (docs/BENCHMARKS.md, "Why no reliability layer").
 proto::ProtocolConfig make_config(const Options& opt) {
   proto::ProtocolConfig config;
   config.check_quorum = 2;
   config.Te = sim::Duration::millis(opt.te_ms);
-  config.query_timeout = sim::Duration::millis(200);
-  config.max_attempts = 2;
+  config.query_timeout = sim::Duration::millis(50);
+  config.max_attempts = 8;
   config.cache_sweep_period = sim::Duration::millis(100);
-  config.update_retransmit = sim::Duration::millis(200);
-  config.revoke_retransmit = sim::Duration::millis(200);
-  config.sync_retransmit = sim::Duration::millis(200);
+  config.update_retransmit = sim::Duration::millis(50);
+  config.revoke_retransmit = sim::Duration::millis(50);
+  config.sync_retransmit = sim::Duration::millis(50);
   return config;
 }
+
+/// How long the agent waits for one InvokeReply before calling the
+/// invocation timed out: two 50 ms timers, so a lost frame costs one retry.
+constexpr sim::Duration kAgentReplyTimeout = sim::Duration::millis(100);
 
 /// Every process derives the same user keypair from the same seed, so hosts
 /// can verify what the agent signs without any key-distribution protocol.
@@ -272,9 +280,6 @@ std::optional<runtime::Topology> wait_for_topology(const std::string& path,
 std::unique_ptr<runtime::SocketTransport> open_transport(const Options& opt) {
   std::string error;
   runtime::EnvOptions eopts;
-  eopts.reliability.enabled = opt.reliable;
-  // Distinct jitter per node keeps retransmit schedules from synchronizing.
-  eopts.reliability.jitter_seed = opt.id + 1;
   std::optional<runtime::Topology> topo;
   if (!opt.listen.empty()) {
     eopts.listen = opt.listen;
@@ -450,14 +455,18 @@ int run_host(const Options& opt, runtime::SocketTransport& transport) {
   return 0;
 }
 
+/// What one agent invocation came back with.
+enum class Outcome : std::uint8_t { kPending, kAllow, kDeny, kTimedOut };
+
 int run_agent(const Options& opt, runtime::SocketTransport& transport) {
   const AppId app{1};
   const UserId alice{7};
   const auth::KeyPair kp = shared_keypair();
 
   runtime::ThreadedEnv env(transport);
-  proto::UserAgent agent(HostId(kAgentId), alice, kp, env,
-                         proto::UserAgent::Config{});
+  proto::UserAgent::Config agent_config;
+  agent_config.reply_timeout = kAgentReplyTimeout;
+  proto::UserAgent agent(HostId(kAgentId), alice, kp, env, agent_config);
   env.transport().register_endpoint(
       HostId(kAgentId), [&](HostId from, const net::MessagePtr& msg) {
         agent.on_message(from, msg);
@@ -497,37 +506,35 @@ int run_agent(const Options& opt, runtime::SocketTransport& transport) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
-    std::mutex mu;
-    bool done = false;
-    bool ok = false;
+    // Shared-owned: a reply landing after the wait below gave up must not
+    // touch a dead stack frame.
+    auto outcome = std::make_shared<std::atomic<Outcome>>(Outcome::kPending);
     env.run_sync([&] {
       agent.invoke(app, {HostId(kCutHostId)}, "hello",
-                   [&](const proto::InvokeResult& r) {
-                     const std::lock_guard<std::mutex> lock(mu);
-                     ok = r.ok;
-                     done = true;
+                   [outcome](const proto::InvokeResult& r) {
+                     outcome->store(r.ok          ? Outcome::kAllow
+                                    : r.timed_out ? Outcome::kTimedOut
+                                                  : Outcome::kDeny);
                    });
     });
-    const auto wait_deadline = Clock::now() + std::chrono::seconds(5);
-    while (true) {
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (done) break;
-      }
-      if (Clock::now() >= wait_deadline) break;
+    const auto wait_deadline = Clock::now() + std::chrono::seconds(2);
+    while (outcome->load() == Outcome::kPending &&
+           Clock::now() < wait_deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    if (ok) {
+    const Outcome got = outcome->load();
+    if (got == Outcome::kAllow) {
       ever_allowed = true;
       last_allow_us = system_us();
       if (opt.verbose) {
         std::printf("  allow at +%.0f ms\n", ms_since(t0));
         std::fflush(stdout);
       }
-    } else if (ms_since(t0) > kRevokeAtMs) {
+    } else if (got == Outcome::kDeny && ms_since(t0) > kRevokeAtMs) {
       // Transient denies before the revoke (e.g. a query attempt racing the
       // very first grant) are retried; a deny after it is the revocation
-      // taking effect at the cut host.
+      // taking effect at the cut host. A timed-out invocation (the agent's
+      // reply timer, or this wait) saw neither and is retried too.
       denied_after_revoke = true;
       break;
     }
@@ -793,7 +800,6 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
         "--topology", topo_path,
         "--te-ms",    std::to_string(opt.te_ms),
         "--listen",   "127.0.0.1:0"};
-    if (opt.reliable) args.push_back("--reliable");
     if (opt.loss > 0.0) {
       args.push_back("--loss");
       args.push_back(std::to_string(opt.loss));
@@ -991,8 +997,7 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
         "--id",       std::to_string(id),
         "--topology", topo_path,
         "--te-ms",    std::to_string(opt.te_ms),
-        "--listen",   listen,
-        "--reliable"};
+        "--listen",   listen};
     if (role == "manager") {
       args.push_back("--state-dir");
       args.push_back(std::string(dir) + "/state-" + std::to_string(id));
@@ -1316,14 +1321,9 @@ int main(int argc, char** argv) {
                  "manager role: journal ACL state under DIR (created if\n"
                  "missing); a restarted manager replays it and re-syncs",
                  &opt.state_dir);
-  cli.add_flag("--reliable",
-               "arm the ack/retransmit layer on the socket fabric (critical\n"
-               "messages get per-flow sequencing, retransmission, and dedup;\n"
-               "heartbeats stay fire-and-forget)",
-               &opt.reliable);
   cli.add_value("--loss", "P",
                 "drop fraction P (0..1) of inbound frames, deterministically\n"
-                "seeded — only converges with --reliable",
+                "seeded",
                 [&](const std::string& v) {
                   char* end = nullptr;
                   opt.loss = std::strtod(v.c_str(), &end);
