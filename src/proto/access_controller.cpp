@@ -462,6 +462,12 @@ void AccessController::on_hedge(CheckSession& s) {
 
 void AccessController::handle_query_response(HostId from,
                                              const QueryResponse& resp) {
+  // Counted before the session lookup: a reply to an attempt that already
+  // decided or timed out (the slower half of a hedged attempt) still
+  // arrived, and a query it answers must not look lost.
+  static obs::Counter& replies =
+      obs::Registry::global().counter("wan_query_replies_total");
+  replies.inc();
   const auto qit = query_to_session_.find(resp.query_id);
   if (qit == query_to_session_.end()) return;  // stale attempt (Fig. 3 timer)
   CheckSession& s = *qit->second;
@@ -469,9 +475,6 @@ void AccessController::handle_query_response(HostId from,
   obs::record(s.trace, obs::SpanKind::kRecv, self_, env_.now(), "query.recv",
               from.value(),
               static_cast<std::int64_t>(resp.version.counter));
-  static obs::Counter& replies =
-      obs::Registry::global().counter("wan_query_replies_total");
-  replies.inc();
   // Only the managers this session queried may vote: the paper's trust model
   // authenticates manager traffic, so a response from anyone else is forged.
   if (std::find(s.managers.begin(), s.managers.end(), from) ==

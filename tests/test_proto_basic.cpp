@@ -45,6 +45,10 @@ std::uint64_t hedges() {
   return obs::Registry::global().counter("wan_query_hedges_total").value();
 }
 
+std::uint64_t replies() {
+  return obs::Registry::global().counter("wan_query_replies_total").value();
+}
+
 std::uint64_t queries_sent(Scenario& s) {
   const auto by_type = s.network().stats().sent_by_type();
   const auto it = by_type.find("QueryRequest");
@@ -324,6 +328,28 @@ TEST(ProtoBasic, HedgeReachesTheRestWhenAFirstWaveManagerIsDown) {
   EXPECT_EQ(queries_sent(s), 3u);
   EXPECT_EQ(hedges() - hedges_before, 1u);
   EXPECT_LT(d.latency(), s.host(0).controller().config().query_timeout);
+}
+
+TEST(ProtoBasic, HedgeRepliesAfterTheDecisionAreCounted) {
+  // A first-wave manager that is slow rather than down: once the hedge has
+  // reached the third manager, the check decides on the first two replies
+  // and the last one, often the slow first-wave manager's, lands after the
+  // decision. Every query is answered on this lossless rig, so every reply
+  // must be counted, late ones included.
+  auto cfg = healthy_config();
+  cfg.constant_latency = false;
+  cfg.latency_base = Duration::millis(1);
+  cfg.latency_tail = Duration::millis(20);
+  Scenario s(cfg);
+  s.run_for(Duration::seconds(1));
+  s.network().reset_stats();
+  const std::uint64_t hedges_before = hedges();
+  const std::uint64_t replies_before = replies();
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(run_check(s, 0, s.user(0)).path, DecisionPath::kQuorumDenied);
+  }
+  EXPECT_GT(hedges() - hedges_before, 0u);
+  EXPECT_EQ(replies() - replies_before, queries_sent(s));
 }
 
 TEST(ProtoBasic, CheckQuorumOneAsksOneManager) {

@@ -2,7 +2,7 @@
 //
 // The simulator proves the protocol's logic; this tool proves the runtime
 // seam — the same proto/ modules, byte for byte, driven by OS threads and a
-// steady clock over real UDP sockets. Three modes:
+// steady clock over real UDP sockets. Two kinds of process:
 //
 //   wan_node --role manager|host|agent --id N --topology FILE
 //            [--listen ADDR] [--te-ms N] [--verbose] [--metrics [FILE]]
@@ -13,40 +13,43 @@
 //       processes re-enact the revocation worst case with no coordination
 //       channel beyond the sockets themselves.
 //
-//   wan_node --udp-smoke [--te-ms N] [--loss P] [--verbose]
-//       Orchestrator: spawns the 8 node processes (3 managers, 4 hosts,
-//       1 agent) from this same binary, each binding port 0; scrapes the
+//   wan_node --udp-smoke [--te-ms N] [--loss P] [--fault-seed N] [--trace DIR]
+//            [--verbose]
+//   wan_node --proc-chaos [--chaos-seed N] [same options]
+//       Orchestrator (run_deployment): spawns the 8 node processes
+//       (3 managers journaling to per-process state dirs, 4 hosts, 1 agent)
+//       from this same binary, each binding port 0; scrapes the
 //       kernel-assigned ports from their output, then writes the topology
 //       file the children are waiting on (two-phase startup — no
-//       bind-then-close port race). Collects their stdout and asserts the
-//       Te bound across process boundaries. This is what CI runs.
-//       --loss P makes each child drop fraction P of inbound frames (seeded,
-//       deterministic per child); the protocol's own retransmits and check
-//       retries recover it.
-//
-//   wan_node --proc-chaos [--chaos-seed N] [--te-ms N]
-//       Process-level chaos orchestrator: the same 8-process deployment
-//       (managers journaling to per-process state dirs), plus a seeded
-//       kill/restart schedule — one non-revoking manager and one non-cut
-//       host are SIGKILLed mid-traffic and re-exec'd on their original
-//       ports a few hundred ms later. The restarted manager must replay its
-//       journal (JOURNAL_REPLAYED), re-sync from peers (RESYNCED), and the
-//       Te bound must hold across the crashes exactly as in the smoke. See
-//       docs/CHAOS.md.
+//       bind-then-close port race). Both modes run the same deployment and
+//       the same checks; they differ only in the crash schedule. The smoke's
+//       is empty. --proc-chaos draws one from --chaos-seed: one non-revoking
+//       manager and one non-cut host are SIGKILLed mid-traffic and re-exec'd
+//       on their original ports a few hundred ms later; the restarted manager
+//       must replay its journal (JOURNAL_REPLAYED) and re-sync from peers
+//       (RESYNCED). Every run must observe the Te window: it fails when the
+//       last allow lands after Te, and also when it lands before the revoke
+//       quorum, since such a run checked nothing. --loss P makes each child
+//       drop fraction P of inbound frames (seeded, deterministic per child);
+//       the protocol's own retransmits and check retries recover it. This is
+//       what CI runs; see docs/CHAOS.md.
 //
 // The multi-process script (offsets from each process's start; spawn skew is
 // tens of ms, the gaps are hundreds):
 //
 //   +500 ms   manager 0 grants the user             (prints GRANT_OK_US)
 //   +1200 ms  agent starts invoking via the cut host, repeatedly
-//   +3000 ms  the cut host blocks inbound from all managers — revocations
-//             and query replies can no longer reach it, but its cache was
-//             refreshed moments ago (the paper's worst case: a partition
-//             landing right after a grant confirmation)
+//   +3000 ms  the cut host empties its cache (a §3.4 crash and recovery); the
+//             agent's next invocation refills it from a manager quorum, and
+//             right after that fill the cut host blocks inbound from all
+//             managers — revocations and query replies can no longer reach
+//             it, and its entry is fresh (the paper's worst case: a
+//             partition landing right after a grant confirmation)
 //   +3200 ms  manager 1 revokes                     (prints REVOKE_QUORUM_US)
 //   ...       agent keeps invoking; allows come only from the cut host's
-//             cache, which must expire within te. First deny after the
-//             revoke instant ends the poll            (prints LAST_ALLOW_US);
+//             cache, which must expire within te of the fill, about
+//             te - 200 ms after the revoke whatever Te is. First deny after
+//             the revoke instant ends the poll       (prints LAST_ALLOW_US);
 //             an invocation that times out is neither and is retried
 //
 // Timestamps are system-clock microseconds — comparable across processes on
@@ -75,6 +78,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <functional>
@@ -132,8 +136,6 @@ constexpr std::uint32_t kManagerIds[] = {0, 1, 2};
 constexpr std::uint32_t kHostIds[] = {100, 101, 102, 103};
 constexpr std::uint32_t kAgentId = 9000;
 constexpr std::uint32_t kCutHostId = 103;
-constexpr int kManagers = 3;
-constexpr int kHosts = 4;
 
 // Multi-process script offsets (ms from each process's start).
 constexpr int kGrantAtMs = 500;
@@ -427,6 +429,9 @@ int run_host(const Options& opt, runtime::SocketTransport& transport) {
   auth::KeyRegistry keys;
   keys.register_user(UserId(7), shared_keypair().public_key);
 
+  // Set on the worker by the cut host's first quorum-granted fill after its
+  // staged cache flush; outlives `env`, whose worker writes it.
+  std::atomic<bool> refilled{false};
   runtime::ThreadedEnv env(transport);
   proto::AppHost host(HostId(opt.id), env, clk::LocalClock::perfect(), names,
                       keys, config);
@@ -441,6 +446,23 @@ int run_host(const Options& opt, runtime::SocketTransport& transport) {
 
   if (!opt.resume && opt.id == kCutHostId) {
     sleep_until_offset(t0, kBlockAtMs);
+    // Stage the worst case whatever Te is: empty the cache as a §3.4
+    // recovery does, so the agent's next invocation refills it from a
+    // manager quorum, and cut the managers away right after that fill. The
+    // entry then serves its whole te, and the revoke lands ~200 ms into it.
+    env.run_sync([&] {
+      host.controller().set_decision_observer(
+          [&refilled](const proto::AccessDecision& d) {
+            if (d.path == proto::DecisionPath::kQuorumGranted) {
+              refilled.store(true);
+            }
+          });
+      host.crash();
+      host.recover();
+    });
+    while (!refilled.load() && ms_since(t0) < lifetime_of(opt)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     // One-way partition: the agent can still invoke through this host, but
     // nothing the managers send (RevokeNotify, QueryResponse) gets in. Only
     // the cache's te expiry can end access — the bound under test.
@@ -662,15 +684,65 @@ int run_role(const Options& opt) {
 }
 
 // ---------------------------------------------------------------------------
-// --udp-smoke: orchestrates the 8 node processes and asserts the Te bound.
+// --udp-smoke and --proc-chaos: one orchestrator for the 8-process deployment.
+// The two modes differ only in the crash schedule: the smoke's is empty.
+
+/// One node of the deployment.
+struct Node {
+  std::string role;
+  std::uint32_t id = 0;
+  [[nodiscard]] std::string name() const {
+    return role + "-" + std::to_string(id);
+  }
+};
+
+/// The fixed 8-node deployment, in spawn order.
+std::vector<Node> deployment() {
+  std::vector<Node> nodes;
+  for (const std::uint32_t id : kManagerIds) nodes.push_back({"manager", id});
+  for (const std::uint32_t id : kHostIds) nodes.push_back({"host", id});
+  nodes.push_back({"agent", kAgentId});
+  return nodes;
+}
+
+/// One scheduled crash: node `id` is SIGKILLed `kill_ms` after the grant
+/// lands and re-exec'd on its original port `down_ms` later.
+struct Crash {
+  std::uint32_t id = 0;
+  int kill_ms = 0;
+  int down_ms = 0;
+};
+
+/// The --proc-chaos schedule drawn from --chaos-seed; --udp-smoke runs the
+/// empty one. The victims are one manager other than the revoking one (the
+/// revoke must still happen, so the oracle has an instant to measure from)
+/// and one host other than the cut host, whose cache expiry IS the property
+/// under test. Kills land ~[1.6, 2.6] s after the grant, between the cache
+/// warm-up and the revocation, so each crash overlaps the revocation storm;
+/// restarts follow a few hundred ms later, well within the outage the retry
+/// budgets absorb.
+std::vector<Crash> crash_schedule(const Options& opt) {
+  if (!opt.proc_chaos) return {};
+  Rng chaos(opt.chaos_seed);
+  const std::uint32_t mgr = chaos.next_bool(0.5) ? 0u : 2u;
+  constexpr std::uint32_t kHostPool[] = {100, 101, 102};
+  const std::uint32_t host = kHostPool[chaos.next_below(std::size(kHostPool))];
+  const int mgr_kill_ms = 1600 + static_cast<int>(chaos.next_below(1000));
+  const int mgr_down_ms = 300 + static_cast<int>(chaos.next_below(500));
+  const int host_kill_ms = 1600 + static_cast<int>(chaos.next_below(1000));
+  const int host_down_ms = 300 + static_cast<int>(chaos.next_below(500));
+  return {{mgr, mgr_kill_ms, mgr_down_ms}, {host, host_kill_ms, host_down_ms}};
+}
 
 struct ChildProc {
   pid_t pid = -1;
+  std::size_t node = 0;  ///< index into deployment()
   std::string name;
   std::string out_path;
   int exit_code = -1;
   bool exited = false;
-  bool killed = false;  ///< chaos victim: nonzero exit is the point, not a bug
+  bool killed = false;  ///< crash victim: its exit is the point, not a bug
+  long harvested = -1;  ///< flight-recorder events recovered after the kill
   Clock::time_point spawned_at;
 };
 
@@ -683,6 +755,7 @@ ChildProc spawn_child(const char* argv0, const std::string& name,
   child.name = name;
   child.out_path = out_path;
   child.spawned_at = Clock::now();
+  std::fflush(stdout);  // or the child's freopen writes our buffer again
   const pid_t pid = ::fork();
   if (pid < 0) return child;
   if (pid == 0) {
@@ -717,47 +790,25 @@ void dump_child_output(const ChildProc& child) {
   }
 }
 
-/// Phase 2 of the two-phase startup shared by the orchestrators: scrape each
-/// child's NODE_PORT announcement, assemble the real topology, and publish
-/// it atomically (rename, so no child ever parses a half-written file).
-/// Fills `ports_out` indexed like `children`/`nodes`. On timeout kills the
-/// deployment, dumps its output, and returns false.
-bool publish_topology(
-    const char* tag, std::vector<ChildProc>& children,
-    const std::vector<std::pair<std::string, std::uint32_t>>& nodes,
-    const std::string& topo_path, std::vector<std::int64_t>* ports_out) {
-  std::vector<std::optional<std::int64_t>> ports(children.size());
-  const auto port_deadline = Clock::now() + std::chrono::seconds(10);
-  std::size_t found = 0;
-  while (found < children.size()) {
-    found = 0;
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      if (!ports[i]) {
-        ports[i] = scrape_stamp(children[i].out_path, "NODE_PORT");
-      }
-      if (ports[i]) ++found;
-    }
-    if (found == children.size()) break;
-    if (Clock::now() >= port_deadline) {
-      std::fprintf(stderr,
-                   "wan_node %s: FAILED — %zu/%zu children never announced "
-                   "a port\n",
-                   tag, children.size() - found, children.size());
-      for (ChildProc& child : children) {
-        ::kill(child.pid, SIGKILL);
-        dump_child_output(child);
-      }
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+/// Phase 2 of the two-phase startup: scrape each child's NODE_PORT
+/// announcement, assemble the real topology, and publish it atomically
+/// (rename, so no child ever parses a half-written file). Returns the ports
+/// indexed like `nodes`; nullopt when a child announced none within 10 s or
+/// the file could not be published.
+std::optional<std::vector<std::uint16_t>> publish_topology(
+    const std::vector<ChildProc>& children, const std::vector<Node>& nodes,
+    const std::string& topo_path) {
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  std::vector<std::uint16_t> ports;
   runtime::Topology topo;
-  ports_out->clear();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    topo.add(HostId(nodes[i].second),
-             runtime::NodeAddress{"127.0.0.1",
-                                  static_cast<std::uint16_t>(*ports[i])});
-    ports_out->push_back(*ports[i]);
+    std::optional<std::int64_t> port;
+    while (!(port = scrape_stamp(children[i].out_path, "NODE_PORT"))) {
+      if (Clock::now() >= deadline) return std::nullopt;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    ports.push_back(static_cast<std::uint16_t>(*port));
+    topo.add(HostId(nodes[i].id), runtime::NodeAddress{"127.0.0.1", ports[i]});
   }
   const std::string tmp_path = topo_path + ".tmp";
   {
@@ -765,164 +816,10 @@ bool publish_topology(
     out << topo.serialize();
   }
   if (std::rename(tmp_path.c_str(), topo_path.c_str()) != 0) {
-    std::fprintf(stderr, "wan_node %s: cannot publish topology\n", tag);
-    for (const ChildProc& c : children) ::kill(c.pid, SIGKILL);
-    return false;
+    return std::nullopt;
   }
-  return true;
+  return ports;
 }
-
-int run_udp_smoke(const Options& opt, const char* argv0) {
-  char dir_template[] = "/tmp/wan_udp_smoke.XXXXXX";
-  const char* dir = ::mkdtemp(dir_template);
-  if (dir == nullptr) {
-    std::fprintf(stderr, "wan_node --udp-smoke: mkdtemp failed\n");
-    return 2;
-  }
-  const std::string topo_path = std::string(dir) + "/topology.txt";
-
-  std::vector<std::pair<std::string, std::uint32_t>> nodes;
-  for (const std::uint32_t id : kManagerIds) nodes.emplace_back("manager", id);
-  for (const std::uint32_t id : kHostIds) nodes.emplace_back("host", id);
-  nodes.emplace_back("agent", kAgentId);
-
-  // Phase 1: spawn every child binding port 0. The topology file does not
-  // exist yet; each child binds, prints NODE_PORT, and waits for the file.
-  // Ports are owned by the sockets that will use them from the instant the
-  // kernel assigns them — the old bind-then-close prober could lose its port
-  // to another process between close() and the child's bind().
-  std::vector<ChildProc> children;
-  for (const auto& [role, id] : nodes) {
-    const std::string name = role + "-" + std::to_string(id);
-    std::vector<std::string> args = {
-        "--role",     role,
-        "--id",       std::to_string(id),
-        "--topology", topo_path,
-        "--te-ms",    std::to_string(opt.te_ms),
-        "--listen",   "127.0.0.1:0"};
-    if (opt.loss > 0.0) {
-      args.push_back("--loss");
-      args.push_back(std::to_string(opt.loss));
-      args.push_back("--fault-seed");
-      args.push_back(std::to_string(opt.fault_seed));
-    }
-    if (!opt.trace_dir.empty()) {
-      args.push_back("--trace");
-      args.push_back(opt.trace_dir);
-    }
-    if (opt.verbose) args.push_back("--verbose");
-    ChildProc child =
-        spawn_child(argv0, name, std::string(dir) + "/" + name + ".out", args);
-    if (child.pid < 0) {
-      std::fprintf(stderr, "wan_node --udp-smoke: fork failed\n");
-      for (const ChildProc& c : children) ::kill(c.pid, SIGKILL);
-      return 2;
-    }
-    children.push_back(std::move(child));
-  }
-  if (opt.verbose) {
-    std::printf("  spawned %zu node processes (topology %s)\n",
-                children.size(), topo_path.c_str());
-  }
-
-  // Phase 2: scrape each child's kernel-assigned port, then publish the
-  // real topology.
-  std::vector<std::int64_t> ports;
-  if (!publish_topology("--udp-smoke", children, nodes, topo_path, &ports)) {
-    return 1;
-  }
-
-  // Wait for every child, with a hard deadline: a wedged deployment must
-  // fail the smoke, not hang CI.
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(node_lifetime_ms(opt) + 10000);
-  std::size_t remaining = children.size();
-  while (remaining > 0 && Clock::now() < deadline) {
-    for (ChildProc& child : children) {
-      if (child.exited) continue;
-      int status = 0;
-      const pid_t r = ::waitpid(child.pid, &status, WNOHANG);
-      if (r == child.pid) {
-        child.exited = true;
-        child.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : 128;
-        --remaining;
-      }
-    }
-    if (remaining > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
-  if (remaining > 0) {
-    std::fprintf(stderr,
-                 "wan_node --udp-smoke: FAILED — %zu process(es) still "
-                 "running at deadline; killing\n",
-                 remaining);
-    for (ChildProc& child : children) {
-      if (!child.exited) ::kill(child.pid, SIGKILL);
-      dump_child_output(child);
-    }
-    return 1;
-  }
-
-  bool all_ok = true;
-  for (const ChildProc& child : children) {
-    if (child.exit_code != 0) {
-      std::fprintf(stderr, "wan_node --udp-smoke: %s exited %d\n",
-                   child.name.c_str(), child.exit_code);
-      all_ok = false;
-    }
-  }
-  const std::optional<std::int64_t> quorum_us = scrape_stamp(
-      std::string(dir) + "/manager-" + std::to_string(kManagerIds[1]) + ".out",
-      "REVOKE_QUORUM_US");
-  const std::optional<std::int64_t> last_allow_us = scrape_stamp(
-      std::string(dir) + "/agent-" + std::to_string(kAgentId) + ".out",
-      "LAST_ALLOW_US");
-  if (!quorum_us) {
-    std::fprintf(stderr,
-                 "wan_node --udp-smoke: revoke never reached quorum\n");
-    all_ok = false;
-  }
-  if (!last_allow_us) {
-    std::fprintf(stderr, "wan_node --udp-smoke: agent saw no allow/deny "
-                         "transition\n");
-    all_ok = false;
-  }
-  if (!all_ok || opt.verbose) {
-    for (const ChildProc& child : children) dump_child_output(child);
-  }
-  if (!all_ok) {
-    std::fprintf(stderr, "wan_node --udp-smoke: FAILED (outputs kept in %s)\n",
-                 dir);
-    return 1;
-  }
-
-  const double over_ms =
-      static_cast<double>(*last_allow_us - *quorum_us) / 1000.0;
-  const bool held = over_ms <= static_cast<double>(opt.te_ms);
-  std::printf(
-      "wan_node --udp-smoke: Te bound across %zu processes: last allow "
-      "%.1f ms after revoke quorum (bound %d ms) — %s\n",
-      children.size(), over_ms, opt.te_ms, held ? "HELD" : "VIOLATED");
-  if (!held) {
-    std::fprintf(stderr, "wan_node --udp-smoke: FAILED (outputs kept in %s)\n",
-                 dir);
-    return 1;
-  }
-
-  // Success: tidy up the scratch dir.
-  for (const ChildProc& child : children) {
-    std::remove(child.out_path.c_str());
-  }
-  std::remove(topo_path.c_str());
-  ::rmdir(dir);
-  std::printf("wan_node --udp-smoke: OK (%zu processes over localhost UDP)\n",
-              children.size());
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// --proc-chaos: the 8-process deployment plus a seeded kill/restart schedule.
 
 /// Remaining lifetime for a restarted victim: the schedule it would have
 /// served minus the time its first incarnation already consumed, plus slack
@@ -957,314 +854,251 @@ long harvest_killed_ring(const std::string& trace_dir,
   return static_cast<long>(pt.events.size());
 }
 
-int run_proc_chaos(const Options& opt, const char* argv0) {
-  char dir_template[] = "/tmp/wan_proc_chaos.XXXXXX";
-  const char* dir = ::mkdtemp(dir_template);
-  if (dir == nullptr) {
-    std::fprintf(stderr, "wan_node --proc-chaos: mkdtemp failed\n");
+int run_deployment(const Options& opt, const char* argv0) {
+  const char* mode = opt.proc_chaos ? "--proc-chaos" : "--udp-smoke";
+  const std::vector<Crash> crashes = crash_schedule(opt);
+  char dir_template[] = "/tmp/wan_node.XXXXXX";
+  if (::mkdtemp(dir_template) == nullptr) {
+    std::fprintf(stderr, "wan_node %s: mkdtemp failed\n", mode);
     return 2;
   }
-  const std::string topo_path = std::string(dir) + "/topology.txt";
-
-  std::vector<std::pair<std::string, std::uint32_t>> nodes;
-  for (const std::uint32_t id : kManagerIds) nodes.emplace_back("manager", id);
-  for (const std::uint32_t id : kHostIds) nodes.emplace_back("host", id);
-  nodes.emplace_back("agent", kAgentId);
-
-  // The victims, drawn from the seed. Never the revoking manager — the
-  // revoke must still happen so the oracle has an instant to measure from —
-  // and never the cut host (103), whose cache expiry IS the property under
-  // test. Everything else is fair game mid-traffic.
-  Rng chaos(opt.chaos_seed);
-  const std::uint32_t victim_mgr = chaos.next_bool(0.5) ? 0u : 2u;
-  constexpr std::uint32_t kHostPool[] = {100, 101, 102};
-  const std::uint32_t victim_host =
-      kHostPool[chaos.next_below(std::size(kHostPool))];
-  // Kill ~[1.6, 2.6] s after the grant lands — between the cache warm-up and
-  // the revocation, so the crash overlaps the revocation storm. Restart a
-  // few hundred ms later, well within the outage the retry budgets absorb.
-  const int kill_mgr_after_grant_ms =
-      1600 + static_cast<int>(chaos.next_below(1000));
-  const int restart_mgr_delay_ms =
-      300 + static_cast<int>(chaos.next_below(500));
-  const int kill_host_after_grant_ms = 1600 + static_cast<int>(chaos.next_below(1000));
-  const int restart_host_delay_ms = 300 + static_cast<int>(chaos.next_below(500));
-
-  auto node_args = [&](const std::string& role, std::uint32_t id,
-                       const std::string& listen) {
-    std::vector<std::string> args = {
-        "--role",     role,
-        "--id",       std::to_string(id),
-        "--topology", topo_path,
-        "--te-ms",    std::to_string(opt.te_ms),
-        "--listen",   listen};
-    if (role == "manager") {
-      args.push_back("--state-dir");
-      args.push_back(std::string(dir) + "/state-" + std::to_string(id));
-    }
-    if (!opt.trace_dir.empty()) {
-      args.push_back("--trace");
-      args.push_back(opt.trace_dir);
-    }
-    if (opt.verbose) args.push_back("--verbose");
-    return args;
+  const std::string dir = dir_template;
+  const std::string topo_path = dir + "/topology.txt";
+  const std::vector<Node> nodes = deployment();
+  auto index_of = [&](std::uint32_t id) {
+    return static_cast<std::size_t>(
+        std::find_if(nodes.begin(), nodes.end(),
+                     [id](const Node& n) { return n.id == id; }) -
+        nodes.begin());
   };
 
   std::vector<ChildProc> children;
-  for (const auto& [role, id] : nodes) {
-    const std::string name = role + "-" + std::to_string(id);
-    ChildProc child =
-        spawn_child(argv0, name, std::string(dir) + "/" + name + ".out",
-                    node_args(role, id, "127.0.0.1:0"));
-    if (child.pid < 0) {
-      std::fprintf(stderr, "wan_node --proc-chaos: fork failed\n");
-      for (const ChildProc& c : children) ::kill(c.pid, SIGKILL);
-      return 2;
-    }
-    children.push_back(std::move(child));
-  }
-  std::printf(
-      "wan_node --proc-chaos: seed %llu — will kill manager-%u (+%d ms "
-      "after grant, back %d ms later) and host-%u (+%d ms, back %d ms "
-      "later)\n",
-      static_cast<unsigned long long>(opt.chaos_seed), victim_mgr,
-      kill_mgr_after_grant_ms, restart_mgr_delay_ms, victim_host,
-      kill_host_after_grant_ms, restart_host_delay_ms);
-
-  std::vector<std::int64_t> ports;
-  if (!publish_topology("--proc-chaos", children, nodes, topo_path, &ports)) {
-    return 1;
-  }
-
-  // The schedule anchors on the grant actually landing, not on wall-clock
-  // offsets: spawn skew varies, and killing a manager before the grant
-  // completes would test a different (earlier, easier) interleaving.
-  const std::string mgr0_out = std::string(dir) + "/manager-0.out";
-  std::optional<std::int64_t> grant_us;
-  const auto grant_deadline = Clock::now() + std::chrono::seconds(15);
-  while (!(grant_us = scrape_stamp(mgr0_out, "GRANT_OK_US"))) {
-    if (Clock::now() >= grant_deadline) {
-      std::fprintf(stderr,
-                   "wan_node --proc-chaos: FAILED — grant never completed\n");
-      for (ChildProc& child : children) {
+  // Every failure after the first spawn ends here: stop whatever still runs
+  // and keep the outputs for the post-mortem.
+  auto fail = [&](const std::string& why) {
+    for (ChildProc& child : children) {
+      if (!child.exited) {
         ::kill(child.pid, SIGKILL);
-        dump_child_output(child);
+        ::waitpid(child.pid, nullptr, 0);
+        child.exited = true;
       }
-      return 1;
+      dump_child_output(child);
     }
+    std::fprintf(stderr, "wan_node %s: FAILED — %s (outputs kept in %s)\n",
+                 mode, why.c_str(), dir.c_str());
+    return 1;
+  };
+  // Every incarnation of node i gets the same arguments; a restart adds
+  // `extra`. Managers journal in both modes: a fresh boot replays nothing
+  // and does not resync.
+  auto spawn = [&](std::size_t i, const std::string& listen,
+                   const std::vector<std::string>& extra,
+                   const std::string& suffix) {
+    const Node& node = nodes[i];
+    std::vector<std::string> args = {
+        "--role",     node.role,
+        "--id",       std::to_string(node.id),
+        "--topology", topo_path,
+        "--te-ms",    std::to_string(opt.te_ms),
+        "--listen",   listen};
+    if (node.role == "manager") {
+      args.insert(args.end(),
+                  {"--state-dir", dir + "/state-" + std::to_string(node.id)});
+    }
+    if (opt.loss > 0.0) {
+      args.insert(args.end(), {"--loss", std::to_string(opt.loss),
+                               "--fault-seed", std::to_string(opt.fault_seed)});
+    }
+    if (!opt.trace_dir.empty()) {
+      args.insert(args.end(), {"--trace", opt.trace_dir});
+    }
+    if (opt.verbose) args.push_back("--verbose");
+    args.insert(args.end(), extra.begin(), extra.end());
+    const std::string name = node.name() + suffix;
+    ChildProc child =
+        spawn_child(argv0, name, dir + "/" + name + ".out", args);
+    child.node = i;
+    if (child.pid < 0) return false;
+    children.push_back(std::move(child));
+    return true;
+  };
+
+  for (const Crash& c : crashes) {
+    std::printf("wan_node %s: seed %llu — will kill %s +%d ms after the "
+                "grant, back %d ms later\n",
+                mode, static_cast<unsigned long long>(opt.chaos_seed),
+                nodes[index_of(c.id)].name().c_str(), c.kill_ms, c.down_ms);
+  }
+
+  // Phase 1: spawn every child binding port 0. The topology file does not
+  // exist yet; each child binds, prints NODE_PORT, and waits for the file.
+  // Ports are owned by the sockets that will use them from the instant the
+  // kernel assigns them — no bind-then-close race with other processes.
+  const Clock::time_point started = Clock::now();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!spawn(i, "127.0.0.1:0", {}, "")) return fail("fork failed");
+  }
+  if (opt.verbose) {
+    std::printf("  spawned %zu node processes (topology %s)\n",
+                children.size(), topo_path.c_str());
+  }
+  const std::optional<std::vector<std::uint16_t>> ports =
+      publish_topology(children, nodes, topo_path);
+  if (!ports) return fail("a child announced no port, or no topology file");
+
+  // Crashes anchor on the grant landing, not on wall-clock offsets: spawn
+  // skew varies, and killing a manager before the grant completes would test
+  // an earlier, easier interleaving.
+  const auto grant_deadline = Clock::now() + std::chrono::seconds(15);
+  while (!scrape_stamp(children[index_of(kManagerIds[0])].out_path,
+                       "GRANT_OK_US")) {
+    if (Clock::now() >= grant_deadline) return fail("grant never completed");
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   const Clock::time_point grant_at = Clock::now();
 
-  auto index_of = [&](std::uint32_t id) -> std::size_t {
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (nodes[i].second == id) return i;
-    }
-    return 0;  // unreachable: victims are drawn from the node list
-  };
-
-  struct ChaosEvent {
+  struct Event {
     Clock::time_point at;
+    std::size_t node = 0;
     bool restart = false;
-    std::size_t index = 0;  ///< into children/nodes/ports
   };
-  std::vector<ChaosEvent> events = {
-      {grant_at + std::chrono::milliseconds(kill_mgr_after_grant_ms), false,
-       index_of(victim_mgr)},
-      {grant_at + std::chrono::milliseconds(kill_mgr_after_grant_ms +
-                                            restart_mgr_delay_ms),
-       true, index_of(victim_mgr)},
-      {grant_at + std::chrono::milliseconds(kill_host_after_grant_ms), false,
-       index_of(victim_host)},
-      {grant_at + std::chrono::milliseconds(kill_host_after_grant_ms +
-                                            restart_host_delay_ms),
-       true, index_of(victim_host)},
-  };
+  std::vector<Event> events;
+  for (const Crash& c : crashes) {
+    const auto kill_at = grant_at + std::chrono::milliseconds(c.kill_ms);
+    events.push_back({kill_at, index_of(c.id), false});
+    events.push_back(
+        {kill_at + std::chrono::milliseconds(c.down_ms), index_of(c.id), true});
+  }
   std::sort(events.begin(), events.end(),
-            [](const ChaosEvent& a, const ChaosEvent& b) { return a.at < b.at; });
-
-  std::vector<ChildProc> restarts;
-  long mgr_ring_events = -1;  ///< events harvested from the killed manager
-  for (const ChaosEvent& ev : events) {
+            [](const Event& a, const Event& b) { return a.at < b.at; });
+  for (const Event& ev : events) {
     std::this_thread::sleep_until(ev.at);
-    ChildProc& victim = children[ev.index];
-    const auto& [role, id] = nodes[ev.index];
+    // The first incarnation of node i is children[i]; each node dies once.
     if (!ev.restart) {
       // SIGKILL: no atexit, no flush, no shutdown — the journal must already
       // be durable and the survivors must carry the protocol meanwhile.
+      ChildProc& victim = children[ev.node];
       ::kill(victim.pid, SIGKILL);
       ::waitpid(victim.pid, nullptr, 0);
       victim.exited = true;
       victim.killed = true;
-      victim.exit_code = 0;
       std::printf("  killed %s at +%.0f ms\n", victim.name.c_str(),
                   ms_since(grant_at));
       if (!opt.trace_dir.empty()) {
         // The victim's last spans survive only in its mmap ring; fold them
         // into the trace set before its restart truncates the ring file.
-        const long recovered =
-            harvest_killed_ring(opt.trace_dir, victim.name);
-        if (role == "manager") mgr_ring_events = recovered;
-        if (recovered >= 0) {
-          std::printf(
-              "  harvested %ld flight-recorder events from killed %s\n",
-              recovered, victim.name.c_str());
+        victim.harvested = harvest_killed_ring(opt.trace_dir, victim.name);
+        if (victim.harvested >= 0) {
+          std::printf("  harvested %ld flight-recorder events from killed %s\n",
+                      victim.harvested, victim.name.c_str());
         }
       }
     } else {
       // Re-exec on the original port (every peer still routes to it) with
       // --resume (its one-shot scripted duties are done or forfeited) and
       // the remaining schedule as its lifetime.
-      std::vector<std::string> args = node_args(
-          role, id, "127.0.0.1:" + std::to_string(ports[ev.index]));
-      args.push_back("--resume");
-      args.push_back("--lifetime-ms");
-      args.push_back(std::to_string(remaining_lifetime_ms(victim, opt)));
-      ChildProc restarted = spawn_child(
-          argv0, victim.name + "-restart",
-          std::string(dir) + "/" + victim.name + ".restart.out", args);
-      if (restarted.pid < 0) {
-        std::fprintf(stderr, "wan_node --proc-chaos: restart fork failed\n");
-        for (const ChildProc& c : children) {
-          if (!c.exited) ::kill(c.pid, SIGKILL);
-        }
-        return 2;
+      const int lifetime = remaining_lifetime_ms(children[ev.node], opt);
+      if (!spawn(ev.node, "127.0.0.1:" + std::to_string((*ports)[ev.node]),
+                 {"--resume", "--lifetime-ms", std::to_string(lifetime)},
+                 "-restart")) {
+        return fail("restart fork failed");
       }
-      std::printf("  restarted %s at +%.0f ms\n", victim.name.c_str(),
-                  ms_since(grant_at));
-      restarts.push_back(std::move(restarted));
+      std::printf("  restarted %s at +%.0f ms\n",
+                  nodes[ev.node].name().c_str(), ms_since(grant_at));
     }
     std::fflush(stdout);
   }
-  for (ChildProc& r : restarts) children.push_back(std::move(r));
 
-  // Wait for everything still alive, with a hard deadline.
+  // Wait for every child with one hard deadline: a wedged deployment must
+  // fail the run, not hang CI.
   const auto deadline =
-      Clock::now() + std::chrono::milliseconds(node_lifetime_ms(opt) + 15000);
-  std::size_t remaining = 0;
-  for (const ChildProc& c : children) {
-    if (!c.exited) ++remaining;
-  }
-  while (remaining > 0 && Clock::now() < deadline) {
+      started + std::chrono::milliseconds(node_lifetime_ms(opt) + 15000);
+  for (bool running = true; running;) {
+    running = false;
     for (ChildProc& child : children) {
-      if (child.exited) continue;
       int status = 0;
+      if (child.exited) continue;
       if (::waitpid(child.pid, &status, WNOHANG) == child.pid) {
         child.exited = true;
         child.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : 128;
-        --remaining;
+      } else {
+        running = true;
       }
     }
-    if (remaining > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (running && Clock::now() >= deadline) {
+      return fail("processes still running at the deadline");
     }
+    if (running) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  bool all_ok = true;
-  if (remaining > 0) {
-    std::fprintf(stderr,
-                 "wan_node --proc-chaos: FAILED — %zu process(es) still "
-                 "running at deadline; killing\n",
-                 remaining);
-    for (ChildProc& child : children) {
-      if (!child.exited) ::kill(child.pid, SIGKILL);
-    }
-    all_ok = false;
-  }
+  std::vector<std::string> faults;
   for (const ChildProc& child : children) {
-    if (!child.killed && child.exited && child.exit_code != 0) {
-      std::fprintf(stderr, "wan_node --proc-chaos: %s exited %d\n",
-                   child.name.c_str(), child.exit_code);
-      all_ok = false;
+    if (!child.killed && child.exit_code != 0) {
+      faults.push_back(child.name + " exited " +
+                       std::to_string(child.exit_code));
     }
   }
-
-  // The recovery oracle: the restarted manager must have replayed durable
-  // state and completed a resync. (The restarted host is stateless — its
-  // check is simply the clean exit above.)
-  const std::string mgr_restart_out = std::string(dir) + "/manager-" +
-                                      std::to_string(victim_mgr) +
-                                      ".restart.out";
-  const std::optional<std::int64_t> replayed =
-      scrape_stamp(mgr_restart_out, "JOURNAL_REPLAYED");
-  if (!replayed || *replayed < 1) {
-    std::fprintf(stderr,
-                 "wan_node --proc-chaos: FAILED — restarted manager-%u "
-                 "replayed no journal records\n",
-                 victim_mgr);
-    all_ok = false;
+  // Recovery, for the crashes the schedule fired: a restarted manager must
+  // replay its journal and complete a resync, and under --trace its killed
+  // incarnation's ring must give up its final events. A restarted host is
+  // stateless; its check is the clean exit above.
+  for (const ChildProc& child : children) {
+    if (!child.killed || nodes[child.node].role != "manager") continue;
+    const std::string out = dir + "/" + child.name + "-restart.out";
+    const std::optional<std::int64_t> replayed =
+        scrape_stamp(out, "JOURNAL_REPLAYED");
+    if (!replayed || *replayed < 1) {
+      faults.push_back("restarted " + child.name +
+                       " replayed no journal records");
+    } else {
+      std::printf("  %s replayed %lld journal records\n", child.name.c_str(),
+                  static_cast<long long>(*replayed));
+    }
+    if (!scrape_stamp(out, "RESYNCED")) {
+      faults.push_back("restarted " + child.name +
+                       " never completed its resync");
+    }
+    if (!opt.trace_dir.empty() && child.harvested <= 0) {
+      faults.push_back("no flight-recorder events recovered from SIGKILLed " +
+                       child.name);
+    }
   }
-  if (!scrape_stamp(mgr_restart_out, "RESYNCED")) {
-    std::fprintf(stderr,
-                 "wan_node --proc-chaos: FAILED — restarted manager-%u never "
-                 "completed its resync\n",
-                 victim_mgr);
-    all_ok = false;
-  }
-  if (!opt.trace_dir.empty() && mgr_ring_events <= 0) {
-    // The flight recorder exists precisely for this moment: a SIGKILL that
-    // erased the in-memory tracer must still leave the victim's final spans
-    // recoverable from its mmap ring.
-    std::fprintf(stderr,
-                 "wan_node --proc-chaos: FAILED — no flight-recorder events "
-                 "recovered from SIGKILLed manager-%u\n",
-                 victim_mgr);
-    all_ok = false;
-  }
-  // The Te oracle, identical to the smoke: crashes may delay convergence but
-  // must never extend the window in which a revoked right is honoured.
-  const std::optional<std::int64_t> quorum_us = scrape_stamp(
-      std::string(dir) + "/manager-" + std::to_string(kManagerIds[1]) + ".out",
-      "REVOKE_QUORUM_US");
-  const std::optional<std::int64_t> last_allow_us = scrape_stamp(
-      std::string(dir) + "/agent-" + std::to_string(kAgentId) + ".out",
-      "LAST_ALLOW_US");
-  if (!quorum_us) {
-    std::fprintf(stderr,
-                 "wan_node --proc-chaos: revoke never reached quorum\n");
-    all_ok = false;
-  }
-  if (!last_allow_us) {
-    std::fprintf(stderr, "wan_node --proc-chaos: agent saw no allow/deny "
-                         "transition\n");
-    all_ok = false;
-  }
-  if (all_ok) {
-    const double over_ms =
+  // The Te oracle (§3.2): the cut host's last allow must land after the
+  // revoke quorum (otherwise the run never observed the window it audits)
+  // and within Te of it. Crashes may delay convergence but must never
+  // extend the window in which a revoked right is honoured.
+  const std::optional<std::int64_t> quorum_us =
+      scrape_stamp(children[index_of(kManagerIds[1])].out_path,
+                   "REVOKE_QUORUM_US");
+  const std::optional<std::int64_t> last_allow_us =
+      scrape_stamp(children[index_of(kAgentId)].out_path, "LAST_ALLOW_US");
+  if (!quorum_us) faults.push_back("revoke never reached quorum");
+  if (!last_allow_us) faults.push_back("agent saw no allow/deny transition");
+  if (quorum_us && last_allow_us) {
+    const double window_ms =
         static_cast<double>(*last_allow_us - *quorum_us) / 1000.0;
-    const bool held = over_ms <= static_cast<double>(opt.te_ms);
-    std::printf(
-        "wan_node --proc-chaos: Te bound across crashes: last allow %.1f "
-        "ms after revoke quorum (bound %d ms) — %s; manager-%u replayed "
-        "%lld records\n",
-        over_ms, opt.te_ms, held ? "HELD" : "VIOLATED", victim_mgr,
-        static_cast<long long>(replayed.value_or(0)));
-    all_ok = held;
+    const char* verdict = window_ms <= 0.0 ? "VACUOUS (no window observed)"
+                          : window_ms > opt.te_ms ? "VIOLATED"
+                                                  : "HELD";
+    std::printf("wan_node %s: Te bound across %zu processes: last allow %.1f "
+                "ms after revoke quorum (bound %d ms) — %s\n",
+                mode, nodes.size(), window_ms, opt.te_ms, verdict);
+    if (window_ms <= 0.0 || window_ms > opt.te_ms) {
+      faults.push_back(std::string("Te oracle ") + verdict);
+    }
   }
-
-  if (!all_ok || opt.verbose) {
+  for (const std::string& fault : faults) {
+    std::fprintf(stderr, "wan_node %s: %s\n", mode, fault.c_str());
+  }
+  if (!faults.empty()) return fail(faults.front());
+  if (opt.verbose) {
     for (const ChildProc& child : children) dump_child_output(child);
   }
-  if (!all_ok) {
-    std::fprintf(stderr, "wan_node --proc-chaos: FAILED (outputs kept in %s)\n",
-                 dir);
-    return 1;
-  }
 
-  // Success: tidy the scratch dir (out files, topology, journal state).
-  for (const ChildProc& child : children) {
-    std::remove(child.out_path.c_str());
-  }
-  for (const std::uint32_t id : kManagerIds) {
-    const std::string state = std::string(dir) + "/state-" + std::to_string(id);
-    std::remove((state + "/app-1.snap").c_str());
-    std::remove((state + "/app-1.log").c_str());
-    ::rmdir(state.c_str());
-  }
-  std::remove(topo_path.c_str());
-  ::rmdir(dir);
-  std::printf("wan_node --proc-chaos: OK (seed %llu)\n",
-              static_cast<unsigned long long>(opt.chaos_seed));
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+  std::printf("wan_node %s: OK (%zu processes over localhost UDP)\n", mode,
+              nodes.size());
   return 0;
 }
 
@@ -1389,14 +1223,8 @@ int main(int argc, char** argv) {
   if (opt.metrics && !opt.metrics_path.empty()) {
     exporter = std::make_unique<wan::MetricsExporter>(opt.metrics_path);
   }
-  int rc = 0;
-  if (opt.udp_smoke) {
-    rc = wan::run_udp_smoke(opt, argv[0]);
-  } else if (opt.proc_chaos) {
-    rc = wan::run_proc_chaos(opt, argv[0]);
-  } else {
-    rc = wan::run_role(opt);
-  }
+  const int rc = opt.role.empty() ? wan::run_deployment(opt, argv[0])
+                                  : wan::run_role(opt);
   if (exporter != nullptr) exporter->stop();
   if (opt.metrics && opt.metrics_path.empty()) {
     const std::string text = wan::obs::Registry::global().prometheus_text();
